@@ -143,9 +143,9 @@ def egreg_coefficients(
 
 
 def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
-    """Yield SIMPLS (weight, score) pairs, stopping early on deflation breakdown.
+    """SIMPLS weights R (p x k) and scores T (n x k) for k <= d components.
 
-    Each yielded pair satisfies ``t = X r`` with ``||t|| = 1``; successive
+    Each column pair satisfies ``t = X r`` with ``||t|| = 1``; successive
     loadings are orthogonalized and the cross-product matrix deflated, so the
     scores are mutually orthogonal.  Iteration ends before d components when
     the deflated cross-product, the score, or the orthogonalized loading
@@ -153,10 +153,11 @@ def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
     """
     S = X.T @ Y
     s0 = float(np.linalg.norm(S))
-    basis = []
-    for _ in range(d):
-        if np.linalg.norm(S) <= tol * max(1.0, s0):
-            return
+    R = np.empty((X.shape[1], d))
+    T = np.empty((X.shape[0], d))
+    basis = np.empty((d, X.shape[1]))   # deflation basis, one row per component
+    k = 0
+    while k < d and np.linalg.norm(S) > tol * max(1.0, s0):
         if Y.shape[1] == 1:
             r = S[:, 0].copy()
         else:
@@ -170,21 +171,20 @@ def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
         t = t - t.mean()
         nt = float(np.linalg.norm(t))
         if nt <= tol:
-            return
+            break
         t /= nt
         r = r / nt
         pl = X.T @ t
-        v = pl.copy()
-        if basis:
-            Vb = np.column_stack(basis)
-            v -= Vb @ (Vb.T @ pl)
+        Vb = basis[:k]
+        v = pl - Vb.T @ (Vb @ pl)
         nv = float(np.linalg.norm(v))
         if nv <= tol * max(1.0, float(np.linalg.norm(pl))):
-            return
+            break
         v /= nv
         S = S - v[:, None] @ (v[None, :] @ S)
-        basis.append(v)
-        yield r, t
+        R[:, k], T[:, k], basis[k] = r, t, v
+        k += 1
+    return R[:, :k], T[:, :k]
 
 
 def simpls_coefficients(X, Y, d: int, tol: float = SIMPLS_TOL) -> tuple[np.ndarray, int]:
@@ -194,12 +194,8 @@ def simpls_coefficients(X, Y, d: int, tol: float = SIMPLS_TOL) -> tuple[np.ndarr
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    beta = np.zeros((X.shape[1], Y.shape[1]))
-    achieved = 0
-    for r, t in _simpls_components(X, Y, d, tol):
-        beta += r[:, None] * (t @ Y)[None, :]
-        achieved += 1
-    return beta, achieved
+    R, T = _simpls_components(X, Y, d, tol)
+    return R @ (T.T @ Y), R.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +217,8 @@ def fit_pcr(data: Dataset, d: int) -> FittedModel:
 def fit_ridge(data: Dataset, lam: float) -> FittedModel:
     """Ridge regression minimizing ``||Y - X b||_F^2 + lambda ||b||_F^2``."""
     _require_centered(data)
-    if not lam > 0:
-        raise ParameterError(f"lambda must be positive, got {lam}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ParameterError(f"lambda must be positive and finite, got {lam}")
     svd = thin_svd(data.X)
     beta = ridge_coefficients(svd, data.Y, float(lam))
     return FittedModel(beta=beta, method="Ridge", lam=float(lam), transform=data.transform)
@@ -259,8 +255,8 @@ def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
     flagged.
     """
     _require_centered(data)
-    if lam < 0:
-        raise ParameterError(f"lambda must be nonnegative, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"lambda must be nonnegative and finite, got {lam}")
     svd = thin_svd(data.X)
     if d is None:
         d = svd.r

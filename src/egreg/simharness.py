@@ -8,10 +8,11 @@ points and replications produce bitwise-identical results whether they run
 serially or in parallel.
 
 The cross-validation scorer shares one implementation between
-:func:`kfold_cv` and the study drivers: per training fold the SVD is
-factored once and every tuning-parameter value is scored as a diagonal
-reweighting of the same projections, which is what keeps the full studies in
-the seconds-to-minutes range.
+:func:`kfold_cv` and the study drivers.  Per training fold the SVD is
+factored once; PCR, ridge, NIECE and EgReg become stacks of diagonal filters
+on its PCs, SIMPLS runs in its PC coordinates (r <= n columns, not p), and
+one kernel, :func:`_filtered_sse`, scores every filter and term count of the
+grid in a single cumulative sum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .estimators import (
     ridge_coefficients,
     simpls_coefficients,
 )
-from .exceptions import ConfigError, ContractError, DimensionError, ParameterError
+from .exceptions import ConfigError, ContractError, ParameterError
 from .matrixcore import Dataset, _as_matrix, _recenter, thin_svd
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
@@ -227,8 +228,6 @@ class _Fold:
     va: np.ndarray
     svd: object
     A: np.ndarray      # X_va @ V / D: held-out rows in whitened PC coordinates
-    Xtr: np.ndarray
-    Xva: np.ndarray
 
 
 def _fold_indices(n, k, seed):
@@ -242,8 +241,7 @@ def _fold_caches(X, folds):
     for va in folds:
         tr = np.setdiff1d(everything, va)
         svd_f = thin_svd(X[tr])
-        A = (X[va] @ svd_f.V) / svd_f.D
-        caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=A, Xtr=X[tr], Xva=X[va]))
+        caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=(X[va] @ svd_f.V) / svd_f.D))
     return caches
 
 
@@ -256,117 +254,134 @@ def _fold_phi(fold, B):
     return (fold.svd.D**2) * np.einsum("ij,ij->i", B, B) / float(n_tr) ** 2
 
 
-def _sse_by_count(A_cols, B_rows, Yva):
-    """Held-out SSE after keeping 1, 2, ..., all of the given PC contributions."""
-    T = A_cols[:, :, None] * B_rows[None, :, :]
-    cum = np.cumsum(T, axis=1)
-    err = cum - Yva[:, None, :]
-    return np.einsum("mdq,mdq->d", err, err)
+#: Per CV method: the key every grid entry needs, and the keys it may add.
+_GRID_KEYS = {
+    "pcr": ("d", ()),
+    "ridge": ("lambda", ()),
+    "niece": ("u", ("d",)),
+    "simpls": ("d", ()),
+    "egreg": ("lambda", ("d",)),
+}
 
 
-def _group_by(grid, key, default=None):
-    groups = {}
-    for i, entry in enumerate(grid):
-        groups.setdefault(entry.get(key, default), []).append(i)
-    return groups
+@dataclass
+class _Grid:
+    """A tuning grid as parallel arrays, one position per entry.
+
+    ``d`` and ``u`` are 0 where an entry has none; a missing ``d`` means the
+    training fold's full rank.  ``lam`` is 0 for methods without a penalty.
+    Scalars broadcast against the arrays given.
+    """
+
+    method: str
+    d: np.ndarray = 0
+    u: np.ndarray = 0
+    lam: np.ndarray = 0.0
+
+    def __post_init__(self):
+        self.d, self.u, self.lam = np.broadcast_arrays(
+            np.asarray(self.d, np.intp), np.asarray(self.u, np.intp), np.asarray(self.lam, float))
 
 
-def _cv_sse(caches, Y, method: str, grid) -> np.ndarray:
-    """Pooled held-out SSE for every grid entry (one shared implementation)."""
-    sse = np.zeros(len(grid))
+def _grid_value(key, v):
+    """Validate one grid value: d and u are integers >= 1, lambda is finite and >= 0."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    if key == "lambda" and not (real and math.isfinite(v) and v >= 0):
+        raise ParameterError(f"lambda must be finite and nonnegative, got {v!r}")
+    if key != "lambda" and not (real and isinstance(v, (int, np.integer)) and v >= 1):
+        raise ParameterError(f"{key} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _parse_grid(method, entries) -> _Grid:
+    """Validate a list-of-dicts grid and turn it into a :class:`_Grid`."""
+    if not entries:
+        raise ParameterError("parameter grid is empty")
+    need, optional = _GRID_KEYS[method]
+    cols = {"d": [], "u": [], "lambda": []}
+    for e in entries:
+        given = {key for key, v in e.items() if v is not None}
+        if need not in given or not given <= {need, *optional}:
+            raise ParameterError(f"a {method} grid entry needs {need!r} and may add only "
+                                 f"{list(optional)}, got {e}")
+        for key, col in cols.items():
+            col.append(_grid_value(key, e[key]) if key in given else 0)
+    return _Grid(method, cols["d"], cols["u"], cols["lambda"])
+
+
+def _filtered_sse(A, B, Yva, F):
+    """Held-out SSE of every filter after keeping its first 0, 1, ..., k terms.
+
+    ``A`` (m x k) holds the held-out rows and ``B`` (k x q) the training
+    response in the same k coordinates; under filter l (row of the L x k
+    ``F``) coordinate j adds ``A[:, j] F[l, j] B[j]`` to the prediction.
+    Returns an L x (k+1) array whose column c is the SSE of the sum of the
+    first c terms (column 0: predicting zero).
+    """
+    L, k = F.shape
+    T = np.zeros((L, A.shape[0], k + 1, B.shape[1]))
+    np.multiply(A[None, :, :, None], F[:, None, :, None] * B[None, None], out=T[:, :, 1:])
+    np.cumsum(T, axis=2, out=T)
+    T -= Yva[None, :, None, :]
+    return np.einsum("lmkq,lmkq->lk", T, T)
+
+
+def _cv_sse(caches, Y, grid: _Grid) -> np.ndarray:
+    """Pooled held-out SSE for every grid entry: one kernel call per fold.
+
+    Each method becomes a stack of filters over the fold's coordinates and
+    every entry reads one (filter, term count) cell of :func:`_filtered_sse`.
+    """
+    sse = np.zeros(grid.d.shape)
     for fold in caches:
         Ytr = Y[fold.tr]
         Yva = Y[fold.va]
-        r_f = fold.svd.r
-
-        if method == "simpls":
-            d_max = max(e["d"] for e in grid)
-            if d_max > r_f:
-                raise ParameterError(f"d = {d_max} exceeds a training-fold rank {r_f}")
-            path = np.empty(d_max + 1)
-            path[0] = float(np.sum(Yva**2))
-            pred = np.zeros_like(Yva)
-            count = 0
-            for r_w, t in _simpls_components(fold.Xtr, Ytr, d_max):
-                pred = pred + (fold.Xva @ r_w)[:, None] * (t @ Ytr)[None, :]
-                count += 1
-                path[count] = float(np.sum((pred - Yva) ** 2))
-            path[count + 1 :] = path[count]
-            for i, e in enumerate(grid):
-                sse[i] += path[e["d"]]
-            continue
-
-        B = fold.svd.U.T @ Ytr
-
-        if method == "pcr":
-            by_d = _sse_by_count(fold.A, B, Yva)
-            for i, e in enumerate(grid):
-                d = e["d"]
-                if d > r_f:
-                    raise ParameterError(f"d = {d} exceeds a training-fold rank {r_f}")
-                sse[i] += by_d[d - 1]
-
-        elif method == "ridge":
-            D2 = fold.svd.D**2
-            for i, e in enumerate(grid):
-                w = D2 / (D2 + e["lambda"])
-                pred = fold.A @ (w[:, None] * B)
-                sse[i] += float(np.sum((pred - Yva) ** 2))
-
-        elif method == "niece":
-            phi = _fold_phi(fold, B)
-            order = _rank_scores(phi, fold.svd.D)[0]
-            for d_pool, idxs in _group_by(grid, "d").items():
-                d_pool = r_f if d_pool is None else d_pool
-                if d_pool > r_f:
-                    raise ParameterError(f"d = {d_pool} exceeds a training-fold rank {r_f}")
-                pool = order[order < d_pool]
-                by_u = _sse_by_count(fold.A[:, pool], B[pool], Yva)
-                for i in idxs:
-                    u = grid[i]["u"]
-                    if u > d_pool:
-                        raise ParameterError(f"u = {u} exceeds the candidate pool {d_pool}")
-                    sse[i] += by_u[u - 1]
-
-        elif method == "egreg":
-            phi = _fold_phi(fold, B)
-            for lam, idxs in _group_by(grid, "lambda").items():
-                if lam is None:
-                    raise ParameterError("egreg grid entries need a 'lambda' value")
-                denom = phi + lam
-                w = np.zeros(r_f)
-                np.divide(phi, denom, out=w, where=denom > 0)
-                by_d = _sse_by_count(fold.A, w[:, None] * B, Yva)
-                for i in idxs:
-                    d = grid[i].get("d")
-                    d = r_f if d is None else d
-                    if d > r_f:
-                        raise ParameterError(f"d = {d} exceeds a training-fold rank {r_f}")
-                    sse[i] += by_d[d - 1]
-
+        svd = fold.svd
+        r_f = svd.r
+        d = np.where(grid.d > 0, grid.d, r_f)
+        if d.max() > r_f:
+            raise ParameterError(f"d = {d.max()} exceeds a training-fold rank {r_f}")
+        if np.any(grid.u > d):
+            i = int(np.argmax(grid.u > d))
+            raise ParameterError(f"u = {grid.u[i]} exceeds the candidate pool {d[i]}")
+        A, rows, cols = fold.A, 0, d
+        if grid.method == "simpls":
+            # X_tr r = (U D)(V'r): run SIMPLS on the fold's r PC columns.
+            W, T = _simpls_components(svd.U * svd.D, Ytr, int(d.max()))
+            A = (A * svd.D) @ W
+            B = T.T @ Ytr
+            F = np.ones((1, W.shape[1]))
+            cols = np.minimum(d, W.shape[1])   # an early stop keeps its last fit
         else:
-            raise ParameterError(f"unknown method {method!r}")
+            B = svd.U.T @ Ytr
+            if grid.method == "pcr":
+                F = np.ones((1, r_f))
+            elif grid.method in ("ridge", "egreg"):
+                # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
+                s = svd.D**2 if grid.method == "ridge" else _fold_phi(fold, B)
+                lam, rows = np.unique(grid.lam, return_inverse=True)
+                denom = s + lam[:, None]
+                F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
+            else:
+                # NIECE: PCs in score order; each candidate pool is a 0/1 filter
+                # and u counts the pool members kept.
+                order = _rank_scores(_fold_phi(fold, B), svd.D)[0]
+                A, B = A[:, order], B[order]
+                pools, rows = np.unique(d, return_inverse=True)
+                F = (order < pools[:, None]).astype(float)
+                kept = np.cumsum(F, axis=1)[rows]
+                cols = 1 + np.count_nonzero(kept < grid.u[:, None], axis=1)
+        sse += _filtered_sse(A, B, Yva, F)[rows, cols]
     return sse
 
 
-def _pick_best(grid, scores):
-    """Index of the best entry: lowest score, then smaller d/u, then larger lambda."""
-    def key(i):
-        e = grid[i]
-        size = e.get("u", e.get("d"))
-        size = math.inf if size is None else size
-        return (scores[i], size, -float(e.get("lambda") or 0.0))
+def _pick_best(grid: _Grid, scores):
+    """Index of the best entry: lowest score, then smaller d/u, then larger lambda.
 
-    return min(range(len(grid)), key=key)
-
-
-_CV_METHOD_KEYS = {
-    "pcr": "pcr",
-    "ridge": "ridge",
-    "niece": "niece",
-    "simpls": "simpls",
-    "egreg": "egreg",
-}
+    ``np.lexsort`` is stable, so any tie left goes to the first entry.
+    """
+    size = np.where(grid.u > 0, grid.u, np.where(grid.d > 0, grid.d, np.inf))
+    return int(np.lexsort((-grid.lam, size, scores))[0])
 
 
 def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
@@ -380,25 +395,26 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     ``param_grid`` is a sequence of dicts with keys among {"d", "u",
     "lambda"}, e.g. ``[{"d": 2}, {"d": 3}]`` for PCR or ``[{"d": 3,
     "lambda": 0.1}, ...]`` for EgReg (omit "d" for the full-rank EgReg
-    variant).  Returns ``(best_params, cv_table)`` where the table carries a
-    "cv_score" per entry.
+    variant).  ``d`` and ``u`` are integers >= 1, ``lambda`` is finite and
+    nonnegative, and a key the method does not use is an error.  Returns
+    ``(best_params, cv_table)`` where the table carries a "cv_score" per
+    entry.
     """
     if not data.centered:
         raise ContractError("kfold_cv requires centered data")
-    key = _CV_METHOD_KEYS.get(str(method).lower())
-    if key is None:
+    method = str(method).lower()
+    if method not in _GRID_KEYS:
         raise ParameterError(f"unknown method {method!r}")
-    grid = [dict(e) for e in param_grid]
-    if not grid:
-        raise ParameterError("parameter grid is empty")
+    entries = [dict(e) for e in param_grid]
+    grid = _parse_grid(method, entries)
     n = data.n
     if k < 2 or n < k:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
     caches = _fold_caches(data.X, _fold_indices(n, k, seed))
-    scores = _cv_sse(caches, data.Y, key, grid) / n
+    scores = _cv_sse(caches, data.Y, grid) / n
     best = _pick_best(grid, scores)
-    table = [{**e, "cv_score": float(s)} for e, s in zip(grid, scores)]
-    return dict(grid[best]), table
+    table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
+    return dict(entries[best]), table
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +514,18 @@ class _Frame:
     draw_noise: Callable
 
 
-def _final_fit(label, best, svd_full, scores_full, Xc, Yc):
-    if label == "PCR":
-        return pcr_coefficients(svd_full, Yc, best["d"])
-    if label == "Ridge":
-        return ridge_coefficients(svd_full, Yc, best["lambda"])
-    if label == "NIECE":
-        return niece_coefficients(svd_full, scores_full, Yc, best["u"], svd_full.r)
-    if label == "SIMPLS":
-        return simpls_coefficients(Xc, Yc, best["d"])[0]
-    # EgReg and EgReg(r)
-    d = best.get("d", svd_full.r)
-    return egreg_coefficients(svd_full, scores_full, Yc, d, best["lambda"])[0]
+def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
+    """Refit on the whole sample at grid entry i; a missing d is the full rank."""
+    d, u, lam = int(grid.d[i]) or svd_full.r, int(grid.u[i]), float(grid.lam[i])
+    if grid.method == "pcr":
+        return pcr_coefficients(svd_full, Yc, d)
+    if grid.method == "ridge":
+        return ridge_coefficients(svd_full, Yc, lam)
+    if grid.method == "niece":
+        return niece_coefficients(svd_full, scores_full, Yc, u, svd_full.r)
+    if grid.method == "simpls":
+        return simpls_coefficients(Xc, Yc, d)[0]
+    return egreg_coefficients(svd_full, scores_full, Yc, d, lam)[0]
 
 
 def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
@@ -519,21 +535,16 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
     svd_full = thin_svd(Xc)
     caches = _fold_caches(Xc, _fold_indices(n, folds_k, fold_seed))
     r_cap = min(svd_full.r, min(c.svd.r for c in caches))
-    lam_grid = _lambda_grid(svd_full.D[0] ** 2)
+    ds = np.arange(1, r_cap + 1)
+    lam = _lambda_grid(svd_full.D[0] ** 2)
     grids = {
-        "PCR": [{"d": d} for d in range(1, r_cap + 1)],
-        "Ridge": [{"lambda": float(l)} for l in lam_grid],
-        "NIECE": [{"u": u} for u in range(1, r_cap + 1)],
-        "SIMPLS": [{"d": d} for d in range(1, r_cap + 1)],
-        "EgReg": [
-            {"d": d, "lambda": float(l)}
-            for d in range(1, r_cap + 1)
-            for l in lam_grid
-        ],
-        "EgReg(r)": [{"lambda": float(l)} for l in lam_grid],
+        "PCR": _Grid("pcr", d=ds),
+        "Ridge": _Grid("ridge", lam=lam),
+        "NIECE": _Grid("niece", u=ds),
+        "SIMPLS": _Grid("simpls", d=ds),
+        "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
+        "EgReg(r)": _Grid("egreg", lam=lam),
     }
-    cv_key = {"PCR": "pcr", "Ridge": "ridge", "NIECE": "niece",
-              "SIMPLS": "simpls", "EgReg": "egreg", "EgReg(r)": "egreg"}
     beta_hats = {m: [] for m in methods}
     for rep in range(R):
         E = frame.draw_noise(rep)
@@ -542,15 +553,11 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
         scores_full = envelope_scores(svd_full, Sxy, svd_full.r)
         for label in methods:
             grid = grids[label]
-            sse = _cv_sse(caches, Yc, cv_key[label], grid)
-            best = grid[_pick_best(grid, sse / n)]
-            if label == "EgReg(r)":
-                best = {**best, "d": svd_full.r}
+            best = _pick_best(grid, _cv_sse(caches, Yc, grid) / n)
             beta_hats[label].append(
-                _final_fit(label, best, svd_full, scores_full, Xc, Yc)
+                _final_fit(grid, best, svd_full, scores_full, Xc, Yc)
             )
-    terms = np.vstack([empirical_risk_terms(beta_hats[m], frame.truth) for m in methods])
-    return terms
+    return np.vstack([empirical_risk_terms(beta_hats[m], frame.truth) for m in methods])
 
 
 def _summarize(terms):
@@ -710,12 +717,12 @@ def _run_double_descent(cfg):
             Xg = Xc @ Gamma
             svd_g = thin_svd(Xg)
             caches_g = _fold_caches(Xg, folds)
-            grid_g = [{"lambda": float(l)} for l in _lambda_grid(svd_g.D[0] ** 2)]
+            grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
             pre["EgReg"] = (svd_g, caches_g, grid_g)
         if "EgReg(r)" in methods:
             svd_full = thin_svd(Xc)
             caches_x = _fold_caches(Xc, folds)
-            grid_x = [{"lambda": float(l)} for l in _lambda_grid(svd_full.D[0] ** 2)]
+            grid_x = _Grid("egreg", lam=_lambda_grid(svd_full.D[0] ** 2))
             pre["EgReg(r)"] = (svd_full, caches_x, grid_x)
 
         beta_hats = {m: [] for m in methods}
@@ -728,24 +735,17 @@ def _run_double_descent(cfg):
                     beta_hats[label].append(G_keep @ (piv @ Yc))
                 elif label == "EgReg":
                     svd_g, caches_g, grid_g = pre["EgReg"]
-                    sse = _cv_sse(caches_g, Yc, "ridge", grid_g)
-                    lam = grid_g[_pick_best(grid_g, sse / n)]["lambda"]
-                    eta_hat = ridge_coefficients(svd_g, Yc, lam)
+                    best = _pick_best(grid_g, _cv_sse(caches_g, Yc, grid_g) / n)
+                    eta_hat = _final_fit(grid_g, best, svd_g, None, None, Yc)
                     beta_hats[label].append(Gamma @ eta_hat)
                 else:
                     svd_full, caches_x, grid_x = pre["EgReg(r)"]
-                    sse = _cv_sse(caches_x, Yc, "egreg", grid_x)
-                    lam = grid_x[_pick_best(grid_x, sse / n)]["lambda"]
-                    scores_full = envelope_scores(
-                        svd_full, Xc.T @ Yc / n, svd_full.r
+                    best = _pick_best(grid_x, _cv_sse(caches_x, Yc, grid_x) / n)
+                    scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
+                    beta_hats[label].append(
+                        _final_fit(grid_x, best, svd_full, scores_full, Xc, Yc)
                     )
-                    beta = egreg_coefficients(
-                        svd_full, scores_full, Yc, svd_full.r, lam
-                    )[0]
-                    beta_hats[label].append(beta)
-        terms = np.vstack(
-            [empirical_risk_terms(beta_hats[m], truth) for m in methods]
-        )
+        terms = np.vstack([empirical_risk_terms(beta_hats[m], truth) for m in methods])
         risks[g], ses[g] = _summarize(terms)
     return StudyResult(
         study="double_descent", grid_name="u_star_over_n", grid=ratios,
@@ -770,6 +770,9 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
         if unknown:
             raise ConfigError(f"unknown config key(s) for {study}: {', '.join(unknown)}")
         cfg.update(config)
+    n, folds = int(cfg["n"]), int(cfg["folds"])
+    if not 2 <= folds <= n:
+        raise ConfigError(f"need 2 <= folds <= n, got folds={folds}, n={n}")
     if study == "baseline":
         return _run_baseline(cfg)
     if study == "double_descent":

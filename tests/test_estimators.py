@@ -74,6 +74,12 @@ def test_ridge_rejects_nonpositive_lambda():
         fit_ridge(data, 0.0)
 
 
+def test_ridge_rejects_infinite_lambda():
+    data = _centered(seed=6, n=30, p=6)
+    with pytest.raises(ParameterError):
+        fit_ridge(data, float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # NIECE / EgReg
 # ---------------------------------------------------------------------------
@@ -130,6 +136,12 @@ def test_egreg_rejects_negative_lambda():
     data = _centered(seed=11, n=30, p=8)
     with pytest.raises(ParameterError):
         fit_egreg(data, 4, -0.5)
+
+
+def test_egreg_rejects_nan_lambda():
+    data = _centered(seed=11, n=30, p=8)
+    with pytest.raises(ParameterError):
+        fit_egreg(data, None, float("nan"))
 
 
 def test_niece_equals_pcr_when_rankings_agree():
@@ -216,7 +228,7 @@ def test_simpls_scores_are_orthonormal():
     from egreg.estimators import _simpls_components
 
     data = _centered(seed=19, n=50, p=8, q=2)
-    T = np.column_stack([t for _, t in _simpls_components(data.X, data.Y, 5)])
+    T = _simpls_components(data.X, data.Y, 5)[1]
     assert_allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-8)
 
 

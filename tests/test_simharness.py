@@ -193,7 +193,7 @@ def _brute_force_cv(data, method, grid, k, seed):
                 beta = ridge_coefficients(svd, Yt, e["lambda"])
             elif method == "niece":
                 scores = envelope_scores(svd, Xt.T @ Yt / len(tr), svd.r)
-                beta = niece_coefficients(svd, scores, Yt, e["u"], svd.r)
+                beta = niece_coefficients(svd, scores, Yt, e["u"], e.get("d", svd.r))
             elif method == "egreg":
                 d = e.get("d", svd.r)
                 scores = envelope_scores(svd, Xt.T @ Yt / len(tr), svd.r)
@@ -204,15 +204,26 @@ def _brute_force_cv(data, method, grid, k, seed):
     return out / data.n
 
 
-@pytest.mark.parametrize("method,grid", [
-    ("pcr", [{"d": d} for d in (1, 2, 4, 5)]),
-    ("ridge", [{"lambda": l} for l in (0.01, 0.5, 3.0)]),
-    ("niece", [{"u": u} for u in (1, 3, 5)]),
-    ("egreg", [{"d": d, "lambda": l} for d in (2, 4) for l in (0.1, 2.0)]),
-    ("simpls", [{"d": d} for d in (1, 2, 3)]),
+@pytest.mark.parametrize("method,grid,p", [
+    pytest.param("pcr", [{"d": d} for d in (1, 2, 4, 5)], 6, id="pcr-grid0"),
+    pytest.param("ridge", [{"lambda": l} for l in (0.01, 0.5, 3.0)], 6, id="ridge-grid1"),
+    pytest.param("niece", [{"u": u} for u in (1, 3, 5)], 6, id="niece-grid2"),
+    pytest.param("egreg", [{"d": d, "lambda": l} for d in (2, 4) for l in (0.1, 2.0)], 6,
+                 id="egreg-grid3"),
+    pytest.param("simpls", [{"d": d} for d in (1, 2, 3)], 6, id="simpls-grid4"),
+    pytest.param("niece", [{"u": 2, "d": 3}, {"u": 3, "d": 3}, {"u": 2, "d": 5}, {"u": 4}], 6,
+                 id="niece-pools"),
+    pytest.param("egreg", [{"lambda": 0.1}, {"d": 3, "lambda": 0.1}, {"lambda": 2.0}], 6,
+                 id="egreg-full-rank"),
+    # wide: p = 60 exceeds the training-fold rank 40
+    pytest.param("pcr", [{"d": d} for d in (1, 7, 40)], 60, id="pcr-wide"),
+    pytest.param("niece", [{"u": 2}, {"u": 5, "d": 12}, {"u": 30}], 60, id="niece-wide"),
+    pytest.param("egreg", [{"lambda": 0.5}, {"d": 10, "lambda": 0.0}, {"d": 25, "lambda": 4.0}],
+                 60, id="egreg-wide"),
+    pytest.param("simpls", [{"d": d} for d in (1, 2, 3, 5)], 60, id="simpls-wide"),
 ])
-def test_cv_scores_match_brute_force(method, grid):
-    data = _cv_data()
+def test_cv_scores_match_brute_force(method, grid, p):
+    data = _cv_data(p=p)
     _, table = kfold_cv(data, method, grid, k=6, seed=13)
     oracle = _brute_force_cv(data, method, grid, k=6, seed=13)
     got = np.array([row["cv_score"] for row in table])
@@ -246,6 +257,38 @@ def test_cv_validation_errors():
         kfold_cv(data, "newton", [{"d": 2}], k=5, seed=0)
     with pytest.raises(ParameterError):
         kfold_cv(data, "pcr", [{"d": 40}], k=5, seed=0)
+    bad_grids = [
+        ("ridge", [{"lambda": 1.0}, {}]),          # a required key is missing
+        ("pcr", [{}]),
+        ("simpls", [{"u": 2}]),
+        ("niece", [{"d": 3}]),
+        ("pcr", [{"d": 0}]),                       # d and u are integers >= 1
+        ("pcr", [{"d": 2.5}]),
+        ("niece", [{"u": True}]),
+        ("niece", [{"u": 4, "d": 2}]),             # u exceeds its candidate pool
+        ("ridge", [{"lambda": float("nan")}]),     # lambda is finite and >= 0
+        ("egreg", [{"lambda": float("inf")}]),
+        ("egreg", [{"d": 2, "lambda": -1.0}]),
+        ("egreg", [{"lambda": "0.1"}]),
+        ("pcr", [{"d": 2, "lambda": 1.0}]),        # a key the method does not use
+    ]
+    for method, grid in bad_grids:
+        with pytest.raises(ParameterError):
+            kfold_cv(data, method, grid, k=5, seed=0)
+
+
+def test_cv_ties_go_to_smaller_d_then_larger_lambda():
+    # Y = 0: SIMPLS stops at once and every EgReg score is 0, so all entries tie.
+    data = _cv_data(seed=15)
+    zero = Dataset(data.X, np.zeros_like(data.Y), centered=True)
+    best, table = kfold_cv(zero, "simpls", [{"d": 3}, {"d": 1}, {"d": 2}], k=4, seed=1)
+    assert [row["cv_score"] for row in table] == [0.0, 0.0, 0.0]
+    assert best == {"d": 1}
+    grid = [{"d": 3, "lambda": 5.0}, {"d": 2, "lambda": 0.5}, {"d": 2, "lambda": 1.0},
+            {"d": 2, "lambda": 1.0}]
+    best, table = kfold_cv(zero, "egreg", grid, k=4, seed=1)
+    assert all(row["cv_score"] == 0.0 for row in table)
+    assert best == {"d": 2, "lambda": 1.0}
 
 
 def test_cv_is_seed_deterministic():
@@ -285,6 +328,9 @@ def test_run_study_rejects_unknowns():
         run_study("double_descent", {"methods": ["pcr"]})
     with pytest.raises(ConfigError, match="u_star"):
         run_study("double_descent", {"u_star_over_n": [0.05]})
+    with pytest.raises(ConfigError, match="folds"):
+        run_study("P1", {"n": 20, "folds": 30, "replications": 1,
+                         "p_over_n": [1.0], "methods": ["pcr"]})
 
 
 def test_study_result_layout_and_determinism():
