@@ -52,13 +52,20 @@ class EnvelopeBasis:
     non_unique: bool = False
 
 
+def _score_order(phi, strength):
+    """Permutation sorting ``phi`` descending along its last axis; ties go to
+    the larger ``strength``, then the smaller index."""
+    idx = np.broadcast_to(np.arange(phi.shape[-1]), phi.shape)
+    return np.lexsort((idx, np.broadcast_to(-strength, phi.shape), -phi))
+
+
 def _rank_scores(phi, strength):
     """Order scores descending; ties to larger ``strength``, then smaller index.
 
     Returns the permutation and the groups of exactly tied indices.
     """
     d = phi.shape[0]
-    order = np.lexsort((np.arange(d), -strength, -phi))
+    order = _score_order(phi, strength)
     groups = []
     start = 0
     for i in range(1, d + 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envscore import EnvelopeScores, envelope_scores, top_ranked
 from .exceptions import ContractError, DimensionError, ParameterError
-from .matrixcore import Dataset, SvdFactors, Transform, cross_cov, thin_svd
+from .matrixcore import Dataset, SvdFactors, Transform, cross_cov, numerical_rank, thin_svd
 
 #: Deflation tolerance for the SIMPLS early-stop test.
 SIMPLS_TOL = 1e-12
@@ -142,49 +142,85 @@ def egreg_coefficients(
     return beta, zero_idx
 
 
+def _lane_norms(M):
+    """2-norm of each lane (leading axis) of a contiguous array, as a BLAS dot."""
+    M = M.reshape(M.shape[0], 1, -1)
+    return np.sqrt(M @ M.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
+    """The SIMPLS recurrence (de Jong 1993), run in lockstep over lanes.
+
+    ``Z`` (n x k) holds the predictors in any isometric coordinates (the fit
+    is invariant to rotating them), ``Y`` (lanes x n x q) one response per
+    lane and ``train`` (lanes x n) a 0/1 mask of the rows each lane fits on.
+    Per component this yields ``(live, r, t, zr)`` for the lanes still
+    running, one row per lane: weights ``r`` (k), unit scores
+    ``t = train (Z r - mean)`` centered over the training rows (zero
+    elsewhere), and ``zr = Z r`` on every row.  Each component is one GEMM
+    for all lanes.  A lane stops before d components when its deflated
+    cross-product, its score or its orthogonalized loading collapses below
+    the tolerance.
+    """
+    lanes, n, q = Y.shape
+    k = Z.shape[1]
+    n_tr = train.sum(axis=1)
+    S = Z.T @ (train[:, :, None] * Y).transpose(1, 0, 2).reshape(n, -1)
+    S = np.ascontiguousarray(S.reshape(k, lanes, q).transpose(1, 0, 2))
+    s_tol = tol * np.maximum(1.0, _lane_norms(S))
+    live = np.arange(lanes)
+    basis = np.empty((lanes, d, k))   # deflation basis, one row per component
+    # Per-lane reductions are BLAS dots and stacked matmuls, so a single
+    # lane reproduces the unbatched recurrence bit for bit.  A lane failing
+    # a test still runs through the component (its rows may turn inf/nan,
+    # which touches no other lane) and is dropped at the end of it.
+    for c in range(d):
+        keep = _lane_norms(S) > s_tol
+        if q == 1:
+            r = S[:, :, 0].copy()
+        else:
+            G = S.transpose(0, 2, 1) @ S
+            w = np.linalg.eigh((G + G.transpose(0, 2, 1)) / 2.0)[1][:, :, -1:]
+            lead = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
+            r = (S @ np.where(lead < 0, -w, w))[:, :, 0]
+        zr = r @ Z.T
+        mask = train[live]
+        t = zr - (mask * zr).sum(axis=1, keepdims=True) / n_tr[live, None]
+        t *= mask
+        nt = _lane_norms(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t /= nt[:, None]
+            r /= nt[:, None]
+            zr /= nt[:, None]
+            pl = (t @ Z)[:, :, None]
+            Vb = basis[:, :c]
+            v = pl - Vb.transpose(0, 2, 1) @ (Vb @ pl)
+            nv = _lane_norms(v)
+            v /= nv[:, None, None]
+        keep &= (nt > tol) & (nv > tol * np.maximum(1.0, _lane_norms(pl)))
+        if not keep.all():
+            live, S, s_tol, basis = live[keep], S[keep], s_tol[keep], basis[keep]
+            r, t, zr, v = r[keep], t[keep], zr[keep], v[keep]
+            if not live.size:
+                return
+        S = S - v @ (v.transpose(0, 2, 1) @ S)
+        basis[:, c] = v[:, :, 0]
+        yield live, r, t, zr
+
+
 def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
     """SIMPLS weights R (p x k) and scores T (n x k) for k <= d components.
 
-    Each column pair satisfies ``t = X r`` with ``||t|| = 1``; successive
-    loadings are orthogonalized and the cross-product matrix deflated, so the
-    scores are mutually orthogonal.  Iteration ends before d components when
-    the deflated cross-product, the score, or the orthogonalized loading
-    collapses below the tolerance.
+    The one-lane, all-rows case of :func:`_simpls_lockstep`: each column pair
+    satisfies ``t = X r - mean`` with ``||t|| = 1``, and the scores are
+    mutually orthogonal.
     """
-    S = X.T @ Y
-    s0 = float(np.linalg.norm(S))
-    R = np.empty((X.shape[1], d))
-    T = np.empty((X.shape[0], d))
-    basis = np.empty((d, X.shape[1]))   # deflation basis, one row per component
-    k = 0
-    while k < d and np.linalg.norm(S) > tol * max(1.0, s0):
-        if Y.shape[1] == 1:
-            r = S[:, 0].copy()
-        else:
-            G = S.T @ S
-            _, wv = np.linalg.eigh((G + G.T) / 2.0)
-            w = wv[:, -1]
-            if w[np.argmax(np.abs(w))] < 0:
-                w = -w
-            r = S @ w
-        t = X @ r
-        t = t - t.mean()
-        nt = float(np.linalg.norm(t))
-        if nt <= tol:
-            break
-        t /= nt
-        r = r / nt
-        pl = X.T @ t
-        Vb = basis[:k]
-        v = pl - Vb.T @ (Vb @ pl)
-        nv = float(np.linalg.norm(v))
-        if nv <= tol * max(1.0, float(np.linalg.norm(pl))):
-            break
-        v /= nv
-        S = S - v[:, None] @ (v[None, :] @ S)
-        R[:, k], T[:, k], basis[k] = r, t, v
-        k += 1
-    return R[:, :k], T[:, :k]
+    steps = list(_simpls_lockstep(X, Y[None], np.ones((1, X.shape[0])), d, tol))
+    R = np.empty((X.shape[1], len(steps)))
+    T = np.empty((X.shape[0], len(steps)))
+    for j, (_, r, t, _) in enumerate(steps):
+        R[:, j], T[:, j] = r[0], t[0]
+    return R, T
 
 
 def simpls_coefficients(X, Y, d: int, tol: float = SIMPLS_TOL) -> tuple[np.ndarray, int]:
@@ -288,9 +324,9 @@ def fit_simpls(data: Dataset, d: int) -> FittedModel:
     """
     _require_centered(data)
     d = _check_int(d, "d")
-    svd = thin_svd(data.X)
-    if not 1 <= d <= svd.r:
-        raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
+    r = numerical_rank(data.X)
+    if not 1 <= d <= r:
+        raise DimensionError(f"d must satisfy 1 <= d <= r = {r}, got {d}")
     beta, achieved = simpls_coefficients(data.X, data.Y, d)
     flags = {"achieved_components": achieved}
     if achieved < d:

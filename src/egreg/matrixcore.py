@@ -199,6 +199,29 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     return Dataset(Xt, Yt, centered=True, standardized=(mode == "standardize"), transform=tr)
 
 
+def _checked_design(X, rel_tol):
+    X = _as_matrix(X, "X")
+    if rel_tol <= 0:
+        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
+    if not X.any():
+        raise RankZeroError("X is identically zero")
+    return X
+
+
+def _rank_of(s, rel_tol):
+    """Count the singular values (descending) above ``rel_tol * sigma_1``."""
+    r = int(np.count_nonzero(s > rel_tol * s[0]))
+    if r == 0:
+        raise RankZeroError(f"no singular value exceeds rel_tol*sigma_1 = {rel_tol * s[0]:.3e}")
+    return r
+
+
+def numerical_rank(X, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+    """The rank :func:`thin_svd` would truncate at, from the singular values alone."""
+    X = _checked_design(X, rel_tol)
+    return _rank_of(np.linalg.svd(X, compute_uv=False), rel_tol)
+
+
 def thin_svd(X, rel_tol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     """Thin SVD truncated at the numerical rank, with deterministic signs.
 
@@ -212,15 +235,9 @@ def thin_svd(X, rel_tol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     RankZeroError
         If X is identically zero (or no singular value clears the cutoff).
     """
-    X = _as_matrix(X, "X")
-    if rel_tol <= 0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
-    if not X.any():
-        raise RankZeroError("X is identically zero")
+    X = _checked_design(X, rel_tol)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.count_nonzero(s > rel_tol * s[0]))
-    if r == 0:
-        raise RankZeroError(f"no singular value exceeds rel_tol*sigma_1 = {rel_tol * s[0]:.3e}")
+    r = _rank_of(s, rel_tol)
     U = U[:, :r].copy()
     D = s[:r].copy()
     V = Vt[:r].T.copy()

@@ -26,11 +26,20 @@ from .matrixcore import SvdFactors, _as_matrix
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Ground truth of the generating model: beta*, Sigma_x, Sigma_eps."""
+    """Ground truth of the generating model: beta*, Sigma_x, Sigma_eps.
+
+    ``Sigma_x_root`` is a p-by-k factor with ``root @ root.T == Sigma_x``
+    (e.g. a Cholesky factor, or eigenvectors scaled by the square roots of
+    the eigenvalues).  Risks are sums of squares in it, so they stay
+    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  When
+    omitted it is computed from ``Sigma_x`` by ``eigh``, clipping the
+    eigenvalues at 0.
+    """
 
     beta_star: np.ndarray
     Sigma_x: np.ndarray
     Sigma_eps: np.ndarray
+    Sigma_x_root: np.ndarray | None = None
 
     def __post_init__(self):
         beta = _as_matrix(self.beta_star, "beta_star")
@@ -44,15 +53,30 @@ class TruthSpec:
             raise DimensionError(f"Sigma_x must be {p}x{p}, got {Sx.shape}")
         if Se.shape != (q, q):
             raise DimensionError(f"Sigma_eps must be {q}x{q}, got {Se.shape}")
+        root = self.Sigma_x_root
         for name, S in (("Sigma_x", Sx), ("Sigma_eps", Se)):
             asym = float(np.max(np.abs(S - S.T)))
             scale = max(1.0, float(np.max(np.abs(S))))
             if asym > 1e-10 * scale:
                 raise ContractError(f"{name} is not symmetric")
+            if S is Sx and root is None:
+                w, V = np.linalg.eigh(S)
+                root = V * np.sqrt(np.maximum(w, 0.0))
+            else:
+                w = np.linalg.eigvalsh(S)
             # Steeply decaying spectra reconstruct with eigvalsh noise of
             # order eps * ||S||, so "positive" is enforced only up to that.
-            if float(np.linalg.eigvalsh(S)[0]) < -1e-10 * scale:
+            if float(w[0]) < -1e-10 * scale:
                 raise ContractError(f"{name} must be positive semidefinite")
+        root = _as_matrix(root, "Sigma_x_root")
+        if root.shape[0] != p:
+            raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
+        # One fixed probe vector checks root @ root.T == Sigma_x in O(p^2).
+        x = np.cos(np.arange(p))
+        err = float(np.max(np.abs(root @ (root.T @ x) - Sx @ x)))
+        if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))) * float(np.abs(x).sum()):
+            raise ContractError("Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
+        object.__setattr__(self, "Sigma_x_root", root)
 
     @property
     def p(self) -> int:
@@ -115,12 +139,12 @@ def reducible_risk_egreg(
     onto the retained span; the excluded part is reported separately as the
     irreducible component.
 
-    ``lam`` must be strictly positive; the lambda -> 0 limit is
+    ``lam`` must be positive and finite; the lambda -> 0 limit is
     :func:`reducible_risk_niece` with u = d.
     """
-    if not lam > 0:
+    if not (math.isfinite(lam) and lam > 0):
         raise ParameterError(
-            "lambda must be positive; for the lambda -> 0 limit use "
+            f"lambda must be positive and finite, got {lam}; for the lambda -> 0 limit use "
             "reducible_risk_niece with u = d"
         )
     idx = top_ranked(scores, d, d)
@@ -212,20 +236,24 @@ def lambda_guarantee_threshold(
 
 
 def empirical_risk_terms(beta_hats, truth: TruthSpec) -> np.ndarray:
-    """Per-replication risks ``tr{(b - beta*)' Sigma_x (b - beta*)}``."""
+    """Per-replication risks ``tr{(b - beta*)' Sigma_x (b - beta*)}``.
+
+    Each is the sum of squares ``||L' (b - beta*)||_F^2`` with
+    ``L = truth.Sigma_x_root``, so it is never negative.
+    """
     mats = list(beta_hats)
     if not mats:
         raise ParameterError("at least one replication is required")
-    out = np.empty(len(mats))
+    diffs = np.empty((len(mats), *truth.beta_star.shape))
     for i, b in enumerate(mats):
-        diff = np.asarray(b, dtype=float) - truth.beta_star
-        if diff.shape != truth.beta_star.shape:
+        b = np.asarray(b, dtype=float)
+        if b.shape != truth.beta_star.shape:
             raise DimensionError(
-                f"replication {i} has shape {np.asarray(b).shape}, "
-                f"expected {truth.beta_star.shape}"
+                f"replication {i} has shape {b.shape}, expected {truth.beta_star.shape}"
             )
-        out[i] = _sigma_trace(diff, truth.Sigma_x)
-    return out
+        diffs[i] = b - truth.beta_star
+    W = truth.Sigma_x_root.T @ diffs
+    return np.einsum("ikq,ikq->i", W, W)
 
 
 def empirical_risk(beta_hats, truth: TruthSpec) -> float:

@@ -8,11 +8,18 @@ points and replications produce bitwise-identical results whether they run
 serially or in parallel.
 
 The cross-validation scorer shares one implementation between
-:func:`kfold_cv` and the study drivers.  Per training fold the SVD is
-factored once; PCR, ridge, NIECE and EgReg become stacks of diagonal filters
-on its PCs, SIMPLS runs in its PC coordinates (r <= n columns, not p), and
-one kernel, :func:`_filtered_sse`, scores every filter and term count of the
-grid in a single cumulative sum.
+:func:`kfold_cv` and the study drivers.  Its responses carry a lane axis
+(n x lanes x q): lanes share the design and the folds, and each gets its own
+held-out SSE and its own pick.  A study stacks the R noise draws of a grid
+point as R lanes, so each method's CV runs once per grid point, not once per
+replication; :func:`kfold_cv` is the one-lane case.  Per training fold the
+SVD is factored once; PCR, ridge, NIECE and EgReg become stacks of diagonal
+filters on its PCs (NIECE in each lane's score order), and one kernel,
+:func:`_filtered_sse`, scores every filter, term count and lane in a single
+cumulative sum.  SIMPLS runs all folds x lanes as the lanes of one lockstep
+recurrence on the PC coordinates ``U D`` of the whole design, with a 0/1
+training-row mask per fold.  Lanes are scored in blocks of
+``_LANE_BLOCK``, which bounds CV memory whatever the replication count.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .envscore import _rank_scores, envelope_scores
+from .envscore import _score_order, envelope_scores
 from .estimators import (
-    _simpls_components,
+    _simpls_lockstep,
     egreg_coefficients,
     niece_coefficients,
     pcr_coefficients,
@@ -122,7 +129,10 @@ def _haar_orthogonal(p, rng):
 
 
 def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
-    """Design-side draws (fixed across replications): X, planted basis, truth."""
+    """Design-side draws (fixed across replications): X, planted basis, beta*, truth.
+
+    The truth carries ``Sigma_x = root root'`` with ``root = V sqrt(sig)``.
+    """
     sig = cfg.spectrum()
     rng = np.random.default_rng([cfg.seed, stream, _TAG_MODEL])
     V = _haar_orthogonal(cfg.p, rng)
@@ -131,9 +141,12 @@ def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     P0 = np.asarray(cfg.P, dtype=int) - 1
     Gamma = V[:, P0].copy()
     beta_star = Gamma @ cfg.alpha
-    Sx = (V * sig) @ V.T
-    Sigma_x = (Sx + Sx.T) / 2.0
-    return X, Gamma, beta_star, Sigma_x
+    root = V * np.sqrt(sig)
+    del V
+    Sigma_x = root @ root.T
+    Sigma_x += Sigma_x.T
+    Sigma_x *= 0.5
+    return X, Gamma, beta_star, TruthSpec(beta_star, Sigma_x, cfg.Sigma_eps, root)
 
 
 def _draw_noise(cfg: EnvelopeSimConfig, rep: int, stream: int = 0):
@@ -152,11 +165,10 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
     The design depends only on ``(seed, stream)``; ``rep`` indexes the noise
     draw so replications share X and beta*.
     """
-    X, Gamma, beta_star, Sigma_x = _model_frame(cfg, stream)
+    X, Gamma, beta_star, truth = _model_frame(cfg, stream)
     E = _draw_noise(cfg, rep, stream)
     Y = X @ beta_star + E
     data = Dataset(_recenter(X), _recenter(Y), centered=True)
-    truth = TruthSpec(beta_star, Sigma_x, cfg.Sigma_eps)
     return data, truth, Gamma
 
 
@@ -214,7 +226,7 @@ def gen_baseline(
     E = np.random.default_rng([seed, stream, _TAG_NOISE, rep]).standard_normal((n, 1))
     Y = X @ beta + math.sqrt(sigma_eps_sq) * E
     data = Dataset(_recenter(X), _recenter(Y), centered=True)
-    truth = TruthSpec(beta, Sigma_x, [[sigma_eps_sq]])
+    truth = TruthSpec(beta, Sigma_x, [[sigma_eps_sq]], L)
     return data, truth
 
 
@@ -246,12 +258,12 @@ def _fold_caches(X, folds):
 
 
 def _fold_phi(fold, B):
-    """Envelope scores of the training fold from the projected response.
+    """Envelope scores of the training fold, one column per lane.
 
-    With B = U'Y_tr, the score of PC j is (sigma_j ||B_j|| / n_tr)^2.
+    With B = U'Y_tr (r x lanes x q), the score of PC j is (sigma_j ||B_j|| / n_tr)^2.
     """
     n_tr = fold.tr.shape[0]
-    return (fold.svd.D**2) * np.einsum("ij,ij->i", B, B) / float(n_tr) ** 2
+    return (fold.svd.D**2)[:, None] * np.einsum("jlq,jlq->jl", B, B) / float(n_tr) ** 2
 
 
 #: Per CV method: the key every grid entry needs, and the keys it may add.
@@ -309,79 +321,135 @@ def _parse_grid(method, entries) -> _Grid:
     return _Grid(method, cols["d"], cols["u"], cols["lambda"])
 
 
-def _filtered_sse(A, B, Yva, F):
-    """Held-out SSE of every filter after keeping its first 0, 1, ..., k terms.
+def _filtered_sse(A, B, Yva, F, terms):
+    """Held-out SSE of every filter and lane after its first c terms, c in ``terms``.
 
-    ``A`` (m x k) holds the held-out rows and ``B`` (k x q) the training
-    response in the same k coordinates; under filter l (row of the L x k
-    ``F``) coordinate j adds ``A[:, j] F[l, j] B[j]`` to the prediction.
-    Returns an L x (k+1) array whose column c is the SSE of the sum of the
-    first c terms (column 0: predicting zero).
+    ``A`` (m x k x lanes) holds the held-out rows and ``B`` (k x lanes x q)
+    the training response in the same k coordinates; under filter l (row of
+    the L x k x lanes ``F``) coordinate j adds ``A[:, j] F[l, j] B[j]`` to a
+    lane's prediction.  A lane axis of length 1 in ``A`` or ``F`` is shared
+    by all lanes.  ``terms`` is ascending (c = 0 predicts zero).  Returns an
+    L x terms.size x lanes array.
     """
-    L, k = F.shape
-    T = np.zeros((L, A.shape[0], k + 1, B.shape[1]))
-    np.multiply(A[None, :, :, None], F[:, None, :, None] * B[None, None], out=T[:, :, 1:])
-    np.cumsum(T, axis=2, out=T)
-    T -= Yva[None, :, None, :]
-    return np.einsum("lmkq,lmkq->lk", T, T)
+    k = int(terms[-1])
+    L, lanes, q, m = F.shape[0], B.shape[1], B.shape[2], A.shape[0]
+    H = (F[:, :k, :, None] * B[:k]).transpose(0, 2, 3, 1)    # L x lanes x q x k
+    if terms.size == 1 and A.shape[2] == 1:
+        # Only full sums are read (ridge, full-rank EgReg): one matrix product.
+        R = (H.reshape(-1, k) @ A[:, :k, 0].T).reshape(L, lanes, q, m)
+        R -= Yva.transpose(1, 2, 0)
+        return np.einsum("lrqm,lrqm->lr", R, R)[:, None]
+    # Residuals of the cumulative predictions, term axis last so the cumsum
+    # runs over contiguous memory; column 0 predicts zero.
+    T = np.empty((L, lanes, q, m, k + 1))
+    T[..., 0] = -Yva.transpose(1, 2, 0)
+    np.multiply(A[:, :k].transpose(2, 0, 1)[None, :, None], H[:, :, :, None], out=T[..., 1:])
+    np.cumsum(T, axis=-1, out=T)
+    T *= T
+    return T.sum(axis=(2, 3))[..., terms].transpose(0, 2, 1)
 
 
-def _cv_sse(caches, Y, grid: _Grid) -> np.ndarray:
-    """Pooled held-out SSE for every grid entry: one kernel call per fold.
+def _entry_sizes(grid: _Grid, r_f):
+    """Each entry's d on a training fold of rank r_f (a missing d is r_f), checked."""
+    d = np.where(grid.d > 0, grid.d, r_f)
+    if d.max() > r_f:
+        raise ParameterError(f"d = {d.max()} exceeds a training-fold rank {r_f}")
+    if np.any(grid.u > d):
+        i = int(np.argmax(grid.u > d))
+        raise ParameterError(f"u = {grid.u[i]} exceeds the candidate pool {d[i]}")
+    return d
 
-    Each method becomes a stack of filters over the fold's coordinates and
-    every entry reads one (filter, term count) cell of :func:`_filtered_sse`.
+
+def _simpls_cv_sse(Z, caches, Y, d):
+    """Held-out SSE after 0..d SIMPLS components, pooled over folds: (d+1) x lanes.
+
+    Every fold x lane pair is one lane of :func:`_simpls_lockstep` on the
+    design's coordinates ``Z`` (``X = Z Q'``); a fold is a 0/1 mask of its
+    training rows.  Held-out predictions grow one component at a time, and
+    a lane that stops early keeps its last fit.
     """
-    sse = np.zeros(grid.d.shape)
-    for fold in caches:
-        Ytr = Y[fold.tr]
-        Yva = Y[fold.va]
+    n, lanes, _ = Y.shape
+    train = np.ones((len(caches), n))
+    for f, fold in enumerate(caches):
+        train[f, fold.va] = 0.0
+    train = np.repeat(train, lanes, axis=0)      # pair (fold f, lane l) is f * lanes + l
+    Yp = np.tile(Y.transpose(1, 0, 2), (len(caches), 1, 1))
+    held = 1.0 - train
+    fit = np.zeros_like(Yp)
+    sse = np.empty((d + 1, Yp.shape[0]))
+    sse[:] = np.einsum("ln,lnq,lnq->l", held, Yp, Yp)
+    for c, (live, _, t, zr) in enumerate(_simpls_lockstep(Z, Yp, train, d), start=1):
+        Yl = Yp[live]
+        fit[live] += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yl)[:, None]
+        resid = Yl - fit[live]
+        sse[c:, live] = np.einsum("ln,lnq,lnq->l", held[live], resid, resid)
+    return sse.reshape(d + 1, len(caches), lanes).sum(axis=1)
+
+
+#: Lanes scored together.  It bounds CV working memory whatever the number
+#: of replications: SIMPLS holds a deflation basis of folds x lanes x d x
+#: rank(X) floats, 71 MB for one block of 100 lanes in the baseline study.
+#: Blocks of 8 were no slower than one block of 100 at R = 100.
+_LANE_BLOCK = 8
+
+
+def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
+    """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
+
+    ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
+    replications are its lanes).  SIMPLS runs all folds x lanes in lockstep
+    on ``U D`` from ``svd``, the thin SVD of the whole design, which only
+    SIMPLS reads.  Like the fold SVDs, it leaves out directions below the
+    numerical rank: they carry only rounding noise, which late components
+    would fit.  Every other method is a stack of filters per fold, one kernel call
+    (:func:`_filtered_sse`) scoring all lanes, and every entry reads one
+    (filter, term count) cell per lane.
+    """
+    if Y.shape[1] > _LANE_BLOCK:
+        return np.hstack([_cv_sse(svd, caches, Y[:, i:i + _LANE_BLOCK], grid)
+                          for i in range(0, Y.shape[1], _LANE_BLOCK)])
+    sizes = [_entry_sizes(grid, fold.svd.r) for fold in caches]
+    if grid.method == "simpls":
+        return _simpls_cv_sse(svd.U * svd.D, caches, Y, int(grid.d.max()))[grid.d]
+    lane = np.arange(Y.shape[1])
+    sse = np.zeros((grid.d.size, lane.size))
+    for fold, d in zip(caches, sizes):
         svd = fold.svd
-        r_f = svd.r
-        d = np.where(grid.d > 0, grid.d, r_f)
-        if d.max() > r_f:
-            raise ParameterError(f"d = {d.max()} exceeds a training-fold rank {r_f}")
-        if np.any(grid.u > d):
-            i = int(np.argmax(grid.u > d))
-            raise ParameterError(f"u = {grid.u[i]} exceeds the candidate pool {d[i]}")
-        A, rows, cols = fold.A, 0, d
-        if grid.method == "simpls":
-            # X_tr r = (U D)(V'r): run SIMPLS on the fold's r PC columns.
-            W, T = _simpls_components(svd.U * svd.D, Ytr, int(d.max()))
-            A = (A * svd.D) @ W
-            B = T.T @ Ytr
-            F = np.ones((1, W.shape[1]))
-            cols = np.minimum(d, W.shape[1])   # an early stop keeps its last fit
+        Ytr = Y[fold.tr]
+        B = (svd.U.T @ Ytr.reshape(Ytr.shape[0], -1)).reshape(svd.r, *Y.shape[1:])
+        A, rows, cols = fold.A[:, :, None], 0, d[:, None]
+        if grid.method == "pcr":
+            F = np.ones((1, svd.r, 1))
+        elif grid.method in ("ridge", "egreg"):
+            # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
+            s = (svd.D**2)[:, None] if grid.method == "ridge" else _fold_phi(fold, B)
+            lam, rows = np.unique(grid.lam, return_inverse=True)
+            denom = s + lam[:, None, None]
+            F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
+            rows = rows[:, None]
         else:
-            B = svd.U.T @ Ytr
-            if grid.method == "pcr":
-                F = np.ones((1, r_f))
-            elif grid.method in ("ridge", "egreg"):
-                # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
-                s = svd.D**2 if grid.method == "ridge" else _fold_phi(fold, B)
-                lam, rows = np.unique(grid.lam, return_inverse=True)
-                denom = s + lam[:, None]
-                F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
-            else:
-                # NIECE: PCs in score order; each candidate pool is a 0/1 filter
-                # and u counts the pool members kept.
-                order = _rank_scores(_fold_phi(fold, B), svd.D)[0]
-                A, B = A[:, order], B[order]
-                pools, rows = np.unique(d, return_inverse=True)
-                F = (order < pools[:, None]).astype(float)
-                kept = np.cumsum(F, axis=1)[rows]
-                cols = 1 + np.count_nonzero(kept < grid.u[:, None], axis=1)
-        sse += _filtered_sse(A, B, Yva, F)[rows, cols]
+            # NIECE: PCs in each lane's score order; each candidate pool is a
+            # 0/1 filter and u counts the pool members kept.
+            order = _score_order(_fold_phi(fold, B).T, svd.D).T
+            A, B = fold.A[:, order], B[order, lane]
+            pools, rows = np.unique(d, return_inverse=True)
+            F = (order < pools[:, None, None]).astype(float)
+            kept = np.cumsum(F, axis=1)[rows]
+            cols = 1 + np.count_nonzero(kept < grid.u[:, None, None], axis=1)
+            rows = rows[:, None]
+        terms, at = np.unique(cols, return_inverse=True)
+        sse += _filtered_sse(A, B, Y[fold.va], F, terms)[rows, at.reshape(cols.shape), lane]
     return sse
 
 
 def _pick_best(grid: _Grid, scores):
-    """Index of the best entry: lowest score, then smaller d/u, then larger lambda.
+    """Best entry per lane (scores: entries x lanes): lowest score, then
+    smaller d/u, then larger lambda.
 
     ``np.lexsort`` is stable, so any tie left goes to the first entry.
     """
     size = np.where(grid.u > 0, grid.u, np.where(grid.d > 0, grid.d, np.inf))
-    return int(np.lexsort((-grid.lam, size, scores))[0])
+    return np.lexsort(np.broadcast_arrays(-grid.lam, size, scores.T))[:, 0]
 
 
 def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
@@ -411,8 +479,9 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     if k < 2 or n < k:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
     caches = _fold_caches(data.X, _fold_indices(n, k, seed))
-    scores = _cv_sse(caches, data.Y, grid) / n
-    best = _pick_best(grid, scores)
+    svd = thin_svd(data.X) if method == "simpls" else None
+    scores = _cv_sse(svd, caches, data.Y[:, None], grid)[:, 0] / n
+    best = _pick_best(grid, scores[:, None])[0]
     table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
     return dict(entries[best]), table
 
@@ -529,7 +598,10 @@ def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
 
 
 def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
-    """Tune, fit, and score every method at one grid point (shared X)."""
+    """Tune, fit, and score every method at one grid point (shared X).
+
+    The R replications are the lanes of one CV call per method.
+    """
     Xc = _recenter(frame.X)
     n = Xc.shape[0]
     svd_full = thin_svd(Xc)
@@ -545,17 +617,17 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
         "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
         "EgReg(r)": _Grid("egreg", lam=lam),
     }
+    signal = frame.X @ frame.truth.beta_star
+    Ys = [_recenter(signal + frame.draw_noise(rep)) for rep in range(R)]
+    Y = np.stack(Ys, axis=1)
+    best = {label: _pick_best(grids[label], _cv_sse(svd_full, caches, Y, grids[label]) / n)
+            for label in methods}
     beta_hats = {m: [] for m in methods}
-    for rep in range(R):
-        E = frame.draw_noise(rep)
-        Yc = _recenter(frame.X @ frame.truth.beta_star + E)
-        Sxy = Xc.T @ Yc / n
-        scores_full = envelope_scores(svd_full, Sxy, svd_full.r)
+    for rep, Yc in enumerate(Ys):
+        scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
         for label in methods:
-            grid = grids[label]
-            best = _pick_best(grid, _cv_sse(caches, Yc, grid) / n)
             beta_hats[label].append(
-                _final_fit(grid, best, svd_full, scores_full, Xc, Yc)
+                _final_fit(grids[label], best[label][rep], svd_full, scores_full, Xc, Yc)
             )
     return np.vstack([empirical_risk_terms(beta_hats[m], frame.truth) for m in methods])
 
@@ -607,8 +679,7 @@ def _run_envelope_study(study, cfg):
             n=n, p=p, q=1, decay_gamma=float(cfg["decay_gamma"]), P=P, alpha=alpha,
             Sigma_eps=[[float(cfg["sigma_eps_sq"])]], seed=seed, replications=R,
         )
-        X, _, beta_star, Sigma_x = _model_frame(sim, stream=g)
-        truth = TruthSpec(beta_star, Sigma_x, sim.Sigma_eps)
+        X, _, _, truth = _model_frame(sim, stream=g)
         frame = _Frame(X=X, truth=truth,
                        draw_noise=lambda rep, _sim=sim, _g=g: _draw_noise(_sim, rep, _g))
         terms = _run_sample_point(frame, methods, folds_k, R, [seed, g, _TAG_FOLDS])
@@ -639,7 +710,7 @@ def _run_baseline(cfg):
         beta = _baseline_beta(p, cfg["beta_star"])
         L = np.linalg.cholesky(Sigma_x)
         X = np.random.default_rng([seed, g, _TAG_MODEL]).standard_normal((n, p)) @ L.T
-        truth = TruthSpec(beta, Sigma_x, [[sig_sq]])
+        truth = TruthSpec(beta, Sigma_x, [[sig_sq]], L)
 
         def draw(rep, _g=g):
             z = np.random.default_rng([seed, _g, _TAG_NOISE, rep]).standard_normal((n, 1))
@@ -699,12 +770,13 @@ def _run_double_descent(cfg):
             Sigma_eps=[[10.0]], seed=seed, replications=R,
             eigenvalues=np.ones(p),
         )
-        X, Gamma, beta_star, Sigma_x = _model_frame(sim, stream=g)
+        X, Gamma, beta_star, truth = _model_frame(sim, stream=g)
         Xc = _recenter(X)
-        truth = TruthSpec(beta_star, Sigma_x, sim.Sigma_eps)
         folds = _fold_indices(n, folds_k, [seed, g, _TAG_FOLDS])
+        Ys = [_recenter(X @ beta_star + _draw_noise(sim, rep, g)) for rep in range(R)]
+        Y = np.stack(Ys, axis=1)
 
-        pre = {}
+        beta_hats = {}
         if "NIECE" in methods:
             # u* < n: least squares on all planted directions; u* = n: the
             # stability cap u = n - 1 avoids exact singularity; u* > n:
@@ -712,39 +784,24 @@ def _run_double_descent(cfg):
             # wide reduced design).
             keep = n - 1 if u_star == n else u_star
             G_keep = Gamma[:, :keep]
-            pre["NIECE"] = (G_keep, np.linalg.pinv(Xc @ G_keep))
+            piv = np.linalg.pinv(Xc @ G_keep)
+            beta_hats["NIECE"] = [G_keep @ (piv @ Yc) for Yc in Ys]
         if "EgReg" in methods:
             Xg = Xc @ Gamma
             svd_g = thin_svd(Xg)
-            caches_g = _fold_caches(Xg, folds)
             grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
-            pre["EgReg"] = (svd_g, caches_g, grid_g)
+            best = _pick_best(grid_g, _cv_sse(svd_g, _fold_caches(Xg, folds), Y, grid_g) / n)
+            beta_hats["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
+                                  for b, Yc in zip(best, Ys)]
         if "EgReg(r)" in methods:
             svd_full = thin_svd(Xc)
-            caches_x = _fold_caches(Xc, folds)
             grid_x = _Grid("egreg", lam=_lambda_grid(svd_full.D[0] ** 2))
-            pre["EgReg(r)"] = (svd_full, caches_x, grid_x)
-
-        beta_hats = {m: [] for m in methods}
-        for rep in range(R):
-            E = _draw_noise(sim, rep, g)
-            Yc = _recenter(X @ beta_star + E)
-            for label in methods:
-                if label == "NIECE":
-                    G_keep, piv = pre["NIECE"]
-                    beta_hats[label].append(G_keep @ (piv @ Yc))
-                elif label == "EgReg":
-                    svd_g, caches_g, grid_g = pre["EgReg"]
-                    best = _pick_best(grid_g, _cv_sse(caches_g, Yc, grid_g) / n)
-                    eta_hat = _final_fit(grid_g, best, svd_g, None, None, Yc)
-                    beta_hats[label].append(Gamma @ eta_hat)
-                else:
-                    svd_full, caches_x, grid_x = pre["EgReg(r)"]
-                    best = _pick_best(grid_x, _cv_sse(caches_x, Yc, grid_x) / n)
-                    scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
-                    beta_hats[label].append(
-                        _final_fit(grid_x, best, svd_full, scores_full, Xc, Yc)
-                    )
+            best = _pick_best(grid_x, _cv_sse(svd_full, _fold_caches(Xc, folds), Y, grid_x) / n)
+            beta_hats["EgReg(r)"] = [
+                _final_fit(grid_x, b, svd_full,
+                           envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r), Xc, Yc)
+                for b, Yc in zip(best, Ys)
+            ]
         terms = np.vstack([empirical_risk_terms(beta_hats[m], truth) for m in methods])
         risks[g], ses[g] = _summarize(terms)
     return StudyResult(

@@ -238,6 +238,22 @@ def test_simpls_d_out_of_range():
         fit_simpls(data, 6)
 
 
+def test_fit_simpls_reads_the_rank_without_thin_svd(monkeypatch):
+    from egreg import estimators
+
+    def no_thin_svd(*args, **kwargs):
+        raise AssertionError("fit_simpls called thin_svd")
+
+    monkeypatch.setattr(estimators, "thin_svd", no_thin_svd)
+    data = _centered(seed=20, n=30, p=5)
+    assert fit_simpls(data, 5).flags["achieved_components"] == 5
+    with pytest.raises(DimensionError, match=r"r = 5, got 6"):
+        fit_simpls(data, 6)
+    wide = _centered(seed=21, n=8, p=12)     # centered rows: rank n - 1 = 7
+    with pytest.raises(DimensionError, match=r"r = 7, got 8"):
+        fit_simpls(wide, 8)
+
+
 # ---------------------------------------------------------------------------
 # dispatch, prediction, model object
 # ---------------------------------------------------------------------------

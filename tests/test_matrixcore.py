@@ -16,6 +16,7 @@ from egreg import (
     subspace_distance,
     thin_svd,
 )
+from egreg.matrixcore import numerical_rank
 
 
 def _raw(seed=0, n=40, p=6, q=2, x_shift=5.0, y_shift=-3.0):
@@ -141,6 +142,8 @@ def test_thin_svd_truncates_exact_rank_deficiency():
 def test_thin_svd_zero_matrix_raises():
     with pytest.raises(RankZeroError):
         thin_svd(np.zeros((10, 4)))
+    with pytest.raises(RankZeroError):
+        numerical_rank(np.zeros((10, 4)))
 
 
 def test_thin_svd_relative_cutoff():
@@ -150,6 +153,9 @@ def test_thin_svd_relative_cutoff():
     X = np.outer(U0[:, 0], [1.0, 0, 0]) + 1e-12 * np.outer(U0[:, 1], [0, 1.0, 0])
     assert thin_svd(X).r == 1
     assert thin_svd(X, rel_tol=1e-14).r == 2
+    # numerical_rank applies the same rule without computing U and V
+    assert numerical_rank(X) == 1
+    assert numerical_rank(X, rel_tol=1e-14) == 2
 
 
 # ---------------------------------------------------------------------------

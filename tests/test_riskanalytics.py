@@ -13,8 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from egreg import (
+    ContractError,
     Dataset,
     DegeneracyWarning,
+    DimensionError,
     ParameterError,
     TruthSpec,
     cross_cov,
@@ -116,6 +118,13 @@ def test_egreg_risk_rejects_nonpositive_lambda():
         reducible_risk_egreg(svd, scores, truth, d=4, lam=0.0)
 
 
+def test_egreg_risk_rejects_nonfinite_lambda():
+    svd, scores, truth = _instance(seed=5)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            reducible_risk_egreg(svd, scores, truth, d=4, lam=lam)
+
+
 def test_irreducible_risk_projector_identity():
     svd, scores, truth = _instance(seed=6)
     d = 4
@@ -214,3 +223,39 @@ def test_empirical_risk_shape_mismatch():
     _, _, truth = _instance(seed=12)
     with pytest.raises(Exception):
         empirical_risk_terms([np.zeros((2, 2))], truth)
+
+
+def test_empirical_risk_terms_nonnegative_on_a_vanishing_spectrum():
+    # Eigenvalues down to 1e-42 and errors of norm ~1e8 along the smallest
+    # ones: a quadratic form in the rounded Sigma_x goes negative, a sum of
+    # squares in its factor cannot.
+    rng = np.random.default_rng(21)
+    p = 40
+    V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    sig = np.geomspace(10.0, 1e-42, p)
+    Sigma_x = (V * sig) @ V.T
+    Sigma_x = (Sigma_x + Sigma_x.T) / 2.0
+    beta = rng.standard_normal((p, 1))
+    hats = [beta + 1e8 * V[:, -6:] @ rng.standard_normal((6, 1)) / math.sqrt(6)
+            for _ in range(50)]
+    # Factored from Sigma_x alone, the rounding-level eigenvalues are
+    # clipped at 0, which keeps every term nonnegative.
+    assert np.all(empirical_risk_terms(hats, TruthSpec(beta, Sigma_x, np.eye(1))) >= 0.0)
+    # The exact factor also keeps the value small: it is below 1e-25, plus
+    # about 1e-15 from rounding in V'V = I.
+    exact = TruthSpec(beta, Sigma_x, np.eye(1), V * np.sqrt(sig))
+    terms = empirical_risk_terms(hats, exact)
+    assert np.all(terms >= 0.0) and np.all(terms < 1e-12)
+
+
+def test_truth_spec_factors_sigma_x_and_checks_a_given_factor():
+    _, _, truth = _instance(seed=13)
+    L = truth.Sigma_x_root
+    assert_allclose(L @ L.T, truth.Sigma_x, atol=1e-12)
+    chol = np.linalg.cholesky(truth.Sigma_x)
+    given = TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, chol)
+    assert given.Sigma_x_root is not None and np.array_equal(given.Sigma_x_root, chol)
+    with pytest.raises(ContractError):
+        TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, 2.0 * chol)
+    with pytest.raises(DimensionError):
+        TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, chol[:-1])

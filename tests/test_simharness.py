@@ -7,6 +7,8 @@ through the public coefficient functions.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from egreg import (
@@ -31,7 +33,15 @@ from egreg.estimators import (
     ridge_coefficients,
     simpls_coefficients,
 )
-from egreg.simharness import _fold_indices, _haar_orthogonal, _model_frame
+from egreg.simharness import (
+    _cv_sse,
+    _fold_caches,
+    _fold_indices,
+    _Grid,
+    _haar_orthogonal,
+    _model_frame,
+    _pick_best,
+)
 
 
 def _cfg(seed=0, n=80, p=8, q=1, decay=1.0, picks=(1, 2), amp=2.0, sig=4.0):
@@ -126,7 +136,8 @@ def test_population_niece_recovers_generated_span():
 def test_sample_covariance_matches_sigma_x():
     cfg = EnvelopeSimConfig(n=200_000, p=5, q=1, decay_gamma=0.4, P=(1,),
                             alpha=np.ones((1, 1)), Sigma_eps=[[1.0]], seed=11)
-    X, _, _, Sigma_x = _model_frame(cfg)
+    X, _, _, truth = _model_frame(cfg)
+    Sigma_x = truth.Sigma_x
     S = X.T @ X / cfg.n
     # Gaussian fourth-moment SE per covariance entry
     se = np.sqrt(
@@ -291,6 +302,46 @@ def test_cv_ties_go_to_smaller_d_then_larger_lambda():
     assert best == {"d": 2, "lambda": 1.0}
 
 
+_LANE_GRIDS = (
+    _Grid("pcr", d=[1, 2, 3]),
+    _Grid("ridge", lam=[0.0, 0.05, 1.0, 20.0]),
+    _Grid("niece", u=[1, 2, 3, 2], d=[0, 0, 3, 2]),
+    _Grid("simpls", d=[1, 2, 3]),
+    _Grid("egreg", d=[2, 3, 3, 0], lam=[0.0, 0.1, 2.0, 0.5]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(10, 23), shape=st.sampled_from(["wide", "square", "tall"]),
+       k=st.integers(2, 5), lanes=st.integers(2, 11), q=st.integers(1, 2),
+       zero_lane=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=14, shape="wide", k=4, lanes=3, q=1, zero_lane=True, seed=1)   # 14 = 4+4+3+3
+@example(n=13, shape="tall", k=5, lanes=2, q=2, zero_lane=True, seed=2)
+@example(n=16, shape="square", k=3, lanes=11, q=1, zero_lane=False, seed=3)  # > one lane block
+def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed):
+    # Stacked lanes score and pick exactly as one lane at a time, for every
+    # method, including a Y = 0 lane (SIMPLS stops at 0 components there).
+    p = {"wide": n + 6, "square": n, "tall": max(4, n // 2)}[shape]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    X -= X.mean(axis=0)
+    Y = np.einsum("np,plq->nlq", X, rng.standard_normal((p, lanes, q)))
+    Y += rng.standard_normal(Y.shape)
+    Y -= Y.mean(axis=0)
+    if zero_lane:
+        Y[:, 0] = 0.0
+    svd, caches = thin_svd(X), _fold_caches(X, _fold_indices(n, k, seed))
+    for grid in _LANE_GRIDS:
+        both = _cv_sse(svd, caches, Y, grid)
+        each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], grid)[:, 0]
+                                for l in range(lanes)])
+        assert_allclose(both, each, rtol=1e-12, err_msg=grid.method)
+        picks = [_pick_best(grid, each[:, [l]])[0] for l in range(lanes)]
+        assert _pick_best(grid, both).tolist() == picks
+        if zero_lane:
+            assert np.all(both[:, 0] == 0.0)
+
+
 def test_cv_is_seed_deterministic():
     data = _cv_data(seed=14)
     grid = [{"u": u} for u in (1, 2, 3, 4)]
@@ -346,6 +397,14 @@ def test_study_result_layout_and_determinism():
     rows = res1.rows()
     assert rows[0] == ["p_over_n", "NIECE_risk", "NIECE_se", "EgReg_risk", "EgReg_se"]
     assert len(rows) == 3
+
+
+def test_study_risks_are_nonnegative_with_huge_niece_coefficients():
+    # At p/n = 1 one NIECE replication reaches |beta_hat| ~ 2e8 against a
+    # Sigma_x whose eigenvalues go down to 1e-42.
+    res = run_study("P1", {"seed": 202001, "replications": 3})
+    assert np.all(res.risks >= 0.0)
+    assert np.all(np.isfinite(res.ses))
 
 
 def test_study_seed_changes_results():
