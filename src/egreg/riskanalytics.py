@@ -24,6 +24,16 @@ from .exceptions import ContractError, DegeneracyWarning, DimensionError, Parame
 from .matrixcore import SvdFactors, _as_matrix
 
 
+def _check_psd(name, w, S):
+    """Raise unless the eigenvalues ``w`` (ascending) of ``S`` are >= 0.
+
+    Steeply decaying spectra reconstruct with eigvalsh noise of order
+    eps * ||S||, so "positive" is enforced only up to that.
+    """
+    if float(w[0]) < -1e-10 * max(1.0, float(np.max(np.abs(S)))):
+        raise ContractError(f"{name} must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class TruthSpec:
     """Ground truth of the generating model: beta*, Sigma_x, Sigma_eps.
@@ -53,29 +63,25 @@ class TruthSpec:
             raise DimensionError(f"Sigma_x must be {p}x{p}, got {Sx.shape}")
         if Se.shape != (q, q):
             raise DimensionError(f"Sigma_eps must be {q}x{q}, got {Se.shape}")
-        root = self.Sigma_x_root
         for name, S in (("Sigma_x", Sx), ("Sigma_eps", Se)):
             asym = float(np.max(np.abs(S - S.T)))
-            scale = max(1.0, float(np.max(np.abs(S))))
-            if asym > 1e-10 * scale:
+            if asym > 1e-10 * max(1.0, float(np.max(np.abs(S)))):
                 raise ContractError(f"{name} is not symmetric")
-            if S is Sx and root is None:
-                w, V = np.linalg.eigh(S)
-                root = V * np.sqrt(np.maximum(w, 0.0))
-            else:
-                w = np.linalg.eigvalsh(S)
-            # Steeply decaying spectra reconstruct with eigvalsh noise of
-            # order eps * ||S||, so "positive" is enforced only up to that.
-            if float(w[0]) < -1e-10 * scale:
-                raise ContractError(f"{name} must be positive semidefinite")
-        root = _as_matrix(root, "Sigma_x_root")
-        if root.shape[0] != p:
-            raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
-        # One fixed probe vector checks root @ root.T == Sigma_x in O(p^2).
-        x = np.cos(np.arange(p))
-        err = float(np.max(np.abs(root @ (root.T @ x) - Sx @ x)))
-        if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))) * float(np.abs(x).sum()):
-            raise ContractError("Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
+        _check_psd("Sigma_eps", np.linalg.eigvalsh(Se), Se)
+        root = self.Sigma_x_root
+        if root is None:
+            w, V = np.linalg.eigh(Sx)
+            _check_psd("Sigma_x", w, Sx)
+            root = V * np.sqrt(np.maximum(w, 0.0))
+        else:
+            # root @ root.T is positive semidefinite, so matching it in full
+            # also checks Sigma_x.
+            root = _as_matrix(root, "Sigma_x_root")
+            if root.shape[0] != p:
+                raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
+            err = float(np.max(np.abs(root @ root.T - Sx)))
+            if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))):
+                raise ContractError("Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
         object.__setattr__(self, "Sigma_x_root", root)
 
     @property
@@ -109,14 +115,11 @@ class RiskReport:
             raise ContractError("reducible must equal bias_sq + variance")
 
 
-def _column_quadratic(V, S):
-    """v_j' S v_j for every column v_j of V."""
-    return np.einsum("ij,ij->j", V, S @ V)
-
-
-def _sigma_trace(M, S):
-    """tr{M' S M}."""
-    return float(np.einsum("ij,ij->", M, S @ M))
+def _sigma_trace(M, truth: TruthSpec):
+    """tr{M' Sigma_x M} over the last two axes of M, as ``||L' M||_F^2``
+    with ``L = truth.Sigma_x_root``, so it is never negative."""
+    W = truth.Sigma_x_root.T @ M
+    return np.einsum("...kq,...kq->...", W, W)
 
 
 def irreducible_risk(svd: SvdFactors, truth: TruthSpec, d: int) -> float:
@@ -125,7 +128,7 @@ def irreducible_risk(svd: SvdFactors, truth: TruthSpec, d: int) -> float:
         raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
     Vd = svd.V[:, :d]
     Qb = truth.beta_star - Vd @ (Vd.T @ truth.beta_star)
-    return _sigma_trace(Qb, truth.Sigma_x)
+    return float(_sigma_trace(Qb, truth))
 
 
 def reducible_risk_egreg(
@@ -153,9 +156,9 @@ def reducible_risk_egreg(
     Vd = svd.V[:, idx]
     tr_se = float(np.trace(truth.Sigma_eps))
     w = phi / (Dd * (phi + lam))
-    variance = tr_se * float(w**2 @ _column_quadratic(Vd, truth.Sigma_x))
+    variance = tr_se * float(_sigma_trace(Vd * w, truth))
     Ab = Vd @ ((Vd.T @ truth.beta_star) / (phi + lam)[:, None])
-    bias_sq = lam**2 * _sigma_trace(Ab, truth.Sigma_x)
+    bias_sq = lam**2 * float(_sigma_trace(Ab, truth))
     return RiskReport(
         bias_sq=bias_sq,
         variance=variance,
@@ -181,13 +184,13 @@ def reducible_risk_niece(
     Vu = svd.V[:, idx]
     Du = svd.D[idx]
     tr_se = float(np.trace(truth.Sigma_eps))
-    variance = tr_se * float((1.0 / Du**2) @ _column_quadratic(Vu, truth.Sigma_x))
+    variance = tr_se * float(_sigma_trace(Vu / Du, truth))
     if u == d:
         bias_sq = 0.0
     else:
         Vd = svd.V[:, :d]
         delta = Vu @ (Vu.T @ truth.beta_star) - Vd @ (Vd.T @ truth.beta_star)
-        bias_sq = _sigma_trace(delta, truth.Sigma_x)
+        bias_sq = float(_sigma_trace(delta, truth))
     return RiskReport(
         bias_sq=bias_sq,
         variance=variance,
@@ -238,8 +241,8 @@ def lambda_guarantee_threshold(
 def empirical_risk_terms(beta_hats, truth: TruthSpec) -> np.ndarray:
     """Per-replication risks ``tr{(b - beta*)' Sigma_x (b - beta*)}``.
 
-    Each is the sum of squares ``||L' (b - beta*)||_F^2`` with
-    ``L = truth.Sigma_x_root``, so it is never negative.
+    Each is a sum of squares in ``truth.Sigma_x_root`` (:func:`_sigma_trace`),
+    so it is never negative.
     """
     mats = list(beta_hats)
     if not mats:
@@ -252,8 +255,7 @@ def empirical_risk_terms(beta_hats, truth: TruthSpec) -> np.ndarray:
                 f"replication {i} has shape {b.shape}, expected {truth.beta_star.shape}"
             )
         diffs[i] = b - truth.beta_star
-    W = truth.Sigma_x_root.T @ diffs
-    return np.einsum("ikq,ikq->i", W, W)
+    return _sigma_trace(diffs, truth)
 
 
 def empirical_risk(beta_hats, truth: TruthSpec) -> float:

@@ -18,8 +18,8 @@ filters on its PCs (NIECE in each lane's score order), and one kernel,
 :func:`_filtered_sse`, scores every filter, term count and lane in a single
 cumulative sum.  SIMPLS runs all folds x lanes as the lanes of one lockstep
 recurrence on the PC coordinates ``U D`` of the whole design, with a 0/1
-training-row mask per fold.  Lanes are scored in blocks of
-``_LANE_BLOCK``, which bounds CV memory whatever the replication count.
+training-row mask per fold.  The drivers score and pick ``_LANE_BLOCK``
+lanes at a time, which bounds CV memory whatever the replication count.
 """
 
 from __future__ import annotations
@@ -334,11 +334,6 @@ def _filtered_sse(A, B, Yva, F, terms):
     k = int(terms[-1])
     L, lanes, q, m = F.shape[0], B.shape[1], B.shape[2], A.shape[0]
     H = (F[:, :k, :, None] * B[:k]).transpose(0, 2, 3, 1)    # L x lanes x q x k
-    if terms.size == 1 and A.shape[2] == 1:
-        # Only full sums are read (ridge, full-rank EgReg): one matrix product.
-        R = (H.reshape(-1, k) @ A[:, :k, 0].T).reshape(L, lanes, q, m)
-        R -= Yva.transpose(1, 2, 0)
-        return np.einsum("lrqm,lrqm->lr", R, R)[:, None]
     # Residuals of the cumulative predictions, term axis last so the cumsum
     # runs over contiguous memory; column 0 predicts zero.
     T = np.empty((L, lanes, q, m, k + 1))
@@ -386,13 +381,6 @@ def _simpls_cv_sse(Z, caches, Y, d):
     return sse.reshape(d + 1, len(caches), lanes).sum(axis=1)
 
 
-#: Lanes scored together.  It bounds CV working memory whatever the number
-#: of replications: SIMPLS holds a deflation basis of folds x lanes x d x
-#: rank(X) floats, 71 MB for one block of 100 lanes in the baseline study.
-#: Blocks of 8 were no slower than one block of 100 at R = 100.
-_LANE_BLOCK = 8
-
-
 def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
     """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
 
@@ -405,9 +393,6 @@ def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
     (:func:`_filtered_sse`) scoring all lanes, and every entry reads one
     (filter, term count) cell per lane.
     """
-    if Y.shape[1] > _LANE_BLOCK:
-        return np.hstack([_cv_sse(svd, caches, Y[:, i:i + _LANE_BLOCK], grid)
-                          for i in range(0, Y.shape[1], _LANE_BLOCK)])
     sizes = [_entry_sizes(grid, fold.svd.r) for fold in caches]
     if grid.method == "simpls":
         return _simpls_cv_sse(svd.U * svd.D, caches, Y, int(grid.d.max()))[grid.d]
@@ -449,7 +434,25 @@ def _pick_best(grid: _Grid, scores):
     ``np.lexsort`` is stable, so any tie left goes to the first entry.
     """
     size = np.where(grid.u > 0, grid.u, np.where(grid.d > 0, grid.d, np.inf))
-    return np.lexsort(np.broadcast_arrays(-grid.lam, size, scores.T))[:, 0]
+    order = np.lexsort(np.broadcast_arrays(-grid.lam, size, scores.T))
+    return order[:, 0].copy()    # a view would keep every lane's full order alive
+
+
+#: Lanes scored and picked together.  It bounds CV working memory whatever
+#: the number of replications: SIMPLS holds a deflation basis of folds x
+#: lanes x d x rank(X) floats, and NIECE one filter per candidate pool and
+#: lane.  At R = 100 (one BLAS thread) the baseline study peaks at 50.0 MB
+#: RSS unbatched, 51.5 MB in blocks of 4 (11.1 s) and 56.0 MB in blocks of
+#: 8 (9.6 s).
+_LANE_BLOCK = 4
+
+
+def _tune(svd, caches, Y, grid: _Grid):
+    """CV pick per lane of ``Y`` (n x lanes x q), scored ``_LANE_BLOCK`` lanes
+    at a time so no block's scores outlive its picks."""
+    n = Y.shape[0]
+    return np.concatenate([_pick_best(grid, _cv_sse(svd, caches, Y[:, i:i + _LANE_BLOCK], grid) / n)
+                           for i in range(0, Y.shape[1], _LANE_BLOCK)])
 
 
 def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
@@ -620,8 +623,7 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
     signal = frame.X @ frame.truth.beta_star
     Ys = [_recenter(signal + frame.draw_noise(rep)) for rep in range(R)]
     Y = np.stack(Ys, axis=1)
-    best = {label: _pick_best(grids[label], _cv_sse(svd_full, caches, Y, grids[label]) / n)
-            for label in methods}
+    best = {label: _tune(svd_full, caches, Y, grids[label]) for label in methods}
     beta_hats = {m: [] for m in methods}
     for rep, Yc in enumerate(Ys):
         scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
@@ -790,13 +792,13 @@ def _run_double_descent(cfg):
             Xg = Xc @ Gamma
             svd_g = thin_svd(Xg)
             grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
-            best = _pick_best(grid_g, _cv_sse(svd_g, _fold_caches(Xg, folds), Y, grid_g) / n)
+            best = _tune(svd_g, _fold_caches(Xg, folds), Y, grid_g)
             beta_hats["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
                                   for b, Yc in zip(best, Ys)]
         if "EgReg(r)" in methods:
             svd_full = thin_svd(Xc)
             grid_x = _Grid("egreg", lam=_lambda_grid(svd_full.D[0] ** 2))
-            best = _pick_best(grid_x, _cv_sse(svd_full, _fold_caches(Xc, folds), Y, grid_x) / n)
+            best = _tune(svd_full, _fold_caches(Xc, folds), Y, grid_x)
             beta_hats["EgReg(r)"] = [
                 _final_fit(grid_x, b, svd_full,
                            envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r), Xc, Yc)

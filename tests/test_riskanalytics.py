@@ -248,6 +248,31 @@ def test_empirical_risk_terms_nonnegative_on_a_vanishing_spectrum():
     assert np.all(terms >= 0.0) and np.all(terms < 1e-12)
 
 
+def test_theory_risks_nonnegative_on_a_vanishing_spectrum():
+    # beta* of norm ~1e8 along Sigma_x eigenvalues down to 1e-42, and PCs
+    # aligned with Sigma_x: the part of beta* outside any PC span carries
+    # only rounding-level risk, which a quadratic form in Sigma_x turns
+    # negative (and RiskReport then rejects).
+    rng = np.random.default_rng(0)
+    n, p = 50, 40
+    V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    sig = np.geomspace(10.0, 1e-42, p)
+    Sigma_x = (V * sig) @ V.T
+    Sigma_x = (Sigma_x + Sigma_x.T) / 2.0
+    beta = 1e8 * V[:, -6:] @ rng.standard_normal((6, 1))
+    truth = TruthSpec(beta, Sigma_x, np.eye(1))
+    Z = rng.standard_normal((n, p))
+    X = (np.linalg.qr(Z - Z.mean(axis=0))[0] * np.geomspace(10.0, 1.0, p)) @ V.T
+    Y = X @ rng.standard_normal((p, 1)) + rng.standard_normal((n, 1))
+    svd = thin_svd(X)
+    scores = envelope_scores(svd, cross_cov(Dataset(X, Y - Y.mean(), centered=True)).Sxy, svd.r)
+    for d in (1, 5, 20):
+        assert irreducible_risk(svd, truth, d) >= 0.0
+        report = reducible_risk_niece(svd, scores, truth, u=max(1, d // 2), d=d)
+        assert report.bias_sq >= 0.0 and report.irreducible >= 0.0
+        assert reducible_risk_egreg(svd, scores, truth, d, lam=1.0).bias_sq >= 0.0
+
+
 def test_truth_spec_factors_sigma_x_and_checks_a_given_factor():
     _, _, truth = _instance(seed=13)
     L = truth.Sigma_x_root
@@ -257,5 +282,13 @@ def test_truth_spec_factors_sigma_x_and_checks_a_given_factor():
     assert given.Sigma_x_root is not None and np.array_equal(given.Sigma_x_root, chol)
     with pytest.raises(ContractError):
         TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, 2.0 * chol)
+    # A factor of Sigma_x + y y' agrees with Sigma_x on every vector orthogonal
+    # to y, so only a check of the full product rejects it.
+    x = np.cos(np.arange(truth.p))
+    y = np.ones(truth.p) - (x.sum() / (x @ x)) * x
+    off = np.linalg.cholesky(truth.Sigma_x + np.outer(y, y))
+    assert_allclose(off @ (off.T @ x), truth.Sigma_x @ x, atol=1e-10)
+    with pytest.raises(ContractError):
+        TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, off)
     with pytest.raises(DimensionError):
         TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, chol[:-1])

@@ -41,6 +41,7 @@ from egreg.simharness import (
     _haar_orthogonal,
     _model_frame,
     _pick_best,
+    _tune,
 )
 
 
@@ -317,7 +318,7 @@ _LANE_GRIDS = (
        zero_lane=st.booleans(), seed=st.integers(0, 2**16))
 @example(n=14, shape="wide", k=4, lanes=3, q=1, zero_lane=True, seed=1)   # 14 = 4+4+3+3
 @example(n=13, shape="tall", k=5, lanes=2, q=2, zero_lane=True, seed=2)
-@example(n=16, shape="square", k=3, lanes=11, q=1, zero_lane=False, seed=3)  # > one lane block
+@example(n=16, shape="square", k=3, lanes=11, q=1, zero_lane=False, seed=3)  # > one pick block
 def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed):
     # Stacked lanes score and pick exactly as one lane at a time, for every
     # method, including a Y = 0 lane (SIMPLS stops at 0 components there).
@@ -336,8 +337,8 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
         each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], grid)[:, 0]
                                 for l in range(lanes)])
         assert_allclose(both, each, rtol=1e-12, err_msg=grid.method)
-        picks = [_pick_best(grid, each[:, [l]])[0] for l in range(lanes)]
-        assert _pick_best(grid, both).tolist() == picks
+        picks = [_pick_best(grid, each[:, [l]] / n)[0] for l in range(lanes)]
+        assert _tune(svd, caches, Y, grid).tolist() == picks
         if zero_lane:
             assert np.all(both[:, 0] == 0.0)
 
