@@ -35,6 +35,7 @@ from egreg.estimators import (
 )
 from egreg.simharness import (
     _cv_sse,
+    _filtered_sse,
     _fold_caches,
     _fold_indices,
     _Grid,
@@ -341,6 +342,20 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
         assert _tune(svd, caches, Y, grid).tolist() == picks
         if zero_lane:
             assert np.all(both[:, 0] == 0.0)
+
+
+def test_full_sum_path_matches_the_cumulative_sum():
+    # Grids that read only the full sum take a one-GEMM path; asking for one
+    # more term count sends the same cell through the cumulative sum.
+    rng = np.random.default_rng(4)
+    m, k, lanes, q, L = 7, 9, 3, 2, 5
+    A = rng.standard_normal((m, k, 1))
+    B = rng.standard_normal((k, lanes, q))
+    Yva = rng.standard_normal((m, lanes, q))
+    F = rng.uniform(size=(L, k, lanes))
+    full = _filtered_sse(A, B, Yva, F, np.array([k]))
+    both = _filtered_sse(A, B, Yva, F, np.array([k - 1, k]))
+    assert_allclose(full[:, 0], both[:, 1], rtol=1e-12)
 
 
 def test_cv_is_seed_deterministic():
