@@ -41,9 +41,9 @@ class TruthSpec:
     ``Sigma_x_root`` is a p-by-k factor with ``root @ root.T == Sigma_x``
     (e.g. a Cholesky factor, or eigenvectors scaled by the square roots of
     the eigenvalues).  Risks are sums of squares in it, so they stay
-    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  When
-    omitted it is computed from ``Sigma_x`` by ``eigh``, clipping the
-    eigenvalues at 0.
+    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  A
+    given factor must reproduce ``Sigma_x`` entrywise; when omitted it is
+    computed from ``Sigma_x`` by ``eigh``, clipping the eigenvalues at 0.
     """
 
     beta_star: np.ndarray
