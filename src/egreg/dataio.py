@@ -3,20 +3,25 @@
 Numeric CSV cells are written with 17 significant digits so a value survives
 the decimal round trip bitwise and a rerun with the same seed produces
 byte-identical files.  Model files are versioned JSON; coefficient floats
-round-trip exactly because JSON serializes them at full precision.
+round-trip exactly because JSON serializes them at full precision.  Every
+writer fills a temp file beside its target and renames it over the target, so
+a write that fails leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .estimators import FittedModel
+from .estimators import METHODS, FittedModel
 from .exceptions import ConfigError, ParseError
 from .matrixcore import Transform
 
@@ -32,12 +37,33 @@ def _fmt(value):
     return str(value)
 
 
+def _write_atomically(path, write, newline=None):
+    """Fill a temp file beside ``path`` through ``write(fh)``, then rename it
+    over ``path``; on any failure the temp file is removed and ``path`` is
+    left as it was."""
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex[:12]}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_json(path, doc):
+    _write_atomically(path, lambda fh: fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n"))
+
+
 def write_table(path, rows):
     """Write rows to CSV; floats are encoded with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+    _write_atomically(path, write, newline="")
 
 
 def load_table(path):
@@ -126,16 +152,33 @@ def _transform_to_dict(tr: Transform | None):
     }
 
 
-def _transform_from_dict(d):
+def _numeric(path, what, value, ndim):
+    """``value`` as a non-empty, finite float array with ``ndim`` axes, or ParseError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim or arr.size == 0 \
+            or not np.all(np.isfinite(arr)):
+        raise ParseError(f"{path}: {what} must be a non-empty, finite {ndim}-D numeric array")
+    return arr.astype(float)
+
+
+def _transform_from_dict(path, d, p, q):
     if d is None:
         return None
-    return Transform(
-        mode=d["mode"],
-        x_mean=np.asarray(d["x_mean"], dtype=float),
-        x_scale=np.asarray(d["x_scale"], dtype=float),
-        y_mean=np.asarray(d["y_mean"], dtype=float),
-        y_scale=np.asarray(d["y_scale"], dtype=float),
-    )
+    if not isinstance(d, dict) or d.get("mode") not in ("center", "standardize"):
+        raise ParseError(f"{path}: transform must be an object whose mode is "
+                         "'center' or 'standardize'")
+    vectors = {}
+    for key, size in (("x_mean", p), ("x_scale", p), ("y_mean", q), ("y_scale", q)):
+        v = vectors[key] = _numeric(path, f"transform {key}", d.get(key), 1)
+        if v.size != size:
+            raise ParseError(f"{path}: transform {key} has {v.size} entries; "
+                             f"beta is {p} x {q}, so it needs {size}")
+        if key.endswith("scale") and np.any(v <= 0):
+            raise ParseError(f"{path}: transform {key} must be positive")
+    return Transform(mode=d["mode"], **vectors)
 
 
 def save_model(path, model: FittedModel, x_names=None, y_names=None):
@@ -157,13 +200,17 @@ def save_model(path, model: FittedModel, x_names=None, y_names=None):
         "x_names": list(x_names) if x_names is not None else None,
         "y_names": list(y_names) if y_names is not None else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    A document that is not a well-formed model -- a missing or unknown
+    ``method``, a ``beta`` that is not a finite matrix, a ``gamma_hat``,
+    transform or column-name list whose size disagrees with ``beta`` --
+    raises :class:`ParseError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -171,24 +218,38 @@ def load_model(path) -> ModelFile:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"{path}: not an {MODEL_FORMAT} file")
-    if doc.get("format_version", 0) > MODEL_FORMAT_VERSION:
+    version = doc.get("format_version", 0)
+    if not isinstance(version, int) or version > MODEL_FORMAT_VERSION:
         raise ParseError(
-            f"{path}: format_version {doc['format_version']} is newer than "
-            f"supported version {MODEL_FORMAT_VERSION}"
+            f"{path}: format_version {version!r} is not a supported version "
+            f"(at most {MODEL_FORMAT_VERSION})"
         )
+    if doc.get("method") not in METHODS:
+        raise ParseError(f"{path}: method must be one of {list(METHODS)}, "
+                         f"got {doc.get('method')!r}")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError(f"{path}: params must be an object")
+    beta = _numeric(path, "beta", doc.get("beta"), 2)
+    gamma_hat = doc.get("gamma_hat")
+    if gamma_hat is not None:
+        gamma_hat = _numeric(path, "gamma_hat", gamma_hat, 2)
+        if gamma_hat.shape[0] != beta.shape[0]:
+            raise ParseError(f"{path}: gamma_hat has {gamma_hat.shape[0]} rows; "
+                             f"beta has {beta.shape[0]}")
+    for key, size in (("x_names", beta.shape[0]), ("y_names", beta.shape[1])):
+        names = doc.get(key)
+        if names is not None and not (isinstance(names, list) and len(names) == size
+                                      and all(isinstance(c, str) for c in names)):
+            raise ParseError(f"{path}: {key} must be a list of {size} column names")
     model = FittedModel(
-        beta=np.asarray(doc["beta"], dtype=float),
+        beta=beta,
         method=doc["method"],
         d=params.get("d"),
         u=params.get("u"),
         lam=params.get("lambda"),
-        gamma_hat=(
-            None
-            if doc.get("gamma_hat") is None
-            else np.asarray(doc["gamma_hat"], dtype=float)
-        ),
-        transform=_transform_from_dict(doc.get("transform")),
+        gamma_hat=gamma_hat,
+        transform=_transform_from_dict(path, doc.get("transform"), *beta.shape),
         flags=doc.get("flags", {}),
     )
     return ModelFile(
@@ -230,6 +291,4 @@ def write_manifest(path, manifest: RunManifest):
         "wall_clock_sec": manifest.wall_clock_sec,
         "outputs": list(manifest.outputs),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)

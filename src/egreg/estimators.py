@@ -362,7 +362,8 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
 
     Applies the stored centering/standardization to ``Xnew``, multiplies by
     the coefficients, and maps the result back to the original response
-    scale.  A 1-D input is treated as a single observation row.
+    scale.  A 1-D input is treated as a single observation row; a row with
+    a NaN or infinite cell raises :class:`ContractError` naming it.
     """
     X = np.asarray(Xnew, dtype=float)
     if X.ndim == 1:
@@ -372,6 +373,10 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
     p = model.beta.shape[0]
     if X.shape[1] != p:
         raise DimensionError(f"Xnew has {X.shape[1]} columns but the model expects {p}")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ContractError(f"predictor row {int(np.argmax(bad)) + 1} of {X.shape[0]} "
+                            "has a non-finite value")
     tr = model.transform
     if tr is not None:
         X = (X - tr.x_mean) / tr.x_scale

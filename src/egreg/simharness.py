@@ -12,14 +12,14 @@ The cross-validation scorer shares one implementation between
 (n x lanes x q): lanes share the design and the folds, and each gets its own
 held-out SSE and its own pick.  A study stacks the R noise draws of a grid
 point as R lanes, so each method's CV runs once per grid point, not once per
-replication; :func:`kfold_cv` is the one-lane case.  Per training fold the
-SVD is factored once; PCR, ridge, NIECE and EgReg become stacks of diagonal
+replication; :func:`kfold_cv` is the one-lane case.  Each training fold is
+factored once, from its rows of the design's PC coordinates ``U D`` (n_tr x
+rank, not n_tr x p).  PCR, ridge, NIECE and EgReg are stacks of diagonal
 filters on its PCs (NIECE in each lane's score order), and one kernel,
 :func:`_filtered_sse`, scores every filter, term count and lane in a single
 cumulative sum.  SIMPLS runs all folds x lanes as the lanes of one lockstep
-recurrence on the PC coordinates ``U D`` of the whole design, with a 0/1
-training-row mask per fold.  The drivers score and pick ``_LANE_BLOCK``
-lanes at a time, which bounds CV memory whatever the replication count.
+recurrence on ``U D``, with a 0/1 training-row mask per fold.  The drivers
+score and pick ``_LANE_BLOCK`` lanes at a time, which keeps CV memory flat in R.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def gen_baseline(
 class _Fold:
     tr: np.ndarray
     va: np.ndarray
-    svd: object
-    A: np.ndarray      # X_va @ V / D: held-out rows in whitened PC coordinates
+    svd: object        # thin SVD of the training rows of U D, the design's PC coordinates
+    A: np.ndarray      # Z_va @ V / D: held-out rows in whitened fold-PC coordinates
 
 
 def _fold_indices(n, k, seed):
@@ -247,13 +247,14 @@ def _fold_indices(n, k, seed):
     return np.array_split(rng.permutation(n), k)
 
 
-def _fold_caches(X, folds):
+def _fold_caches(svd, folds):
+    """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``)."""
+    Z = svd.U * svd.D
     caches = []
-    everything = np.arange(X.shape[0])
     for va in folds:
-        tr = np.setdiff1d(everything, va)
-        svd_f = thin_svd(X[tr])
-        caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=(X[va] @ svd_f.V) / svd_f.D))
+        tr = np.setdiff1d(np.arange(Z.shape[0]), va)
+        svd_f = thin_svd(Z[tr])
+        caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=(Z[va] @ svd_f.V) / svd_f.D))
     return caches
 
 
@@ -393,11 +394,11 @@ def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
     """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
 
     ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
-    replications are its lanes).  SIMPLS runs all folds x lanes in lockstep
-    on ``U D`` from ``svd``, the thin SVD of the whole design, which only
-    SIMPLS reads.  Like the fold SVDs, it leaves out directions below the
-    numerical rank: they carry only rounding noise, which late components
-    would fit.  Every other method is a stack of filters per fold, one kernel call
+    replications are its lanes).  ``caches`` factor each fold from ``U D``
+    of ``svd``, the whole design's thin SVD, on which SIMPLS runs all folds
+    x lanes in lockstep.  Like the fold SVDs, it leaves out directions below
+    the numerical rank: they carry only rounding noise, which late
+    components would fit.  Every other method is a stack of filters per fold, one kernel call
     (:func:`_filtered_sse`) scoring all lanes, and every entry reads one
     (filter, term count) cell per lane.
     """
@@ -488,8 +489,8 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     n = data.n
     if k < 2 or n < k:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
-    caches = _fold_caches(data.X, _fold_indices(n, k, seed))
-    svd = thin_svd(data.X) if method == "simpls" else None
+    svd = thin_svd(data.X)
+    caches = _fold_caches(svd, _fold_indices(n, k, seed))
     scores = _cv_sse(svd, caches, data.Y[:, None], grid)[:, 0] / n
     best = _pick_best(grid, scores[:, None])[0]
     table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
@@ -615,7 +616,7 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
     Xc = _recenter(frame.X)
     n = Xc.shape[0]
     svd_full = thin_svd(Xc)
-    caches = _fold_caches(Xc, _fold_indices(n, folds_k, fold_seed))
+    caches = _fold_caches(svd_full, _fold_indices(n, folds_k, fold_seed))
     r_cap = min(svd_full.r, min(c.svd.r for c in caches))
     ds = np.arange(1, r_cap + 1)
     lam = _lambda_grid(svd_full.D[0] ** 2)
@@ -796,16 +797,15 @@ def _run_double_descent(cfg):
             piv = np.linalg.pinv(Xc @ G_keep)
             beta_hats["NIECE"] = [G_keep @ (piv @ Yc) for Yc in Ys]
         if "EgReg" in methods:
-            Xg = Xc @ Gamma
-            svd_g = thin_svd(Xg)
+            svd_g = thin_svd(Xc @ Gamma)
             grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
-            best = _tune(svd_g, _fold_caches(Xg, folds), Y, grid_g)
+            best = _tune(svd_g, _fold_caches(svd_g, folds), Y, grid_g)
             beta_hats["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
                                   for b, Yc in zip(best, Ys)]
         if "EgReg(r)" in methods:
             svd_full = thin_svd(Xc)
             grid_x = _Grid("egreg", lam=_lambda_grid(svd_full.D[0] ** 2))
-            best = _tune(svd_full, _fold_caches(Xc, folds), Y, grid_x)
+            best = _tune(svd_full, _fold_caches(svd_full, folds), Y, grid_x)
             beta_hats["EgReg(r)"] = [
                 _final_fit(grid_x, b, svd_full,
                            envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r), Xc, Yc)

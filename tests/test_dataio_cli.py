@@ -143,6 +143,86 @@ def test_model_file_format_checks(tmp_path):
         load_model(path)
 
 
+def _model_doc(tmp_path):
+    X, Y = _toy(seed=15)
+    model = fit_method(center_standardize(Dataset(X, Y), "standardize"), "egreg",
+                       {"d": 3, "lambda": 0.7})
+    path = tmp_path / "m.json"
+    save_model(path, model, ["x1", "x2", "x3", "x4"], ["y"])
+    return path, json.loads(path.read_text())
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _put(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_drop("beta"), id="no-beta"),
+    pytest.param(_drop("method"), id="no-method"),
+    pytest.param(_put("Warp", "method"), id="unknown-method"),
+    pytest.param(_put("1,2", "beta"), id="beta-string"),
+    pytest.param(_put([1.0, 2.0, 3.0, 4.0], "beta"), id="beta-1d"),
+    pytest.param(_put([[1.0], [2.0, 3.0]], "beta"), id="beta-ragged"),
+    pytest.param(_put([[1.0], [float("nan")], [0.0], [0.0]], "beta"), id="beta-nan"),
+    pytest.param(_put([[True], [False], [True], [False]], "beta"), id="beta-bool"),
+    pytest.param(_put([[1.0, 0.0, 0.0]] * 3, "gamma_hat"), id="gamma-rows"),
+    pytest.param(_put([0.0, 0.0, 0.0], "transform", "x_mean"), id="x-mean-short"),
+    pytest.param(_put([1.0, 1.0], "transform", "y_scale"), id="y-scale-long"),
+    pytest.param(_put([1.0, 0.0, 1.0, 1.0], "transform", "x_scale"), id="x-scale-zero"),
+    pytest.param(_put("zscore", "transform", "mode"), id="transform-mode"),
+    pytest.param(_put([2], "params"), id="params-list"),
+    pytest.param(_put(["y", "z"], "y_names"), id="y-names-long"),
+    pytest.param(_put("x1", "x_names"), id="x-names-string"),
+    pytest.param(_put("1", "format_version"), id="version-string"),
+])
+def test_load_model_rejects_malformed_documents(tmp_path, edit):
+    path, doc = _model_doc(tmp_path)
+    load_model(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_drop("beta"), id="no-beta"),
+    pytest.param(_put([0.0, 0.0], "transform", "x_mean"), id="x-mean-short"),
+])
+def test_cli_predict_reports_a_malformed_model_file(tmp_path, capsys, edit):
+    path, doc = _model_doc(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    newx = tmp_path / "new.csv"
+    _write_xy(newx, *_toy(seed=16))
+    assert main(["predict", str(path), str(newx), str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "m.json" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_write_failure_keeps_the_old_file_and_no_temp_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "t.csv"
+    write_table(path, [["a", "b"], [1.0, 2.0]])
+    before = path.read_bytes()
+    rows = [["a", "b"]] + [[float(i), 0.5] for i in range(5000)] + [[Unprintable(), 1.0]]
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_table(path, rows)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_config_digest_is_canonical():
     a = config_digest({"x": 1, "y": [1, 2], "z": "s"})
     b = config_digest({"z": "s", "y": [1, 2], "x": 1})
@@ -242,6 +322,26 @@ def test_cli_predict_column_mismatch_exits_2(tmp_path, capsys):
     write_table(bad, [["a", "b"], [1.0, 2.0]])
     assert main(["predict", str(mp), str(bad), str(tmp_path / "o.csv")]) == 2
     assert "column" in capsys.readouterr().err
+
+
+def test_cli_predict_and_rpe_reject_nonfinite_predictors(tmp_path, capsys):
+    X, Y = _toy(seed=17)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    mp, base = tmp_path / "m.json", tmp_path / "s.json"
+    assert main(["fit", str(train), str(mp), "--method", "pcr", "--d", "2"]) == 0
+    assert main(["fit", str(train), str(base), "--method", "simpls", "--d", "1"]) == 0
+    capsys.readouterr()
+    for bad in (float("nan"), float("inf")):
+        X[2, 1] = bad
+        test = tmp_path / "test.csv"
+        _write_xy(test, X, Y)
+        out = tmp_path / "o.csv"
+        assert main(["predict", str(mp), str(test), str(out)]) == 1
+        assert "row 3 " in capsys.readouterr().err
+        assert main(["evaluate-rpe", str(test), str(base), str(mp), "--out", str(out)]) == 1
+        assert "row 3 " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_unknown_method_exits_2(tmp_path):

@@ -180,6 +180,33 @@ def test_folds_partition_rows():
     assert sorted(combined.tolist()) == list(range(53))
 
 
+@pytest.mark.parametrize("n,p,k,dup", [
+    pytest.param(23, 40, 5, 0, id="wide"),
+    pytest.param(24, 24, 5, 0, id="square"),
+    pytest.param(37, 9, 4, 0, id="tall"),
+    pytest.param(30, 12, 7, 6, id="duplicated-columns"),    # rank 6 on every fold
+    pytest.param(20, 30, 3, 15, id="wide-duplicated"),
+])
+def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
+    # Each fold is factored from its rows of U D; U, D, rank and the held-out
+    # rows in whitened PC coordinates must be those of a fresh SVD of X[tr].
+    # Every case has n % k != 0, so the folds are unequal.
+    rng = np.random.default_rng(n * p)
+    X = rng.standard_normal((n, p))
+    X[:, dup:2 * dup] = X[:, :dup]
+    X -= X.mean(axis=0)
+    folds = _fold_indices(n, k, 1)
+    for fold, va in zip(_fold_caches(thin_svd(X), folds), folds):
+        tr = np.setdiff1d(np.arange(n), va)
+        assert np.array_equal(fold.tr, tr) and np.array_equal(fold.va, va)
+        fresh = thin_svd(X[tr])
+        assert fold.svd.r == fresh.r
+        assert_allclose(fold.svd.D, fresh.D, rtol=1e-10)
+        sign = np.sign(np.sum(fold.svd.U * fresh.U, axis=0))    # one per column pair
+        assert_allclose(fold.svd.U * sign, fresh.U, rtol=0, atol=1e-9)
+        assert_allclose(fold.A * sign, X[va] @ fresh.V / fresh.D, rtol=0, atol=1e-9)
+
+
 def _cv_data(seed=9, n=48, p=6, q=2):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
@@ -332,7 +359,8 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
     Y -= Y.mean(axis=0)
     if zero_lane:
         Y[:, 0] = 0.0
-    svd, caches = thin_svd(X), _fold_caches(X, _fold_indices(n, k, seed))
+    svd = thin_svd(X)
+    caches = _fold_caches(svd, _fold_indices(n, k, seed))
     for grid in _LANE_GRIDS:
         both = _cv_sse(svd, caches, Y, grid)
         each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], grid)[:, 0]
