@@ -200,9 +200,11 @@ def _cmd_evaluate_rpe(args):
 
     from .dataio import load_csv, load_model, write_table
     from .estimators import predict
+    from .matrixcore import _check_finite_rows
 
     response = _response_list(args.response)
     X, Y, _, _ = load_csv(args.test_csv, response)
+    _check_finite_rows(Y, "response")
     entries = [(path, load_model(path)) for path in args.models]
     baselines = [mf for _, mf in entries if mf.model.method == "SIMPLS"]
     if not baselines:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .envscore import EnvelopeScores, envelope_scores, top_ranked
 from .exceptions import ContractError, DimensionError, ParameterError
-from .matrixcore import Dataset, SvdFactors, Transform, cross_cov, numerical_rank, thin_svd
+from .matrixcore import (Dataset, SvdFactors, Transform, _check_finite_rows, cross_cov,
+                         numerical_rank, thin_svd)
 
 #: Deflation tolerance for the SIMPLS early-stop test.
 SIMPLS_TOL = 1e-12
@@ -373,10 +374,7 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
     p = model.beta.shape[0]
     if X.shape[1] != p:
         raise DimensionError(f"Xnew has {X.shape[1]} columns but the model expects {p}")
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ContractError(f"predictor row {int(np.argmax(bad)) + 1} of {X.shape[0]} "
-                            "has a non-finite value")
+    _check_finite_rows(X, "predictor")
     tr = model.transform
     if tr is not None:
         X = (X - tr.x_mean) / tr.x_scale

@@ -147,6 +147,14 @@ class CovPair:
             raise ContractError(f"Sx is not symmetric (max asymmetry {asym:.3e})")
 
 
+def _check_finite_rows(M, what):
+    """Raise :class:`ContractError` naming the first row of M with a NaN or infinite cell."""
+    bad = ~np.isfinite(M).all(axis=1)
+    if bad.any():
+        raise ContractError(f"{what} row {int(np.argmax(bad)) + 1} of {M.shape[0]} "
+                            "has a non-finite value")
+
+
 def _recenter(M):
     """Subtract column means twice so the residual means are at noise level."""
     out = M - M.mean(axis=0)

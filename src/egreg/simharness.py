@@ -7,6 +7,15 @@ grid-point index and tags 0 (design), 1 (noise), 2 (fold shuffle) -- so grid
 points and replications produce bitwise-identical results whether they run
 serially or in parallel.
 
+The four studies run through one loop, :func:`run_study`.  It parses the
+shared config keys once (n, replications, folds, seed, methods and the grid),
+checks every grid point, then computes them in turn.  A study only supplies
+the design of a grid point, its *frame*: :func:`_model_frame` for P1, u_star
+and double_descent, :func:`_baseline_frame` for baseline.  The generators
+draw from the same frames and noise streams, so
+``gen_envelope_model(cfg, rep=k, stream=g)`` and ``gen_baseline(...,
+seed=s, rep=k, stream=g)`` return replication k of a study's grid point g.
+
 The cross-validation scorer shares one implementation between
 :func:`kfold_cv` and the study drivers.  Its responses carry a lane axis
 (n x lanes x q): lanes share the design and the folds, and each gets its own
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -75,14 +84,11 @@ class EnvelopeSimConfig:
     alpha: np.ndarray
     Sigma_eps: np.ndarray
     seed: int
-    replications: int = 100
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 2 or self.p < 1 or self.q < 1:
             raise ConfigError(f"need n >= 2, p >= 1, q >= 1, got ({self.n}, {self.p}, {self.q})")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
         P = tuple(int(i) for i in self.P)
         object.__setattr__(self, "P", P)
         if not P:
@@ -129,7 +135,7 @@ def _haar_orthogonal(p, rng):
 
 
 def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
-    """Design-side draws (fixed across replications): X, planted basis, beta*, truth.
+    """Design-side draws (fixed across replications): X, truth, planted basis.
 
     The truth carries ``Sigma_x = root root'`` with ``root = V sqrt(sig)``.
     """
@@ -140,20 +146,20 @@ def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     X = (Z * np.sqrt(sig)) @ V.T
     P0 = np.asarray(cfg.P, dtype=int) - 1
     Gamma = V[:, P0].copy()
-    beta_star = Gamma @ cfg.alpha
     root = V * np.sqrt(sig)
     del V
     Sigma_x = root @ root.T
     Sigma_x += Sigma_x.T
     Sigma_x *= 0.5
-    return X, Gamma, beta_star, TruthSpec(beta_star, Sigma_x, cfg.Sigma_eps, root)
+    return X, TruthSpec(Gamma @ cfg.alpha, Sigma_x, cfg.Sigma_eps, root), Gamma
 
 
-def _draw_noise(cfg: EnvelopeSimConfig, rep: int, stream: int = 0):
-    rng = np.random.default_rng([cfg.seed, stream, _TAG_NOISE, rep])
-    Z = rng.standard_normal((cfg.n, cfg.q))
-    L = np.linalg.cholesky(cfg.Sigma_eps)
-    return Z @ L.T
+def _responses(X, truth: TruthSpec, seed, stream, reps):
+    """Uncentered ``X beta* + E`` per replication in ``reps``; E's rows are N(0, Sigma_eps)."""
+    signal = X @ truth.beta_star
+    L = np.linalg.cholesky(truth.Sigma_eps)
+    return [signal + np.random.default_rng([seed, stream, _TAG_NOISE, rep])
+            .standard_normal(signal.shape) @ L.T for rep in reps]
 
 
 def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
@@ -163,19 +169,19 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
     the generating :class:`TruthSpec` (beta* = Gamma alpha, Sigma_x, Sigma_eps),
     and the p-by-u* planted basis (the selected eigenvectors of Sigma_x).
     The design depends only on ``(seed, stream)``; ``rep`` indexes the noise
-    draw so replications share X and beta*.
+    draw so replications share X and beta*.  The studies draw the same way,
+    so ``stream=g`` gives replication ``rep`` of a study's grid point g.
     """
-    X, Gamma, beta_star, truth = _model_frame(cfg, stream)
-    E = _draw_noise(cfg, rep, stream)
-    Y = X @ beta_star + E
-    data = Dataset(_recenter(X), _recenter(Y), centered=True)
-    return data, truth, Gamma
+    X, truth, Gamma = _model_frame(cfg, stream)
+    Y = _responses(X, truth, cfg.seed, stream, [rep])[0]
+    return Dataset(_recenter(X), _recenter(Y), centered=True), truth, Gamma
 
 
 _BASELINE_BETA = (2.0, -2.0, 1.0, -1.0, 0.5, -0.5)
 
 
 def _baseline_sigma(kind: str, p: int, rho: float):
+    kind = str(kind).upper()
     if kind == "CS":
         return rho * np.ones((p, p)) + (1.0 - rho) * np.eye(p)
     if kind == "AR1":
@@ -193,6 +199,14 @@ def _baseline_beta(p: int, stub=None):
     return beta
 
 
+def _baseline_frame(kind, n, beta, rho, sigma_eps_sq, seed, stream=0):
+    """Design-side draws of a CS/AR1 design: X, truth, and no planted basis."""
+    Sigma_x = _baseline_sigma(kind, beta.shape[0], rho)
+    L = np.linalg.cholesky(Sigma_x)
+    X = np.random.default_rng([seed, stream, _TAG_MODEL]).standard_normal((n, L.shape[0])) @ L.T
+    return X, TruthSpec(beta, Sigma_x, [[sigma_eps_sq]], L), None
+
+
 def gen_baseline(
     kind: str,
     n: int,
@@ -208,8 +222,9 @@ def gen_baseline(
 
     ``beta_star`` defaults to the sparse vector (2, -2, 1, -1, 1/2, -1/2,
     0, ..., 0); shorter vectors are zero-padded to length p.  As in
-    :func:`gen_envelope_model`, the design is fixed per ``(seed, stream)``
-    and ``rep`` indexes the noise draw.
+    :func:`gen_envelope_model`, the design is fixed per ``(seed, stream)``,
+    ``rep`` indexes the noise draw, and ``stream=g`` gives replication
+    ``rep`` of the baseline study's grid point g.
     """
     if not 0.0 <= rho < 1.0:
         raise ParameterError(f"rho must lie in [0, 1), got {rho}")
@@ -217,17 +232,10 @@ def gen_baseline(
         raise ParameterError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
     if not sigma_eps_sq > 0:
         raise ParameterError("sigma_eps_sq must be positive")
-    kind = str(kind).upper()
-    Sigma_x = _baseline_sigma(kind, p, rho)
-    beta = _baseline_beta(p, beta_star)
-    L = np.linalg.cholesky(Sigma_x)
-    rng = np.random.default_rng([seed, stream, _TAG_MODEL])
-    X = rng.standard_normal((n, p)) @ L.T
-    E = np.random.default_rng([seed, stream, _TAG_NOISE, rep]).standard_normal((n, 1))
-    Y = X @ beta + math.sqrt(sigma_eps_sq) * E
-    data = Dataset(_recenter(X), _recenter(Y), centered=True)
-    truth = TruthSpec(beta, Sigma_x, [[sigma_eps_sq]], L)
-    return data, truth
+    X, truth, _ = _baseline_frame(kind, n, _baseline_beta(p, beta_star), rho, sigma_eps_sq,
+                                  seed, stream)
+    Y = _responses(X, truth, seed, stream, [rep])[0]
+    return Dataset(_recenter(X), _recenter(Y), centered=True), truth
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +304,22 @@ class _Grid:
             np.asarray(self.d, np.intp), np.asarray(self.u, np.intp), np.asarray(self.lam, float))
 
 
+def _integer(name, v, low, error=ParameterError):
+    """``v`` as an int: an integer or integral float (JSON Schema counts 2.0 as
+    an integer) >= low.  Anything else, bools included, raises ``error``."""
+    whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not whole or v < low:
+        raise error(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
+
+
 def _grid_value(key, v):
     """Validate one grid value: d and u are integers >= 1, lambda is finite and >= 0."""
-    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-    if key == "lambda" and not (real and math.isfinite(v) and v >= 0):
+    if key != "lambda":
+        return _integer(key, v, 1)
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
+            or not (math.isfinite(v) and v >= 0):
         raise ParameterError(f"lambda must be finite and nonnegative, got {v!r}")
-    if key != "lambda" and not (real and isinstance(v, (int, np.integer)) and v >= 1):
-        raise ParameterError(f"{key} must be an integer >= 1, got {v!r}")
     return v
 
 
@@ -475,7 +492,8 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     "lambda"}, e.g. ``[{"d": 2}, {"d": 3}]`` for PCR or ``[{"d": 3,
     "lambda": 0.1}, ...]`` for EgReg (omit "d" for the full-rank EgReg
     variant).  ``d`` and ``u`` are integers >= 1, ``lambda`` is finite and
-    nonnegative, and a key the method does not use is an error.  Returns
+    nonnegative, and a key the method does not use is an error; ``k`` is an
+    integer with 2 <= k <= n.  Returns
     ``(best_params, cv_table)`` where the table carries a "cv_score" per
     entry.
     """
@@ -487,7 +505,7 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     entries = [dict(e) for e in param_grid]
     grid = _parse_grid(method, entries)
     n = data.n
-    if k < 2 or n < k:
+    if _integer("k", k, 2) > n:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
     svd = thin_svd(data.X)
     caches = _fold_caches(svd, _fold_indices(n, k, seed))
@@ -585,15 +603,6 @@ def _lambda_grid(sigma1_sq):
     return np.geomspace(1e-4 * sigma1_sq, 1e2 * sigma1_sq, LAMBDA_GRID_SIZE)
 
 
-@dataclass
-class _Frame:
-    """One grid point: fixed design plus a replication-indexed noise drawer."""
-
-    X: np.ndarray
-    truth: TruthSpec
-    draw_noise: Callable
-
-
 def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
     """Refit on the whole sample at grid entry i; a missing d is the full rank."""
     d, u, lam = int(grid.d[i]) or svd_full.r, int(grid.u[i]), float(grid.lam[i])
@@ -608,15 +617,15 @@ def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
     return egreg_coefficients(svd_full, scores_full, Yc, d, lam)[0]
 
 
-def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
-    """Tune, fit, and score every method at one grid point (shared X).
+def _sample_fits(Xc, Ys, folds, methods):
+    """CV-tune and refit each method on every replication's response (shared Xc).
 
-    The R replications are the lanes of one CV call per method.
+    The replications are the lanes of one CV call per method.  Returns
+    ``{method: [beta_hat per replication]}``.
     """
-    Xc = _recenter(frame.X)
     n = Xc.shape[0]
     svd_full = thin_svd(Xc)
-    caches = _fold_caches(svd_full, _fold_indices(n, folds_k, fold_seed))
+    caches = _fold_caches(svd_full, folds)
     r_cap = min(svd_full.r, min(c.svd.r for c in caches))
     ds = np.arange(1, r_cap + 1)
     lam = _lambda_grid(svd_full.D[0] ** 2)
@@ -628,195 +637,94 @@ def _run_sample_point(frame: _Frame, methods, folds_k, R, fold_seed):
         "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
         "EgReg(r)": _Grid("egreg", lam=lam),
     }
-    signal = frame.X @ frame.truth.beta_star
-    Ys = [_recenter(signal + frame.draw_noise(rep)) for rep in range(R)]
     Y = np.stack(Ys, axis=1)
     best = {label: _tune(svd_full, caches, Y, grids[label]) for label in methods}
-    beta_hats = {m: [] for m in methods}
+    fits = {m: [] for m in methods}
     for rep, Yc in enumerate(Ys):
         scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
         for label in methods:
-            beta_hats[label].append(
+            fits[label].append(
                 _final_fit(grids[label], best[label][rep], svd_full, scores_full, Xc, Yc)
             )
-    return np.vstack([empirical_risk_terms(beta_hats[m], frame.truth) for m in methods])
+    return fits
 
 
-def _summarize(terms):
-    R = terms.shape[1]
-    risks = terms.mean(axis=1)
-    ses = terms.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(terms.shape[0])
-    return risks, ses
+def _known_basis_fits(Xc, Gamma, Ys, folds, methods):
+    """double_descent's NIECE and EgReg, which treat the planted basis Gamma as known.
+
+    NIECE is ordinary least squares of Y on the reduced design X Gamma when
+    u* <= n-1; at u* = n the stability cap u = n-1 keeps the first n-1
+    planted directions (the planted scores are all equal, so the tie-break
+    keeps the lowest indices); for u* > n it is the minimum-norm
+    interpolator on all u* planted directions (pinv of the wide reduced
+    design, the lambda -> 0 limit of the reduced ridge problem).  EgReg is
+    ridge on the reduced design with lambda tuned by CV (the planted scores
+    are equal, so the score rescaling is a scalar absorbed by the lambda
+    grid).  The sample PC-ranked NIECE cannot spike at u*/n = 1 -- its
+    reduced design is X's own singular frame -- which is why this study
+    keeps the basis known.
+    """
+    n, u_star = Xc.shape[0], Gamma.shape[1]
+    fits = {}
+    if "NIECE" in methods:
+        G_keep = Gamma[:, :n - 1 if u_star == n else u_star]
+        piv = np.linalg.pinv(Xc @ G_keep)
+        fits["NIECE"] = [G_keep @ (piv @ Yc) for Yc in Ys]
+    if "EgReg" in methods:
+        svd_g = thin_svd(Xc @ Gamma)
+        grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
+        best = _tune(svd_g, _fold_caches(svd_g, folds), np.stack(Ys, axis=1), grid_g)
+        fits["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
+                         for b, Yc in zip(best, Ys)]
+    return fits
 
 
 def _alternating(k):
     return (-1.0) ** np.arange(k)
 
 
-def _run_envelope_study(study, cfg):
-    n = int(cfg["n"])
-    R = int(cfg["replications"])
-    seed = int(cfg["seed"])
-    folds_k = int(cfg["folds"])
-    methods = _canon_methods(cfg["methods"], _SAMPLE_METHODS, study)
-    grid = tuple(float(v) for v in cfg["p_over_n"])
-    risks = np.empty((len(grid), len(methods)))
-    ses = np.empty_like(risks)
-    for g, ratio in enumerate(grid):
-        p = int(round(ratio * n))
-        if study == "P1":
-            p1 = int(cfg["p1"])
-            P = tuple(range(p1, p1 + 10))
-            alpha = _alternating(10)[:, None]
-        else:
-            u_req = cfg["u_star"]
-            u_star = min(n, p) // 2 if u_req == "half" else int(u_req)
-            if u_star < 1:
-                raise ConfigError(f"u_star must be >= 1, got {u_star}")
-            P = tuple(range(1, 2 * u_star, 2))
-            if u_star == 1:
-                mag = np.array([0.1])
-            else:
-                j = np.arange(u_star)
-                mag = 0.1 + j * 0.9 / (u_star - 1)
-            alpha = (_alternating(u_star) * mag)[:, None]
-        if P[-1] > p:
+def _point_frame(study, cfg, n, seed, ratio):
+    """Check one grid point and return its frame, ``stream -> (X, truth, planted basis)``."""
+    p = int(round(ratio * n))
+    if study == "baseline":
+        rho = float(cfg["rho"])
+        if not 0.0 <= rho < 1.0:
+            raise ConfigError(f"rho must lie in [0, 1), got {rho}")
+        return partial(_baseline_frame, cfg["kind"], n, _baseline_beta(p, cfg["beta_star"]),
+                       rho, float(cfg["sigma_eps_sq"]), seed)
+    if study == "P1":
+        p1 = _integer("p1", cfg["p1"], 1, ConfigError)
+        P, alpha = tuple(range(p1, p1 + 10)), _alternating(10)[:, None]
+    elif study == "u_star":
+        u_req = cfg["u_star"]
+        u_star = min(n, p) // 2 if u_req == "half" else _integer("u_star", u_req, 1, ConfigError)
+        if u_star < 1:
+            raise ConfigError(f"u_star must be >= 1, got {u_star}")
+        P = tuple(range(1, 2 * u_star, 2))
+        mag = np.array([0.1]) if u_star == 1 else 0.1 + np.arange(u_star) * 0.9 / (u_star - 1)
+        alpha = (_alternating(u_star) * mag)[:, None]
+    else:
+        # double_descent: the grid is u*/n on a flat spectrum, p = round(1.5 u*).
+        u_star = p
+        if u_star < 12:
             raise ConfigError(
-                f"p = {p} is too small for material indices up to {P[-1]} "
-                f"(p/n = {ratio}, n = {n})"
+                f"u_star = {u_star} is infeasible: the first material index 7 needs "
+                f"p = round(1.5 u_star) >= u_star + 6, i.e. u_star >= 12"
             )
-        sim = EnvelopeSimConfig(
-            n=n, p=p, q=1, decay_gamma=float(cfg["decay_gamma"]), P=P, alpha=alpha,
-            Sigma_eps=[[float(cfg["sigma_eps_sq"])]], seed=seed, replications=R,
-        )
-        X, _, _, truth = _model_frame(sim, stream=g)
-        frame = _Frame(X=X, truth=truth,
-                       draw_noise=lambda rep, _sim=sim, _g=g: _draw_noise(_sim, rep, _g))
-        terms = _run_sample_point(frame, methods, folds_k, R, [seed, g, _TAG_FOLDS])
-        risks[g], ses[g] = _summarize(terms)
-    return StudyResult(
-        study=study, grid_name="p_over_n", grid=grid, methods=methods,
-        risks=risks, ses=ses, config=dict(cfg), seed=seed,
-    )
-
-
-def _run_baseline(cfg):
-    n = int(cfg["n"])
-    R = int(cfg["replications"])
-    seed = int(cfg["seed"])
-    folds_k = int(cfg["folds"])
-    methods = _canon_methods(cfg["methods"], _SAMPLE_METHODS, "baseline")
-    kind = str(cfg["kind"]).upper()
-    rho = float(cfg["rho"])
-    if not 0.0 <= rho < 1.0:
-        raise ConfigError(f"rho must lie in [0, 1), got {rho}")
-    sig_sq = float(cfg["sigma_eps_sq"])
-    grid = tuple(float(v) for v in cfg["p_over_n"])
-    risks = np.empty((len(grid), len(methods)))
-    ses = np.empty_like(risks)
-    for g, ratio in enumerate(grid):
-        p = int(round(ratio * n))
-        Sigma_x = _baseline_sigma(kind, p, rho)
-        beta = _baseline_beta(p, cfg["beta_star"])
-        L = np.linalg.cholesky(Sigma_x)
-        X = np.random.default_rng([seed, g, _TAG_MODEL]).standard_normal((n, p)) @ L.T
-        truth = TruthSpec(beta, Sigma_x, [[sig_sq]], L)
-
-        def draw(rep, _g=g):
-            z = np.random.default_rng([seed, _g, _TAG_NOISE, rep]).standard_normal((n, 1))
-            return math.sqrt(sig_sq) * z
-
-        frame = _Frame(X=X, truth=truth, draw_noise=draw)
-        terms = _run_sample_point(frame, methods, folds_k, R, [seed, g, _TAG_FOLDS])
-        risks[g], ses[g] = _summarize(terms)
-    return StudyResult(
-        study="baseline", grid_name="p_over_n", grid=grid, methods=methods,
-        risks=risks, ses=ses, config=dict(cfg), seed=seed,
-    )
-
-
-def _dd_point(u_star, n):
-    """Feasibility-checked (p, P, alpha) for one flat-spectrum grid point."""
-    if u_star < 12:
+        p = int(np.rint(1.5 * u_star))
+        P = tuple(range(7, 7 + u_star))
+        eta = _alternating(u_star)
+        alpha = (math.sqrt(10.0) * eta / np.linalg.norm(eta))[:, None]
+    if P[-1] > p:
         raise ConfigError(
-            f"u_star = {u_star} is infeasible: the first material index 7 needs "
-            f"p = round(1.5 u_star) >= u_star + 6, i.e. u_star >= 12"
+            f"p = {p} is too small for material indices up to {P[-1]} "
+            f"(p/n = {ratio}, n = {n})"
         )
-    p = int(np.rint(1.5 * u_star))
-    P = tuple(range(7, 7 + u_star))
-    eta = _alternating(u_star)
-    alpha = (math.sqrt(10.0) * eta / np.linalg.norm(eta))[:, None]
-    return p, P, alpha
-
-
-def _run_double_descent(cfg):
-    """Flat-spectrum study with the material basis treated as known.
-
-    NIECE here is the known-basis estimator: ordinary least squares of Y on
-    the reduced design X Gamma_P when u* <= n-1; at u* = n the stability cap
-    u = n-1 keeps the first n-1 planted directions (the planted scores are
-    all equal, so the tie-break keeps the lowest indices); for u* > n it is
-    the minimum-norm interpolator on all u* planted directions (the
-    lambda -> 0 limit of the reduced ridge problem).  EgReg is ridge on the
-    reduced design with lambda tuned by CV (the planted scores are equal, so
-    the score rescaling is a scalar absorbed by the lambda grid); EgReg(r)
-    is the fully sample-based estimator with d = r.  The sample PC-ranked
-    NIECE cannot spike at u*/n = 1 -- its reduced design is X's own singular
-    frame -- which is why this study keeps the basis known.
-    """
-    n = int(cfg["n"])
-    R = int(cfg["replications"])
-    seed = int(cfg["seed"])
-    folds_k = int(cfg["folds"])
-    methods = _canon_methods(cfg["methods"], _DD_METHODS, "double_descent")
-    ratios = tuple(float(v) for v in cfg["u_star_over_n"])
-    points = [_dd_point(int(round(r * n)), n) for r in ratios]  # validate all first
-    u_stars = [int(round(r * n)) for r in ratios]
-    risks = np.empty((len(ratios), len(methods)))
-    ses = np.empty_like(risks)
-    for g, (u_star, (p, P, alpha)) in enumerate(zip(u_stars, points)):
-        sim = EnvelopeSimConfig(
-            n=n, p=p, q=1, decay_gamma=1.0, P=P, alpha=alpha,
-            Sigma_eps=[[10.0]], seed=seed, replications=R,
-            eigenvalues=np.ones(p),
-        )
-        X, Gamma, beta_star, truth = _model_frame(sim, stream=g)
-        Xc = _recenter(X)
-        folds = _fold_indices(n, folds_k, [seed, g, _TAG_FOLDS])
-        Ys = [_recenter(X @ beta_star + _draw_noise(sim, rep, g)) for rep in range(R)]
-        Y = np.stack(Ys, axis=1)
-
-        beta_hats = {}
-        if "NIECE" in methods:
-            # u* < n: least squares on all planted directions; u* = n: the
-            # stability cap u = n - 1 avoids exact singularity; u* > n:
-            # minimum-norm interpolation on all u* directions (pinv of the
-            # wide reduced design).
-            keep = n - 1 if u_star == n else u_star
-            G_keep = Gamma[:, :keep]
-            piv = np.linalg.pinv(Xc @ G_keep)
-            beta_hats["NIECE"] = [G_keep @ (piv @ Yc) for Yc in Ys]
-        if "EgReg" in methods:
-            svd_g = thin_svd(Xc @ Gamma)
-            grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
-            best = _tune(svd_g, _fold_caches(svd_g, folds), Y, grid_g)
-            beta_hats["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
-                                  for b, Yc in zip(best, Ys)]
-        if "EgReg(r)" in methods:
-            svd_full = thin_svd(Xc)
-            grid_x = _Grid("egreg", lam=_lambda_grid(svd_full.D[0] ** 2))
-            best = _tune(svd_full, _fold_caches(svd_full, folds), Y, grid_x)
-            beta_hats["EgReg(r)"] = [
-                _final_fit(grid_x, b, svd_full,
-                           envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r), Xc, Yc)
-                for b, Yc in zip(best, Ys)
-            ]
-        terms = np.vstack([empirical_risk_terms(beta_hats[m], truth) for m in methods])
-        risks[g], ses[g] = _summarize(terms)
-    return StudyResult(
-        study="double_descent", grid_name="u_star_over_n", grid=ratios,
-        methods=methods, risks=risks, ses=ses, config=dict(cfg), seed=seed,
-    )
+    return partial(_model_frame, EnvelopeSimConfig(
+        n=n, p=p, q=1, decay_gamma=float(cfg.get("decay_gamma", 1.0)), P=P, alpha=alpha,
+        Sigma_eps=[[float(cfg.get("sigma_eps_sq", 10.0))]], seed=seed,
+        eigenvalues=np.ones(p) if study == "double_descent" else None,
+    ))
 
 
 def run_study(study: str, config: dict | None = None) -> StudyResult:
@@ -824,7 +732,10 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
 
     ``config`` overrides the study defaults; unknown keys are rejected so
     typos cannot silently fall back to defaults.  See ``CONFIG_SCHEMAS`` for
-    the accepted keys per study.
+    the accepted keys per study.  Every grid point is checked before any is
+    computed.  double_descent fits NIECE and EgReg on the known planted
+    basis (:func:`_known_basis_fits`); every other method, double_descent's
+    EgReg(r) included, is tuned and fit by :func:`_sample_fits`.
     """
     if study not in _STUDY_DEFAULTS:
         raise ConfigError(
@@ -836,14 +747,33 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
         if unknown:
             raise ConfigError(f"unknown config key(s) for {study}: {', '.join(unknown)}")
         cfg.update(config)
-    n, folds = int(cfg["n"]), int(cfg["folds"])
-    if not 2 <= folds <= n:
-        raise ConfigError(f"need 2 <= folds <= n, got folds={folds}, n={n}")
-    if study == "baseline":
-        return _run_baseline(cfg)
-    if study == "double_descent":
-        return _run_double_descent(cfg)
-    return _run_envelope_study(study, cfg)
+    n, R, seed, folds_k = (_integer(key, cfg[key], low, ConfigError) for key, low in
+                           (("n", 2), ("replications", 1), ("seed", 0), ("folds", 2)))
+    if folds_k > n:
+        raise ConfigError(f"need 2 <= folds <= n, got folds={folds_k}, n={n}")
+    dd = study == "double_descent"
+    methods = _canon_methods(cfg["methods"], _DD_METHODS if dd else _SAMPLE_METHODS, study)
+    grid_name = "u_star_over_n" if dd else "p_over_n"
+    grid = tuple(float(v) for v in cfg[grid_name])
+    if not grid or not all(0 < v < math.inf for v in grid):
+        raise ConfigError(f"{grid_name} must list one or more positive finite values, "
+                          f"got {list(cfg[grid_name])}")
+    frames = [_point_frame(study, cfg, n, seed, v) for v in grid]
+    terms = []
+    for g, frame in enumerate(frames):
+        X, truth, Gamma = frame(stream=g)
+        Xc = _recenter(X)
+        folds = _fold_indices(n, folds_k, [seed, g, _TAG_FOLDS])
+        Ys = [_recenter(Y) for Y in _responses(X, truth, seed, g, range(R))]
+        fits = _known_basis_fits(Xc, Gamma, Ys, folds, methods) if dd else {}
+        sampled = [m for m in methods if m not in fits]
+        if sampled:
+            fits.update(_sample_fits(Xc, Ys, folds, sampled))
+        terms.append([empirical_risk_terms(fits[m], truth) for m in methods])
+    terms = np.array(terms)    # grid points x methods x replications
+    ses = terms.std(axis=2, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(terms.shape[:2])
+    return StudyResult(study=study, grid_name=grid_name, grid=grid, methods=methods,
+                       risks=terms.mean(axis=2), ses=ses, config=dict(cfg), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +787,7 @@ _POS_NUM_ARRAY = {"type": "array", "items": _POS_NUM, "minItems": 1}
 def _schema(study, extra):
     props = {
         "study": {"const": study},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "replications": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 2},
         "folds": {"type": "integer", "minimum": 2},

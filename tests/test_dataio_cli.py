@@ -22,7 +22,7 @@ from egreg.dataio import (
 )
 from egreg.estimators import fit_method, predict
 from egreg.matrixcore import Dataset, center_standardize
-from egreg.simharness import _alternating, _draw_noise, _model_frame
+from egreg.simharness import _alternating, _model_frame, _responses
 
 
 def _write_xy(path, X, Y, x_names=None, y_names=None):
@@ -342,6 +342,13 @@ def test_cli_predict_and_rpe_reject_nonfinite_predictors(tmp_path, capsys):
         assert main(["evaluate-rpe", str(test), str(base), str(mp), "--out", str(out)]) == 1
         assert "row 3 " in capsys.readouterr().err
         assert not out.exists()
+    X[2, 1] = 0.0
+    for bad in (float("nan"), float("inf")):
+        Y[4, 0] = bad                   # a bad response cell, finite predictors
+        _write_xy(test, X, Y)
+        assert main(["evaluate-rpe", str(test), str(base), str(mp), "--out", str(out)]) == 1
+        assert "response row 5 " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_unknown_method_exits_2(tmp_path):
@@ -434,8 +441,8 @@ def test_cli_rpe_envelope_split_favors_egreg(tmp_path):
     cfg = EnvelopeSimConfig(n=140, p=120, q=1, decay_gamma=1.0, P=P,
                             alpha=_alternating(10)[:, None],
                             Sigma_eps=[[10.0]], seed=7)
-    X, _, beta, _ = _model_frame(cfg)
-    Y = X @ beta + _draw_noise(cfg, 0)
+    X, truth, _ = _model_frame(cfg)
+    Y = _responses(X, truth, cfg.seed, 0, [0])[0]
     train, test = tmp_path / "train.csv", tmp_path / "test.csv"
     _write_xy(train, X[:60], Y[:60])
     _write_xy(test, X[60:], Y[60:])
@@ -501,3 +508,17 @@ def test_cli_simulate_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"study": "Q9", "seed": 1}))
     assert main(["simulate", str(bad), str(tmp_path / "o")]) == 2
     assert "Q9" in capsys.readouterr().err
+
+    # A negative seed is a usage error, whether from the file or from --seed.
+    bad.write_text(json.dumps({"study": "P1", "seed": -1}))
+    assert main(["simulate", str(bad), str(tmp_path / "o")]) == 2
+    assert "-1" in capsys.readouterr().err
+    bad.write_text(json.dumps({"study": "P1", "seed": 1}))
+    assert main(["simulate", str(bad), str(tmp_path / "o"), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    # JSON's NaN passes the schema's exclusiveMinimum; the study rejects it.
+    bad.write_text(json.dumps({"study": "P1", "seed": 1, "p_over_n": [float("nan")]}))
+    assert main(["simulate", str(bad), str(tmp_path / "o")]) == 2
+    assert "p_over_n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -4,6 +4,8 @@ and the prediction transform chain."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from egreg import (
@@ -58,6 +60,38 @@ def test_pcr_full_rank_equals_least_squares():
     model = fit_pcr(data, r)
     ols = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
     assert_allclose(model.beta, ols, atol=1e-10)
+
+
+# n > p, n = p and n < p; a centered design with n <= p has rank n - 1 < p.
+_SHAPES = st.sampled_from([(30, 8), (16, 16), (12, 25)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_SHAPES, q=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_pcr_full_rank_is_the_minimum_norm_least_squares_fit(shape, q, seed):
+    data = _centered(seed=seed, n=shape[0], p=shape[1], q=q)
+    ols = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
+    beta = fit_pcr(data, thin_svd(data.X).r).beta
+    assert_allclose(beta, ols, rtol=1e-7, atol=1e-9 * np.abs(ols).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_SHAPES, q=st.integers(1, 2), seed=st.integers(0, 2**16))
+def test_fits_are_invariant_to_rotating_the_predictors(shape, q, seed):
+    # With X -> X Q for an orthogonal Q, every fit maps beta to Q' beta, so
+    # the fitted values do not move.
+    n, p = shape
+    data = _centered(seed=seed, n=n, p=p, q=q)
+    Q = np.linalg.qr(np.random.default_rng(seed + 1).standard_normal((p, p)))[0]
+    rotated = Dataset(data.X @ Q, data.Y, centered=True)
+    d = min(3, thin_svd(data.X).r)
+    cases = [("pcr", {"d": d}), ("ridge", {"lambda": 1.0}), ("niece", {"u": d}),
+             ("egreg", {"d": d + 1, "lambda": 0.5}), ("egreg", {"lambda": 0.5}),
+             ("simpls", {"d": d})]
+    for method, params in cases:
+        beta = fit_method(data, method, params).beta
+        turned = fit_method(rotated, method, params).beta
+        assert_allclose(Q @ turned, beta, rtol=1e-7, atol=1e-9 * np.abs(beta).max())
 
 
 def test_pcr_d_out_of_range():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from egreg import simharness
 from egreg import (
     ConfigError,
     Dataset,
@@ -138,7 +139,7 @@ def test_population_niece_recovers_generated_span():
 def test_sample_covariance_matches_sigma_x():
     cfg = EnvelopeSimConfig(n=200_000, p=5, q=1, decay_gamma=0.4, P=(1,),
                             alpha=np.ones((1, 1)), Sigma_eps=[[1.0]], seed=11)
-    X, _, _, truth = _model_frame(cfg)
+    X, truth, _ = _model_frame(cfg)
     Sigma_x = truth.Sigma_x
     S = X.T @ X / cfg.n
     # Gaussian fourth-moment SE per covariance entry
@@ -167,6 +168,60 @@ def test_gen_baseline_rep_changes_noise_only():
     d1, _ = gen_baseline("AR1", 40, 6, 0.4, seed=2, rep=1)
     assert_allclose(d0.X, d1.X)
     assert np.max(np.abs(d0.Y - d1.Y)) > 1e-3
+
+
+@pytest.fixture
+def study_points(monkeypatch):
+    """Per grid point, the centered design, responses and truth run_study draws."""
+    points = []
+    fits, risk = simharness._sample_fits, simharness.empirical_risk_terms
+
+    def spy_fits(Xc, Ys, folds, methods):
+        points.append([Xc, Ys])
+        return fits(Xc, Ys, folds, methods)
+
+    def spy_risk(beta_hats, truth):
+        points[-1].append(truth)
+        return risk(beta_hats, truth)
+
+    monkeypatch.setattr(simharness, "_sample_fits", spy_fits)
+    monkeypatch.setattr(simharness, "empirical_risk_terms", spy_risk)
+    return points
+
+
+def test_gen_baseline_draws_the_baseline_study_points(study_points):
+    # gen_baseline(seed=s, rep=k, stream=g) is replication k of grid point g.
+    ratios = [0.25, 1.5]
+    run_study("baseline", {"n": 30, "replications": 3, "seed": 8, "kind": "AR1",
+                           "rho": 0.4, "p_over_n": ratios, "beta_star": [1.0, -2.0],
+                           "sigma_eps_sq": 4.0, "folds": 5, "methods": ["pcr"]})
+    assert len(study_points) == len(ratios)
+    for g, (ratio, (Xc, Ys, truth)) in enumerate(zip(ratios, study_points)):
+        for k in range(3):
+            data, t = gen_baseline("AR1", 30, round(ratio * 30), 0.4, beta_star=[1.0, -2.0],
+                                   sigma_eps_sq=4.0, seed=8, rep=k, stream=g)
+            assert np.array_equal(data.X, Xc)
+            assert np.array_equal(data.Y, Ys[k])
+            assert np.array_equal(t.beta_star, truth.beta_star)
+            assert np.array_equal(t.Sigma_x, truth.Sigma_x)
+
+
+def test_gen_envelope_model_draws_the_p1_study_points(study_points):
+    ratios = [0.5, 2.0]
+    run_study("P1", {"n": 40, "replications": 2, "seed": 6, "p1": 3, "p_over_n": ratios,
+                     "decay_gamma": 0.5, "sigma_eps_sq": 2.0, "folds": 4,
+                     "methods": ["pcr"]})
+    assert len(study_points) == len(ratios)
+    for g, (ratio, (Xc, Ys, truth)) in enumerate(zip(ratios, study_points)):
+        sim = EnvelopeSimConfig(n=40, p=round(ratio * 40), q=1, decay_gamma=0.5,
+                                P=range(3, 13), alpha=((-1.0) ** np.arange(10))[:, None],
+                                Sigma_eps=[[2.0]], seed=6)
+        for k in range(2):
+            data, t, _ = gen_envelope_model(sim, rep=k, stream=g)
+            assert np.array_equal(data.X, Xc)
+            assert np.array_equal(data.Y, Ys[k])
+            assert np.array_equal(t.beta_star, truth.beta_star)
+            assert np.array_equal(t.Sigma_x, truth.Sigma_x)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +348,9 @@ def test_cv_validation_errors():
         kfold_cv(data, "pcr", [{"d": 2}], k=1, seed=0)
     with pytest.raises(ParameterError):
         kfold_cv(data, "pcr", [{"d": 2}], k=data.n + 1, seed=0)
+    for k in (2.5, "3", True):                     # k is an integer
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            kfold_cv(data, "pcr", [{"d": 2}], k=k, seed=0)
     with pytest.raises(ParameterError):
         kfold_cv(data, "newton", [{"d": 2}], k=5, seed=0)
     with pytest.raises(ParameterError):
@@ -426,6 +484,29 @@ def test_run_study_rejects_unknowns():
     with pytest.raises(ConfigError, match="folds"):
         run_study("P1", {"n": 20, "folds": 30, "replications": 1,
                          "p_over_n": [1.0], "methods": ["pcr"]})
+    # n, replications, folds and seed are integers (not bools) in range, and
+    # the grid is non-empty, positive and finite; each is checked before any
+    # grid point runs.
+    bad_configs = [
+        ("baseline", {"replications": 0}, "replications"),
+        ("P1", {"replications": 1.5}, "replications"),
+        ("P1", {"replications": True}, "replications"),
+        ("u_star", {"folds": 2.9}, "folds"),
+        ("u_star", {"folds": 1}, "folds"),
+        ("P1", {"n": 40.9}, "n"),
+        ("baseline", {"n": 1}, "n"),
+        ("double_descent", {"seed": -1}, "seed"),
+        ("P1", {"seed": "3"}, "seed"),
+        ("P1", {"p1": 7.5}, "p1"),
+        ("u_star", {"u_star": 2.5}, "u_star"),
+        ("P1", {"p_over_n": []}, "p_over_n"),
+        ("P1", {"p_over_n": [float("nan")]}, "p_over_n"),
+        ("baseline", {"p_over_n": [0.5, float("inf")]}, "p_over_n"),
+        ("double_descent", {"u_star_over_n": []}, "u_star_over_n"),
+    ]
+    for study, config, key in bad_configs:
+        with pytest.raises(ConfigError, match=key):
+            run_study(study, config)
 
 
 def test_study_result_layout_and_determinism():
@@ -490,3 +571,7 @@ def test_envelope_config_from_json_roundtrip_types():
     res = run_study("P1", {"replications": 2, "p_over_n": [0.25],
                            "seed": 9, "methods": ["pcr"], "p1": 3})
     assert res.config["p1"] == 3
+    # JSON Schema counts 2.0 as an integer, and so does the config parse.
+    same = run_study("P1", {"replications": 2.0, "p_over_n": [0.25],
+                            "seed": 9.0, "methods": ["pcr"], "p1": 3})
+    assert np.array_equal(same.risks, res.risks) and same.seed == 9
