@@ -167,6 +167,22 @@ def _cmd_fit(args):
     return 0
 
 
+def _predictors(mf, names, M, path):
+    """The model's predictor columns of a table: matched by the model's stored
+    names, or taken as they stand when it has none and the width is p."""
+    if mf.x_names:
+        missing = [c for c in mf.x_names if c not in names]
+        if missing:
+            raise ConfigError(f"{path} lacks the model's predictor column(s) "
+                              f"{', '.join(missing)}")
+        return M[:, [names.index(c) for c in mf.x_names]]
+    p = mf.model.beta.shape[0]
+    if M.shape[1] != p:
+        raise ConfigError(f"{path} has {M.shape[1]} candidate predictor columns; "
+                          f"the model has {p} unnamed predictors")
+    return M
+
+
 def _cmd_predict(args):
     t0 = time.time()
     from .dataio import load_model, load_table, write_table
@@ -174,17 +190,7 @@ def _cmd_predict(args):
 
     mf = load_model(args.model_in)
     names, M = load_table(args.csv_in)
-    p = mf.model.beta.shape[0]
-    if mf.x_names and set(mf.x_names) <= set(names):
-        X = M[:, [names.index(c) for c in mf.x_names]]
-    elif M.shape[1] == p:
-        X = M
-    else:
-        raise ConfigError(
-            f"{args.csv_in} has {M.shape[1]} columns; the model expects the "
-            f"{p} predictor column(s) {mf.x_names or '(unnamed)'}"
-        )
-    Yp = predict(mf.model, X)
+    Yp = predict(mf.model, _predictors(mf, names, M, args.csv_in))
     header = mf.y_names or [f"y{j + 1}" for j in range(Yp.shape[1])]
     write_table(args.csv_out, [header] + [list(row) for row in Yp])
     digest = {"command": "predict", "model_in": args.model_in, "csv_in": args.csv_in}
@@ -203,7 +209,7 @@ def _cmd_evaluate_rpe(args):
     from .matrixcore import _check_finite_rows
 
     response = _response_list(args.response)
-    X, Y, _, _ = load_csv(args.test_csv, response)
+    X, Y, x_names, _ = load_csv(args.test_csv, response)
     _check_finite_rows(Y, "response")
     entries = [(path, load_model(path)) for path in args.models]
     baselines = [mf for _, mf in entries if mf.model.method == "SIMPLS"]
@@ -211,14 +217,18 @@ def _cmd_evaluate_rpe(args):
         raise ContractError(
             "evaluate-rpe needs a SIMPLS model as the denominator; none was given"
         )
-    denom = float(np.sum((Y - predict(baselines[0].model, X)) ** 2))
+
+    def sse(mf):
+        Xm = _predictors(mf, x_names, X, args.test_csv)
+        return float(np.sum((Y - predict(mf.model, Xm)) ** 2))
+
+    denom = sse(baselines[0])
     if denom == 0.0:
         raise ContractError("the SIMPLS baseline fits the test set exactly; "
                             "RPE is undefined")
     rows = [["model", "method", "rpe"]]
     for path, mf in entries:
-        sse = float(np.sum((Y - predict(mf.model, X)) ** 2))
-        rows.append([path, mf.model.method, sse / denom])
+        rows.append([path, mf.model.method, sse(mf) / denom])
     write_table(args.out, rows)
     digest = {"command": "evaluate-rpe", "test_csv": args.test_csv,
               "models": list(args.models), "response": response}

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import uuid
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,35 +67,77 @@ def write_table(path, rows):
     _write_atomically(path, write, newline="")
 
 
+# ASCII separators that numpy's float parser strips as cell padding and
+# Python's float() rejects; a line holding one goes to the row scan.
+_NUMPY_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_table(path):
     """Read a numeric CSV with a header row; returns (names, matrix).
 
-    Malformed cells raise a :class:`ParseError` naming the file line.
+    The body goes through numpy's C reader.  A body it rejects, or whose
+    width differs from the header's, is scanned again row by row with
+    Python's ``float()``, which also accepts spellings such as ``1_000``.
+    Both round correctly, so a cell reads to the same bits either way.
+    Blank lines are skipped; ``#`` is not a comment.  Malformed cells raise
+    a :class:`ParseError` naming the file line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        names = _read_header(path, fh)
+        body_start = fh.tell()
+        M = _read_body(fh)
+        if M is None or M.shape[0] == 0 or M.shape[1] != len(names):
+            fh.seek(body_start)
+            M = _scan_body(path, fh, len(names))
+    return names, M
+
+
+def _read_header(path, fh):
+    # readline (not iteration) keeps fh.tell() usable for the rewind.
+    try:
+        names = next(csv.reader(iter(fh.readline, "")))
+    except StopIteration:
+        raise ParseError(f"{path}: file is empty") from None
+    names = [c.strip() for c in names]
+    if "" in names:
+        raise ParseError(f"{path}, line 1: column {names.index('') + 1} has an empty name")
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}, line 1: duplicate column names")
+    return names
+
+
+def _read_body(fh):
+    """The rest of ``fh`` as a 2-D float array, or None where numpy rejects it."""
+    def lines():
+        for line in fh:
+            if any(c in line for c in _NUMPY_ONLY_SPACE):
+                raise ValueError("cell padding float() rejects")
+            yield line
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            names = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        names = [c.strip() for c in names]
-        if len(set(names)) != len(names):
-            raise ParseError(f"{path}, line 1: duplicate column names")
-        body = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ParseError(
-                    f"{path}, line {lineno}: expected {len(names)} cells, got {len(row)}"
-                )
-            try:
-                body.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}, line {lineno}: {exc}") from None
+            return np.loadtxt(lines(), delimiter=",", comments=None, quotechar='"',
+                              ndmin=2, dtype=float)
+        except ValueError:
+            return None
+
+
+def _scan_body(path, fh, width):
+    """The rest of ``fh`` parsed one row at a time; a bad row raises ParseError."""
+    body = []
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}, line {lineno}: expected {width} cells, got {len(row)}")
+        try:
+            body.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ParseError(f"{path}, line {lineno}: {exc}") from None
     if not body:
         raise ParseError(f"{path}: no data rows")
-    return names, np.array(body, dtype=float)
+    return np.array(body, dtype=float)
 
 
 def split_response(names, M, response=None):

@@ -4,7 +4,9 @@ CLI commands are exercised in-process through ``egreg.cli.main`` so exit
 codes and emitted files can be checked directly.
 """
 
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,105 @@ def test_load_table_errors_name_the_line(tmp_path):
     path.write_text("a,b\n1,2,3\n")
     with pytest.raises(ParseError, match="line 2"):
         load_table(path)
+    for header in ("x0,,y", 'x0,"",y', "x0, ,y"):
+        path.write_text(header + "\n1,2,3\n")
+        with pytest.raises(ParseError, match="line 1: column 2 has an empty name"):
+            load_table(path)
+
+
+def _row_scan_load_table(path):
+    """The row-by-row loader that numpy's reader must agree with: csv records,
+    Python float() per cell, and the header rules of :func:`load_table`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: file is empty") from None
+        names = [c.strip() for c in names]
+        if "" in names:
+            raise ParseError(f"{path}, line 1: column {names.index('') + 1} has an empty name")
+        if len(set(names)) != len(names):
+            raise ParseError(f"{path}, line 1: duplicate column names")
+        body = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ParseError(
+                    f"{path}, line {lineno}: expected {len(names)} cells, got {len(row)}"
+                )
+            try:
+                body.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ParseError(f"{path}, line {lineno}: {exc}") from None
+    if not body:
+        raise ParseError(f"{path}: no data rows")
+    return names, np.array(body, dtype=float)
+
+
+_ODD_CELLS = (
+    " 3 ", "1_0", "1_000", "#5", '"6"', '"7,8"', '"9"9', '9"9', '""', "", " ", "\t",
+    "nan", "-nan", "NaN", "inf", "-Infinity", "1e999", "-1e999", "5e-324", "1e-400",
+    "-0", "+.5", "5.", "0x1", "1e", "1 2", "abc", "\x1c1", "1\x1f", "\xa01", "\u30001",
+    "\uff11", "\x0b2", "\x0c2", '"1\n"', '"\r\n2"', "\x001", "2.2250738585072014e-308",
+)
+
+
+def _odd_csv(rng):
+    """CSV text that is valid about half the time."""
+    k = int(rng.choice([1, 1, 2, 3, 5]))
+    names = [str(rng.choice([f"x{j}", f'"x{j}"', f" x{j} ", f'"x,{j}"'])) for j in range(k)]
+    eol = str(rng.choice(["\n", "\r\n", "\r"]))
+    odd = rng.random() < 0.5
+    lines = [",".join(names)]
+    for _ in range(int(rng.choice([0, 1, 2, 3, 8]))):
+        u = rng.random()
+        if u < 0.08:
+            lines.append("")
+        elif u < 0.12:
+            lines.append(str(rng.choice(["  ", "\t"])))
+        else:
+            width = k if not odd or rng.random() < 0.85 else int(rng.choice([k - 1, k + 1]))
+            cells = []
+            for _ in range(width):
+                v = float(rng.choice([rng.standard_normal(), np.exp(rng.uniform(-700, 700))]))
+                cells.append(str(rng.choice(_ODD_CELLS)) if odd and rng.random() < 0.5
+                             else str(rng.choice([repr(v), format(v, ".17g"), format(v, ".3e")])))
+            lines.append(",".join(cells))
+    return eol.join(lines) + eol * int(rng.choice([0, 1, 1, 3]))
+
+
+def _load_outcome(load, path):
+    try:
+        names, M = load(path)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return names, M.shape, M.tobytes()
+
+
+def test_load_table_agrees_with_the_row_scan(tmp_path):
+    rng = np.random.default_rng(20251)
+    path = tmp_path / "t.csv"
+    valid = 0
+    for _ in range(1500):
+        text = _odd_csv(rng)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expect = _load_outcome(_row_scan_load_table, path)
+        assert _load_outcome(load_table, path) == expect, repr(text)
+        valid += expect[0] != "ParseError"
+    assert 400 < valid < 1100       # both outcomes are well exercised
+
+
+def test_load_table_without_data_rows_warns_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    for text in ("a,b\n", "a,b", "a\n\n\n", "a,b\r\n\r\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                load_table(path)
 
 
 def test_split_response_selection():
@@ -420,6 +521,32 @@ def test_cli_rpe_golden_values(tmp_path):
     assert table["SIMPLS"] == 1.0
     assert table["PCR"] == 0.0
     _manifest(tmp_path / "rpe.csv.manifest.json")
+
+
+def test_cli_rpe_matches_columns_by_name(tmp_path, capsys):
+    X, Y = _toy(seed=18, n=40, p=5)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    models = [str(tmp_path / f"{m}.json") for m in ("simpls", "pcr")]
+    assert main(["fit", str(train), models[0], "--method", "simpls", "--d", "1"]) == 0
+    assert main(["fit", str(train), models[1], "--method", "pcr", "--d", "2"]) == 0
+    Xte, Yte = _toy(seed=19, n=25, p=5)
+    plain, shuffled = tmp_path / "plain.csv", tmp_path / "shuffled.csv"
+    _write_xy(plain, Xte, Yte)
+    perm = [4, 3, 2, 1, 0]
+    rows = [[f"x{j + 1}" for j in perm[:2]] + ["extra"] + [f"x{j + 1}" for j in perm[2:]] + ["y"]]
+    rows += [[Xte[i, j] for j in perm[:2]] + [7.0] + [Xte[i, j] for j in perm[2:]]
+             + [Yte[i, 0]] for i in range(Xte.shape[0])]
+    write_table(shuffled, rows)
+    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    assert main(["evaluate-rpe", str(plain), *models, "--out", str(out1)]) == 0
+    assert main(["evaluate-rpe", str(shuffled), *models, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+    write_table(shuffled, [r[:1] + r[2:] for r in rows])      # no x4 column
+    capsys.readouterr()
+    assert main(["evaluate-rpe", str(shuffled), *models, "--out", str(out2)]) == 2
+    assert "x4" in capsys.readouterr().err
 
 
 def test_cli_rpe_requires_simpls_baseline(tmp_path, capsys):
