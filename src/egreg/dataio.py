@@ -83,27 +83,38 @@ def load_table(path):
     a :class:`ParseError` naming the file line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        names = _read_header(path, fh)
+        names, header_lines = _read_header(path, fh)
         body_start = fh.tell()
         M = _read_body(fh)
         if M is None or M.shape[0] == 0 or M.shape[1] != len(names):
             fh.seek(body_start)
-            M = _scan_body(path, fh, len(names))
+            M = _scan_body(path, fh, len(names), header_lines)
     return names, M
 
 
-def _read_header(path, fh):
-    # readline (not iteration) keeps fh.tell() usable for the rewind.
+def _records(path, lines, lines_before=0):
+    """csv records of ``lines``, each with the file line it ends on; a csv
+    error (such as a cell over the field size limit) is a ParseError."""
+    reader = csv.reader(lines)
     try:
-        names = next(csv.reader(iter(fh.readline, "")))
-    except StopIteration:
-        raise ParseError(f"{path}: file is empty") from None
+        for row in reader:
+            yield lines_before + reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {lines_before + reader.line_num}: {exc}") from None
+
+
+def _read_header(path, fh):
+    """The stripped column names and the number of file lines they span."""
+    # readline (not iteration) keeps fh.tell() usable for the rewind.
+    lines, names = next(_records(path, iter(fh.readline, "")), (0, None))
+    if names is None:
+        raise ParseError(f"{path}: file is empty")
     names = [c.strip() for c in names]
     if "" in names:
         raise ParseError(f"{path}, line 1: column {names.index('') + 1} has an empty name")
     if len(set(names)) != len(names):
         raise ParseError(f"{path}, line 1: duplicate column names")
-    return names
+    return names, lines
 
 
 def _read_body(fh):
@@ -123,10 +134,11 @@ def _read_body(fh):
             return None
 
 
-def _scan_body(path, fh, width):
-    """The rest of ``fh`` parsed one row at a time; a bad row raises ParseError."""
+def _scan_body(path, fh, width, lines_before):
+    """The rest of ``fh``, which starts after file line ``lines_before``,
+    parsed one row at a time; a bad row raises ParseError."""
     body = []
-    for lineno, row in enumerate(csv.reader(fh), start=2):
+    for lineno, row in _records(path, fh, lines_before):
         if not row:
             continue
         if len(row) != width:

@@ -260,7 +260,9 @@ def _fold_caches(svd, folds):
     Z = svd.U * svd.D
     caches = []
     for va in folds:
-        tr = np.setdiff1d(np.arange(Z.shape[0]), va)
+        train = np.ones(Z.shape[0], bool)
+        train[va] = False
+        tr = np.flatnonzero(train)
         svd_f = thin_svd(Z[tr])
         caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=(Z[va] @ svd_f.V) / svd_f.D))
     return caches
@@ -407,6 +409,14 @@ def _simpls_cv_sse(Z, caches, Y, d):
     return sse.reshape(d + 1, len(caches), lanes).sum(axis=1)
 
 
+def _gather(rows, cols, lanes):
+    """Term counts to score and the flat position of every (entry, lane) cell
+    in :func:`_filtered_sse`'s L x terms x lanes output; entry i reads filter
+    ``rows[i]`` after ``cols[i]`` terms (``cols`` is entries x 1 or x lanes)."""
+    terms, at = np.unique(cols, return_inverse=True)
+    return terms, (rows * terms.size + at.reshape(cols.shape)) * lanes + np.arange(lanes)
+
+
 def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
     """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
 
@@ -417,39 +427,45 @@ def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
     the numerical rank: they carry only rounding noise, which late
     components would fit.  Every other method is a stack of filters per fold, one kernel call
     (:func:`_filtered_sse`) scoring all lanes, and every entry reads one
-    (filter, term count) cell per lane.
+    (filter, term count) cell per lane.  What depends only on the grid and a
+    fold's rank is planned once per rank, not once per fold.
     """
-    sizes = [_entry_sizes(grid, fold.svd.r) for fold in caches]
+    # Ranks in fold order, so the first fold too small for the grid raises.
+    sizes = {r: _entry_sizes(grid, r) for r in dict.fromkeys(fold.svd.r for fold in caches)}
     if grid.method == "simpls":
         return _simpls_cv_sse(svd.U * svd.D, caches, Y, int(grid.d.max()))[grid.d]
-    lane = np.arange(Y.shape[1])
-    sse = np.zeros((grid.d.size, lane.size))
-    for fold, d in zip(caches, sizes):
+    lanes = Y.shape[1]
+    lam, rows = np.unique(grid.lam, return_inverse=True)
+    # Per fold rank, NIECE plans its candidate pools and each entry's pool
+    # (its cells follow each lane's score order, so it places them per fold);
+    # every other method plans its term counts and cell positions.
+    plans = {r: np.unique(d, return_inverse=True) if grid.method == "niece"
+             else _gather(rows[:, None], d[:, None], lanes) for r, d in sizes.items()}
+    sse = np.zeros((grid.d.size, lanes))
+    for fold in caches:
         svd = fold.svd
         Ytr = Y[fold.tr]
         B = (svd.U.T @ Ytr.reshape(Ytr.shape[0], -1)).reshape(svd.r, *Y.shape[1:])
-        A, rows, cols = fold.A[:, :, None], 0, d[:, None]
+        A = fold.A[:, :, None]
         if grid.method == "pcr":
             F = np.ones((1, svd.r, 1))
         elif grid.method in ("ridge", "egreg"):
             # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
             s = (svd.D**2)[:, None] if grid.method == "ridge" else _fold_phi(fold, B)
-            lam, rows = np.unique(grid.lam, return_inverse=True)
             denom = s + lam[:, None, None]
             F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
-            rows = rows[:, None]
         else:
             # NIECE: PCs in each lane's score order; each candidate pool is a
             # 0/1 filter and u counts the pool members kept.
             order = _score_order(_fold_phi(fold, B).T, svd.D).T
-            A, B = fold.A[:, order], B[order, lane]
-            pools, rows = np.unique(d, return_inverse=True)
+            A, B = fold.A[:, order], B[order, np.arange(lanes)]
+            pools, pool = plans[svd.r]
             F = (order < pools[:, None, None]).astype(float)
-            kept = np.cumsum(F, axis=1)[rows]
+            kept = np.cumsum(F, axis=1)[pool]
             cols = 1 + np.count_nonzero(kept < grid.u[:, None, None], axis=1)
-            rows = rows[:, None]
-        terms, at = np.unique(cols, return_inverse=True)
-        sse += _filtered_sse(A, B, Y[fold.va], F, terms)[rows, at.reshape(cols.shape), lane]
+        terms, flat = _gather(pool[:, None], cols, lanes) if grid.method == "niece" \
+            else plans[svd.r]
+        sse += _filtered_sse(A, B, Y[fold.va], F, terms).reshape(-1).take(flat)
     return sse
 
 
@@ -467,8 +483,9 @@ def _pick_best(grid: _Grid, scores):
 #: Lanes scored and picked together.  It bounds CV working memory whatever
 #: the number of replications: SIMPLS holds a deflation basis of folds x
 #: lanes x d x rank(X) floats, and NIECE one filter per candidate pool and
-#: lane.  At R = 100 (one BLAS thread) the baseline study peaks at 51.5 MB
-#: RSS in blocks of 4 (11.1 s) and at 56.0 MB in blocks of 8 (9.6 s).
+#: lane.  At R = 100 (one BLAS thread on a 2-core VM, glibc mmap threshold
+#: 1 MiB) the baseline study peaks at 48.2 MB RSS in blocks of 4 (7.9 s) and
+#: at 54.3 MB in blocks of 8 (6.9 s).
 _LANE_BLOCK = 4
 
 

@@ -89,6 +89,9 @@ def test_load_table_errors_name_the_line(tmp_path):
     path.write_text("a,b\n1,2,3\n")
     with pytest.raises(ParseError, match="line 2"):
         load_table(path)
+    path.write_text('a,b\n"1\n",3\nx,4\n')           # lines are counted, not records
+    with pytest.raises(ParseError, match="line 4"):
+        load_table(path)
     for header in ("x0,,y", 'x0,"",y', "x0, ,y"):
         path.write_text(header + "\n1,2,3\n")
         with pytest.raises(ParseError, match="line 1: column 2 has an empty name"):
@@ -110,7 +113,8 @@ def _row_scan_load_table(path):
         if len(set(names)) != len(names):
             raise ParseError(f"{path}, line 1: duplicate column names")
         body = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(names):
@@ -178,6 +182,22 @@ def test_load_table_agrees_with_the_row_scan(tmp_path):
         assert _load_outcome(load_table, path) == expect, repr(text)
         valid += expect[0] != "ParseError"
     assert 400 < valid < 1100       # both outcomes are well exercised
+
+
+def test_load_table_reports_an_oversized_cell_as_a_parse_error(tmp_path, capsys):
+    # csv's field size limit (131072 characters) is left as it is; a longer
+    # header name or row-scanned cell fails with the file and line.
+    limit = csv.field_size_limit()
+    path = tmp_path / "long.csv"
+    path.write_text("x" * 140000 + ",y\n1,2\n")
+    with pytest.raises(ParseError, match=r"long\.csv, line 1: field larger than field limit"):
+        load_table(path)
+    assert main(["fit", str(path), str(tmp_path / "m.json"), "--method", "pcr", "--d", "1"]) == 1
+    assert "line 1: field larger" in capsys.readouterr().err
+    path.write_text("a,b\n1,2\n1_0,3\n\n" + "1" * 140000 + ",4\n")  # 1_0 sends it to the row scan
+    with pytest.raises(ParseError, match="line 5: field larger than field limit"):
+        load_table(path)
+    assert csv.field_size_limit() == limit
 
 
 def test_load_table_without_data_rows_warns_nothing(tmp_path):

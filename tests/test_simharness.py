@@ -353,7 +353,7 @@ def test_cv_validation_errors():
             kfold_cv(data, "pcr", [{"d": 2}], k=k, seed=0)
     with pytest.raises(ParameterError):
         kfold_cv(data, "newton", [{"d": 2}], k=5, seed=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="exceeds a training-fold rank"):
         kfold_cv(data, "pcr", [{"d": 40}], k=5, seed=0)
     bad_grids = [
         ("ridge", [{"lambda": 1.0}, {}]),          # a required key is missing
@@ -428,6 +428,68 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
         assert _tune(svd, caches, Y, grid).tolist() == picks
         if zero_lane:
             assert np.all(both[:, 0] == 0.0)
+
+
+def _per_fold_cv_sse(caches, Y, grid):
+    """The filter methods' CV scores with every grid lookup redone per fold
+    and each cell gathered by index arrays: the reference that planning the
+    grid once per fold rank must match bit for bit."""
+    sizes = [simharness._entry_sizes(grid, fold.svd.r) for fold in caches]
+    lane = np.arange(Y.shape[1])
+    sse = np.zeros((grid.d.size, lane.size))
+    for fold, d in zip(caches, sizes):
+        svd = fold.svd
+        Ytr = Y[fold.tr]
+        B = (svd.U.T @ Ytr.reshape(Ytr.shape[0], -1)).reshape(svd.r, *Y.shape[1:])
+        A, rows, cols = fold.A[:, :, None], 0, d[:, None]
+        if grid.method == "pcr":
+            F = np.ones((1, svd.r, 1))
+        elif grid.method in ("ridge", "egreg"):
+            s = (svd.D**2)[:, None] if grid.method == "ridge" else simharness._fold_phi(fold, B)
+            lam, rows = np.unique(grid.lam, return_inverse=True)
+            denom = s + lam[:, None, None]
+            F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
+            rows = rows[:, None]
+        else:
+            order = simharness._score_order(simharness._fold_phi(fold, B).T, svd.D).T
+            A, B = fold.A[:, order], B[order, lane]
+            pools, rows = np.unique(d, return_inverse=True)
+            F = (order < pools[:, None, None]).astype(float)
+            kept = np.cumsum(F, axis=1)[rows]
+            cols = 1 + np.count_nonzero(kept < grid.u[:, None, None], axis=1)
+            rows = rows[:, None]
+        terms, at = np.unique(cols, return_inverse=True)
+        sse += _filtered_sse(A, B, Y[fold.va], F, terms)[rows, at.reshape(cols.shape), lane]
+    return sse
+
+
+@pytest.mark.parametrize("n,p,k", [
+    pytest.param(14, 20, 4, id="wide"),     # folds 4+4+3+3: training ranks 10 and 11
+    pytest.param(23, 5, 3, id="tall"),
+])
+@pytest.mark.parametrize("lanes,q", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes, q):
+    rng = np.random.default_rng(n * lanes + q)
+    X = rng.standard_normal((n, p))
+    X -= X.mean(axis=0)
+    Y = np.einsum("np,plq->nlq", X, rng.standard_normal((p, lanes, q)))
+    Y += rng.standard_normal(Y.shape)
+    Y -= Y.mean(axis=0)
+    svd = thin_svd(X)
+    caches = _fold_caches(svd, _fold_indices(n, k, 5))
+    ranks = {fold.svd.r for fold in caches}
+    assert len(ranks) == (2 if p > n else 1)
+    ds = np.arange(1, min(ranks) + 1)
+    lam = np.array([0.0, 0.02, 0.3, 0.3, 5.0, 80.0])
+    for grid in (
+        _Grid("pcr", d=ds[::-1]),
+        _Grid("ridge", lam=lam),
+        _Grid("niece", u=[1, 3, 2, 2, 4], d=[0, 0, 3, 2, 4]),
+        _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, ds.size)),
+        _Grid("egreg", lam=lam[::-1]),
+    ):
+        got = _cv_sse(svd, caches, Y, grid)
+        assert got.tobytes() == _per_fold_cv_sse(caches, Y, grid).tobytes(), grid.method
 
 
 def test_full_sum_path_matches_the_cumulative_sum():
