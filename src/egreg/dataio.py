@@ -17,7 +17,7 @@ import json
 import os
 import uuid
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -338,12 +338,4 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest):
-    doc = {
-        "command": list(manifest.command),
-        "config_digest": manifest.config_digest,
-        "seed": manifest.seed,
-        "software_version": manifest.software_version,
-        "wall_clock_sec": manifest.wall_clock_sec,
-        "outputs": list(manifest.outputs),
-    }
-    _write_json(path, doc)
+    _write_json(path, asdict(manifest))

@@ -3,10 +3,12 @@ prediction.
 
 Every solver routes through the thin SVD of the centered design (never the
 normal equations), so all methods behave identically whether n < p, n = p,
-or n > p.  The ``*_coefficients`` functions are the raw building blocks
-operating on precomputed factors; the ``fit_*`` wrappers validate a centered
+or n > p.  PCR, ridge, NIECE and EgReg are one diagonal filter on that SVD
+(:func:`_filtered`), which the exact risks and CV use too.  The
+``*_coefficients`` functions are the raw building blocks operating on
+precomputed factors; the ``fit_*`` wrappers validate a centered
 :class:`Dataset`, attach the ingestion transform, and return a
-:class:`FittedModel`.
+:class:`FittedModel`.  Fits and CV grids share one parameter rule, :data:`_PARAMS`.
 
 Penalty convention: ridge and EgReg minimize ``||Y - X b||_F^2 + lambda * pen``
 with the penalty unscaled by n.  The asymptotic risk formulas in
@@ -16,6 +18,7 @@ document and test their own convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,16 @@ SIMPLS_TOL = 1e-12
 
 METHODS = ("PCR", "Ridge", "NIECE", "EgReg", "SIMPLS")
 
-_METHOD_KEYS = {m.lower(): m for m in METHODS}
+#: Per method: the parameter a fit or CV grid entry needs, the ones it may
+#: add, and whether lambda must be > 0 (ridge) or >= 0 (EgReg; 0 is NIECE
+#: with u = d).  d and u are integers >= 1, and lambda is finite.
+_PARAMS = {
+    "pcr": ("d", (), None),
+    "ridge": ("lambda", (), True),
+    "niece": ("u", ("d",), None),
+    "egreg": ("lambda", ("d",), False),
+    "simpls": ("d", (), None),
+}
 
 
 @dataclass(frozen=True)
@@ -84,40 +96,91 @@ def _require_centered(data: Dataset):
         )
 
 
-def _check_int(value, name):
-    if not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _integer(name, v, low=None, error=ParameterError):
+    """``v`` as an int: an integer or integral float (JSON Schema counts 2.0 as
+    an integer), >= low if given.  Anything else, bools included, raises ``error``."""
+    whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not whole or low is not None and v < low:
+        raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {v!r}")
+    return int(v)
+
+
+def _real(name, v, error=ParameterError):
+    """``v`` as a finite float; anything else, bools and strings included, raises ``error``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(v):
+        raise error(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _lambda(method, v):
+    """``v`` as a float under ``method``'s lambda rule in :data:`_PARAMS`."""
+    lam, positive = _real("lambda", v), _PARAMS[method][2]
+    if lam < 0 or positive and lam == 0:
+        raise ParameterError(f"{method} lambda must be {'positive' if positive else 'nonnegative'}"
+                             f" and finite, got {v!r}")
+    return lam
+
+
+def _check_params(method, params) -> dict:
+    """Check a fit's or CV grid entry's parameters for the lower-case ``method``.
+
+    A None value counts as absent.  Returns the given parameters, d and u as
+    ints and lambda as a float.
+    """
+    if method not in _PARAMS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {', '.join(_PARAMS)}")
+    need, optional, _ = _PARAMS[method]
+    given = {k: v for k, v in params.items() if v is not None}
+    if need not in given or not given.keys() <= {need, *optional}:
+        raise ParameterError(f"method {method!r} needs {need!r} and may add only "
+                             f"{list(optional)}, got {dict(params)}")
+    return {k: _lambda(method, v) if k == "lambda" else _integer(k, v, 1) for k, v in given.items()}
 
 
 # ---------------------------------------------------------------------------
 # Coefficient builders on precomputed factors
 # ---------------------------------------------------------------------------
 
+def _shrink(s, lam):
+    """``s / (s + lam)``, broadcast, and 0 where ``s + lam == 0``."""
+    denom = s + lam
+    return np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def _filtered(svd: SvdFactors, Y, idx, f) -> np.ndarray:
+    """The spectral filter ``V_idx diag(f / D_idx) U_idx' Y``."""
+    Y = np.asarray(Y, dtype=float)
+    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ Y))
+
+
+def _egreg_filter(svd: SvdFactors, scores: EnvelopeScores, d: int, lam: float):
+    """EgReg's filter: the first d PCs in score order ``idx``, their scores
+    ``phi`` and weights ``f = phi / (phi + lam)``."""
+    idx = top_ranked(scores, d, d)
+    phi = scores.phi[idx]
+    return idx, phi, _shrink(phi, lam)
+
+
 def pcr_coefficients(svd: SvdFactors, Y, d: int) -> np.ndarray:
     """PCR coefficients on the d highest-variance PCs."""
-    d = _check_int(d, "d")
+    d = _integer("d", d)
     if not 1 <= d <= svd.r:
         raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
-    Y = np.asarray(Y, dtype=float)
-    return svd.V[:, :d] @ ((svd.U[:, :d].T @ Y) / svd.D[:d, None])
+    return _filtered(svd, Y, slice(d), np.ones(d))
 
 
 def ridge_coefficients(svd: SvdFactors, Y, lam: float) -> np.ndarray:
     """Ridge coefficients: PC coordinates shrunk by sigma^2/(sigma^2 + lambda)."""
-    Y = np.asarray(Y, dtype=float)
-    w = svd.D / (svd.D**2 + lam)
-    return svd.V @ (w[:, None] * (svd.U.T @ Y))
+    return _filtered(svd, Y, slice(None), _shrink(svd.D**2, lam))
 
 
 def niece_coefficients(
     svd: SvdFactors, scores: EnvelopeScores, Y, u: int, d: int | None = None
 ) -> np.ndarray:
     """NIECE coefficients on the u top-scoring PCs among the first d."""
-    u = _check_int(u, "u")
-    idx = top_ranked(scores, u, d)
-    Y = np.asarray(Y, dtype=float)
-    return svd.V[:, idx] @ ((svd.U[:, idx].T @ Y) / svd.D[idx][:, None])
+    idx = top_ranked(scores, _integer("u", u), d)
+    return _filtered(svd, Y, idx, np.ones(idx.size))
 
 
 def egreg_coefficients(
@@ -131,16 +194,8 @@ def egreg_coefficients(
     continuity from lambda > 0; the affected PC indices are returned so
     callers can flag them.
     """
-    d = _check_int(d, "d")
-    idx = top_ranked(scores, d, d)
-    phi = scores.phi[idx]
-    denom = svd.D[idx] * (phi + lam)
-    w = np.zeros(d)
-    np.divide(phi, denom, out=w, where=denom > 0)
-    Y = np.asarray(Y, dtype=float)
-    beta = svd.V[:, idx] @ (w[:, None] * (svd.U[:, idx].T @ Y))
-    zero_idx = idx[phi == 0.0]
-    return beta, zero_idx
+    idx, phi, f = _egreg_filter(svd, scores, _integer("d", d), lam)
+    return _filtered(svd, Y, idx, f), idx[phi == 0.0]
 
 
 def _lane_norms(M):
@@ -226,7 +281,7 @@ def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
 
 def simpls_coefficients(X, Y, d: int, tol: float = SIMPLS_TOL) -> tuple[np.ndarray, int]:
     """SIMPLS coefficients with up to d components; returns (beta, achieved)."""
-    d = _check_int(d, "d")
+    d = _integer("d", d)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
@@ -254,11 +309,9 @@ def fit_pcr(data: Dataset, d: int) -> FittedModel:
 def fit_ridge(data: Dataset, lam: float) -> FittedModel:
     """Ridge regression minimizing ``||Y - X b||_F^2 + lambda ||b||_F^2``."""
     _require_centered(data)
-    if not (np.isfinite(lam) and lam > 0):
-        raise ParameterError(f"lambda must be positive and finite, got {lam}")
-    svd = thin_svd(data.X)
-    beta = ridge_coefficients(svd, data.Y, float(lam))
-    return FittedModel(beta=beta, method="Ridge", lam=float(lam), transform=data.transform)
+    lam = _lambda("ridge", lam)
+    beta = ridge_coefficients(thin_svd(data.X), data.Y, lam)
+    return FittedModel(beta=beta, method="Ridge", lam=lam, transform=data.transform)
 
 
 def fit_niece(data: Dataset, u: int, d: int | None = None) -> FittedModel:
@@ -270,9 +323,7 @@ def fit_niece(data: Dataset, u: int, d: int | None = None) -> FittedModel:
     """
     _require_centered(data)
     svd = thin_svd(data.X)
-    if d is None:
-        d = svd.r
-    d = _check_int(d, "d")
+    d = svd.r if d is None else _integer("d", d)
     scores = envelope_scores(svd, cross_cov(data).Sxy, d)
     beta = niece_coefficients(svd, scores, data.Y, u, d)
     return FittedModel(
@@ -292,25 +343,20 @@ def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
     flagged.
     """
     _require_centered(data)
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ParameterError(f"lambda must be nonnegative and finite, got {lam}")
+    lam = _lambda("egreg", lam)
     svd = thin_svd(data.X)
-    if d is None:
-        d = svd.r
-    d = _check_int(d, "d")
-    scores = envelope_scores(svd, cross_cov(data).Sxy, d)
-    beta, zero_idx = egreg_coefficients(svd, scores, data.Y, d, float(lam))
-    idx = top_ranked(scores, d, d)
-    phi = scores.phi[idx]
+    d = svd.r if d is None else _integer("d", d)
+    idx, phi, f = _egreg_filter(svd, envelope_scores(svd, cross_cov(data).Sxy, d), d, lam)
     gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
+    zero = idx[phi == 0.0]
     flags = {}
-    if lam == 0 and zero_idx.size:
-        flags["zero_score_directions"] = [int(j) for j in zero_idx]
+    if lam == 0 and zero.size:
+        flags["zero_score_directions"] = [int(j) for j in zero]
     return FittedModel(
-        beta=beta,
+        beta=_filtered(svd, data.Y, idx, f),
         method="EgReg",
         d=d,
-        lam=float(lam),
+        lam=lam,
         gamma_hat=gamma_hat,
         transform=data.transform,
         flags=flags,
@@ -324,7 +370,7 @@ def fit_simpls(data: Dataset, d: int) -> FittedModel:
     achieved component count is reported in ``flags``.
     """
     _require_centered(data)
-    d = _check_int(d, "d")
+    d = _integer("d", d)
     r = numerical_rank(data.X)
     if not 1 <= d <= r:
         raise DimensionError(f"d must satisfy 1 <= d <= r = {r}, got {d}")
@@ -338,24 +384,21 @@ def fit_simpls(data: Dataset, d: int) -> FittedModel:
 
 
 def fit_method(data: Dataset, method: str, params: dict) -> FittedModel:
-    """Dispatch a fit by method name with a {"d", "u", "lambda"} params dict."""
+    """Dispatch a fit by method name with a {"d", "u", "lambda"} params dict.
+
+    ``params`` follows the rule CV grids follow, so a ``kfold_cv`` pick fits as it is.
+    """
     key = str(method).lower()
-    if key not in _METHOD_KEYS:
-        raise ParameterError(
-            f"unknown method {method!r}; expected one of {', '.join(METHODS)}"
-        )
-    try:
-        if key == "pcr":
-            return fit_pcr(data, params["d"])
-        if key == "ridge":
-            return fit_ridge(data, params["lambda"])
-        if key == "niece":
-            return fit_niece(data, params["u"], params.get("d"))
-        if key == "egreg":
-            return fit_egreg(data, params.get("d"), params["lambda"])
-        return fit_simpls(data, params["d"])
-    except KeyError as exc:
-        raise ParameterError(f"method {method!r} requires parameter {exc.args[0]!r}") from None
+    params = _check_params(key, params)
+    if key == "pcr":
+        return fit_pcr(data, params["d"])
+    if key == "ridge":
+        return fit_ridge(data, params["lambda"])
+    if key == "niece":
+        return fit_niece(data, params["u"], params.get("d"))
+    if key == "egreg":
+        return fit_egreg(data, params.get("d"), params["lambda"])
+    return fit_simpls(data, params["d"])
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:

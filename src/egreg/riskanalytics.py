@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envscore import EnvelopeScores, top_ranked
+from .estimators import _egreg_filter
 from .exceptions import ContractError, DegeneracyWarning, DimensionError, ParameterError
 from .matrixcore import SvdFactors, _as_matrix
 
@@ -131,6 +132,19 @@ def irreducible_risk(svd: SvdFactors, truth: TruthSpec, d: int) -> float:
     return float(_sigma_trace(Qb, truth))
 
 
+def _filter_report(svd: SvdFactors, truth: TruthSpec, d, idx, f, miss, method) -> RiskReport:
+    """Risk split of the filter ``f`` on PCs ``idx`` against beta*'s projection
+    on the first d PCs.  ``miss`` is ``1 - f`` over those d PCs in PC order (1
+    off ``idx``), given in closed form so no near-equal projections are
+    subtracted: the bias is ``-V_d diag(miss) V_d' beta*``."""
+    Vd = svd.V[:, :d]
+    variance = float(np.trace(truth.Sigma_eps)) * float(
+        _sigma_trace(svd.V[:, idx] * (f / svd.D[idx]), truth))
+    bias_sq = float(_sigma_trace(Vd @ (miss[:, None] * (Vd.T @ truth.beta_star)), truth))
+    return RiskReport(bias_sq=bias_sq, variance=variance, reducible=bias_sq + variance,
+                      irreducible=irreducible_risk(svd, truth, d), method=method)
+
+
 def reducible_risk_egreg(
     svd: SvdFactors, scores: EnvelopeScores, truth: TruthSpec, d: int, lam: float
 ) -> RiskReport:
@@ -150,22 +164,10 @@ def reducible_risk_egreg(
             f"lambda must be positive and finite, got {lam}; for the lambda -> 0 limit use "
             "reducible_risk_niece with u = d"
         )
-    idx = top_ranked(scores, d, d)
-    phi = scores.phi[idx]
-    Dd = svd.D[idx]
-    Vd = svd.V[:, idx]
-    tr_se = float(np.trace(truth.Sigma_eps))
-    w = phi / (Dd * (phi + lam))
-    variance = tr_se * float(_sigma_trace(Vd * w, truth))
-    Ab = Vd @ ((Vd.T @ truth.beta_star) / (phi + lam)[:, None])
-    bias_sq = lam**2 * float(_sigma_trace(Ab, truth))
-    return RiskReport(
-        bias_sq=bias_sq,
-        variance=variance,
-        reducible=bias_sq + variance,
-        irreducible=irreducible_risk(svd, truth, d),
-        method="EgReg",
-    )
+    idx, phi, f = _egreg_filter(svd, scores, d, lam)
+    miss = np.empty(d)
+    miss[idx] = lam / (phi + lam)
+    return _filter_report(svd, truth, d, idx, f, miss, "EgReg")
 
 
 def reducible_risk_niece(
@@ -181,23 +183,9 @@ def reducible_risk_niece(
     if d is None:
         d = scores.d
     idx = top_ranked(scores, u, d)
-    Vu = svd.V[:, idx]
-    Du = svd.D[idx]
-    tr_se = float(np.trace(truth.Sigma_eps))
-    variance = tr_se * float(_sigma_trace(Vu / Du, truth))
-    if u == d:
-        bias_sq = 0.0
-    else:
-        Vd = svd.V[:, :d]
-        delta = Vu @ (Vu.T @ truth.beta_star) - Vd @ (Vd.T @ truth.beta_star)
-        bias_sq = float(_sigma_trace(delta, truth))
-    return RiskReport(
-        bias_sq=bias_sq,
-        variance=variance,
-        reducible=bias_sq + variance,
-        irreducible=irreducible_risk(svd, truth, d),
-        method="NIECE",
-    )
+    miss = np.ones(d)
+    miss[idx] = 0.0
+    return _filter_report(svd, truth, d, idx, np.ones(idx.size), miss, "NIECE")
 
 
 def lambda_guarantee_threshold(
@@ -220,9 +208,7 @@ def lambda_guarantee_threshold(
             stacklevel=2,
         )
         return math.inf
-    idx = top_ranked(scores, d, d)
-    phi = scores.phi[idx]
-    Dd = svd.D[idx]
+    idx, phi, _ = _egreg_filter(svd, scores, d, 0.0)
     pos = phi > 0
     if not np.all(pos):
         warnings.warn(
@@ -233,7 +219,7 @@ def lambda_guarantee_threshold(
         )
     if not np.any(pos):
         return math.inf
-    ratio = float(np.max(Dd[pos] ** 2 / phi[pos]))
+    ratio = float(np.max(svd.D[idx][pos] ** 2 / phi[pos]))
     top_beta = float(np.linalg.norm(truth.beta_star, 2)) ** 2
     return float(np.trace(truth.Sigma_eps)) / (top_beta * ratio)
 

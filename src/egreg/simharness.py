@@ -41,6 +41,10 @@ import numpy as np
 
 from .envscore import _score_order, envelope_scores
 from .estimators import (
+    _check_params,
+    _integer,
+    _real,
+    _shrink,
     _simpls_lockstep,
     egreg_coefficients,
     niece_coefficients,
@@ -190,8 +194,15 @@ def _baseline_sigma(kind: str, p: int, rho: float):
     raise ParameterError(f"kind must be 'CS' or 'AR1', got {kind!r}")
 
 
+def _reals(name, values):
+    """A config list of finite numbers as a tuple of floats; anything else raises ConfigError."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(name, v, ConfigError) for v in values)
+
+
 def _baseline_beta(p: int, stub=None):
-    stub = _BASELINE_BETA if stub is None else tuple(float(v) for v in stub)
+    stub = _BASELINE_BETA if stub is None else _reals("beta_star", stub)
     if len(stub) > p:
         raise ConfigError(f"beta_star has {len(stub)} entries but p = {p}")
     beta = np.zeros((p, 1))
@@ -277,16 +288,6 @@ def _fold_phi(fold, B):
     return (fold.svd.D**2)[:, None] * np.einsum("jlq,jlq->jl", B, B) / float(n_tr) ** 2
 
 
-#: Per CV method: the key every grid entry needs, and the keys it may add.
-_GRID_KEYS = {
-    "pcr": ("d", ()),
-    "ridge": ("lambda", ()),
-    "niece": ("u", ("d",)),
-    "simpls": ("d", ()),
-    "egreg": ("lambda", ("d",)),
-}
-
-
 @dataclass
 class _Grid:
     """A tuning grid as parallel arrays, one position per entry.
@@ -306,39 +307,13 @@ class _Grid:
             np.asarray(self.d, np.intp), np.asarray(self.u, np.intp), np.asarray(self.lam, float))
 
 
-def _integer(name, v, low, error=ParameterError):
-    """``v`` as an int: an integer or integral float (JSON Schema counts 2.0 as
-    an integer) >= low.  Anything else, bools included, raises ``error``."""
-    whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
-    if isinstance(v, bool) or not whole or v < low:
-        raise error(f"{name} must be an integer >= {low}, got {v!r}")
-    return int(v)
-
-
-def _grid_value(key, v):
-    """Validate one grid value: d and u are integers >= 1, lambda is finite and >= 0."""
-    if key != "lambda":
-        return _integer(key, v, 1)
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(v) and v >= 0):
-        raise ParameterError(f"lambda must be finite and nonnegative, got {v!r}")
-    return v
-
-
 def _parse_grid(method, entries) -> _Grid:
-    """Validate a list-of-dicts grid and turn it into a :class:`_Grid`."""
+    """Check a list-of-dicts grid by the rule fits follow and turn it into a :class:`_Grid`."""
     if not entries:
         raise ParameterError("parameter grid is empty")
-    need, optional = _GRID_KEYS[method]
-    cols = {"d": [], "u": [], "lambda": []}
-    for e in entries:
-        given = {key for key, v in e.items() if v is not None}
-        if need not in given or not given <= {need, *optional}:
-            raise ParameterError(f"a {method} grid entry needs {need!r} and may add only "
-                                 f"{list(optional)}, got {e}")
-        for key, col in cols.items():
-            col.append(_grid_value(key, e[key]) if key in given else 0)
-    return _Grid(method, cols["d"], cols["u"], cols["lambda"])
+    checked = [_check_params(method, e) for e in entries]
+    d, u, lam = ([e.get(key, 0) for e in checked] for key in ("d", "u", "lambda"))
+    return _Grid(method, d, u, lam)
 
 
 def _filtered_sse(A, B, Yva, F, terms):
@@ -452,8 +427,7 @@ def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
         elif grid.method in ("ridge", "egreg"):
             # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
             s = (svd.D**2)[:, None] if grid.method == "ridge" else _fold_phi(fold, B)
-            denom = s + lam[:, None, None]
-            F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
+            F = _shrink(s, lam[:, None, None])
         else:
             # NIECE: PCs in each lane's score order; each candidate pool is a
             # 0/1 filter and u counts the pool members kept.
@@ -508,19 +482,18 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     ``param_grid`` is a sequence of dicts with keys among {"d", "u",
     "lambda"}, e.g. ``[{"d": 2}, {"d": 3}]`` for PCR or ``[{"d": 3,
     "lambda": 0.1}, ...]`` for EgReg (omit "d" for the full-rank EgReg
-    variant).  ``d`` and ``u`` are integers >= 1, ``lambda`` is finite and
-    nonnegative, and a key the method does not use is an error; ``k`` is an
-    integer with 2 <= k <= n.  Returns
+    variant).  Grid entries follow the rule fits follow, so ``best_params``
+    can be passed to :func:`~egreg.estimators.fit_method` as it is: ``d``
+    and ``u`` are integers >= 1 (integral floats included), ``lambda`` is
+    finite, > 0 for ridge and >= 0 for EgReg, and a key the method does not
+    use is an error; ``k`` is an integer with 2 <= k <= n.  Returns
     ``(best_params, cv_table)`` where the table carries a "cv_score" per
     entry.
     """
     if not data.centered:
         raise ContractError("kfold_cv requires centered data")
-    method = str(method).lower()
-    if method not in _GRID_KEYS:
-        raise ParameterError(f"unknown method {method!r}")
     entries = [dict(e) for e in param_grid]
-    grid = _parse_grid(method, entries)
+    grid = _parse_grid(str(method).lower(), entries)
     n = data.n
     if _integer("k", k, 2) > n:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -703,12 +676,16 @@ def _alternating(k):
 def _point_frame(study, cfg, n, seed, ratio):
     """Check one grid point and return its frame, ``stream -> (X, truth, planted basis)``."""
     p = int(round(ratio * n))
+    # A zero noise variance would fail the Cholesky factor of the noise draws.
+    sigma_eps_sq = _real("sigma_eps_sq", cfg.get("sigma_eps_sq", 10.0), ConfigError)
+    if not sigma_eps_sq > 0:
+        raise ConfigError(f"sigma_eps_sq must be positive, got {sigma_eps_sq}")
     if study == "baseline":
-        rho = float(cfg["rho"])
+        rho = _real("rho", cfg["rho"], ConfigError)
         if not 0.0 <= rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {rho}")
         return partial(_baseline_frame, cfg["kind"], n, _baseline_beta(p, cfg["beta_star"]),
-                       rho, float(cfg["sigma_eps_sq"]), seed)
+                       rho, sigma_eps_sq, seed)
     if study == "P1":
         p1 = _integer("p1", cfg["p1"], 1, ConfigError)
         P, alpha = tuple(range(p1, p1 + 10)), _alternating(10)[:, None]
@@ -738,8 +715,8 @@ def _point_frame(study, cfg, n, seed, ratio):
             f"(p/n = {ratio}, n = {n})"
         )
     return partial(_model_frame, EnvelopeSimConfig(
-        n=n, p=p, q=1, decay_gamma=float(cfg.get("decay_gamma", 1.0)), P=P, alpha=alpha,
-        Sigma_eps=[[float(cfg.get("sigma_eps_sq", 10.0))]], seed=seed,
+        n=n, p=p, q=1, decay_gamma=_real("decay_gamma", cfg.get("decay_gamma", 1.0), ConfigError),
+        P=P, alpha=alpha, Sigma_eps=[[sigma_eps_sq]], seed=seed,
         eigenvalues=np.ones(p) if study == "double_descent" else None,
     ))
 
@@ -771,10 +748,9 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
     dd = study == "double_descent"
     methods = _canon_methods(cfg["methods"], _DD_METHODS if dd else _SAMPLE_METHODS, study)
     grid_name = "u_star_over_n" if dd else "p_over_n"
-    grid = tuple(float(v) for v in cfg[grid_name])
-    if not grid or not all(0 < v < math.inf for v in grid):
-        raise ConfigError(f"{grid_name} must list one or more positive finite values, "
-                          f"got {list(cfg[grid_name])}")
+    grid = _reals(grid_name, cfg[grid_name])
+    if not grid or not all(v > 0 for v in grid):
+        raise ConfigError(f"{grid_name} must list one or more positive values, got {list(grid)}")
     frames = [_point_frame(study, cfg, n, seed, v) for v in grid]
     terms = []
     for g, frame in enumerate(frames):

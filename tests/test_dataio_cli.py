@@ -491,6 +491,31 @@ def test_cli_missing_tuning_parameter_exits_2(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_cli_fit_rejects_a_flag_its_method_does_not_use(tmp_path, capsys):
+    X, Y = _toy(seed=12)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    mp = tmp_path / "m.json"
+    code = main(["fit", str(train), str(mp), "--method", "pcr", "--d", "2", "--lambda", "5"])
+    assert code == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not mp.exists()
+    assert not (tmp_path / "m.json.manifest.json").exists()
+
+
+def test_cli_method_choices_are_the_parameter_table():
+    # build_parser runs before the BLAS thread cap, so cli spells the choices
+    # out instead of importing estimators; this keeps the two lists equal.
+    import argparse
+
+    from egreg import estimators
+    from egreg.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["fit"]._actions if a.dest == "method")
+    assert method.choices == list(estimators._PARAMS)
+
+
 def test_cli_missing_input_exits_1(tmp_path):
     assert main(["fit", str(tmp_path / "absent.csv"),
                  str(tmp_path / "m.json"), "--method", "pcr", "--d", "1"]) == 1

@@ -299,6 +299,8 @@ def test_fit_method_dispatch_and_missing_params():
     assert_allclose(m.beta, fit_ridge(data, 2.0).beta)
     with pytest.raises(ParameterError, match="lambda"):
         fit_method(data, "egreg", {"d": 3})
+    with pytest.raises(ParameterError, match="lambda"):       # a key PCR does not use
+        fit_method(data, "pcr", {"d": 2, "lambda": 1.0})
     with pytest.raises(ParameterError):
         fit_method(data, "huber", {})
 

@@ -29,6 +29,7 @@ from egreg import (
 from egreg.envscore import _rank_scores
 from egreg.estimators import (
     egreg_coefficients,
+    fit_method,
     niece_coefficients,
     pcr_coefficients,
     ridge_coefficients,
@@ -365,6 +366,7 @@ def test_cv_validation_errors():
         ("niece", [{"u": True}]),
         ("niece", [{"u": 4, "d": 2}]),             # u exceeds its candidate pool
         ("ridge", [{"lambda": float("nan")}]),     # lambda is finite and >= 0
+        ("ridge", [{"lambda": 0.0}]),              # ... and > 0 for ridge, as in fit_ridge
         ("egreg", [{"lambda": float("inf")}]),
         ("egreg", [{"d": 2, "lambda": -1.0}]),
         ("egreg", [{"lambda": "0.1"}]),
@@ -373,6 +375,22 @@ def test_cv_validation_errors():
     for method, grid in bad_grids:
         with pytest.raises(ParameterError):
             kfold_cv(data, method, grid, k=5, seed=0)
+
+
+@pytest.mark.parametrize("method,grid", [
+    ("pcr", [{"d": 2.0}, {"d": 3.0}]),              # integral floats, as JSON may give them
+    ("ridge", [{"lambda": 0.1}, {"lambda": 10.0}]),
+    ("niece", [{"u": 1}, {"u": 2, "d": 4.0}]),
+    ("egreg", [{"d": 3, "lambda": 0.0}, {"lambda": 1.0}]),
+    ("simpls", [{"d": 1}, {"d": 2.0}]),
+])
+def test_cv_pick_fits_as_it_is(method, grid):
+    # CV grids and fits follow one parameter rule, so every pick can be fitted.
+    data = _cv_data(seed=16)
+    best, _ = kfold_cv(data, method, grid, k=4, seed=0)
+    model = fit_method(data, method, best)
+    assert model.method.lower() == method
+    assert all(model.params[key] == value for key, value in best.items())
 
 
 def test_cv_ties_go_to_smaller_d_then_larger_lambda():
@@ -534,7 +552,11 @@ def test_cv_recovers_planted_dimension_most_of_the_time():
 # studies
 # ---------------------------------------------------------------------------
 
-def test_run_study_rejects_unknowns():
+def test_run_study_rejects_unknowns(monkeypatch):
+    def no_grid_point(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(simharness, "_responses", no_grid_point)
     with pytest.raises(ConfigError):
         run_study("warp", {})
     with pytest.raises(ConfigError):
@@ -546,9 +568,10 @@ def test_run_study_rejects_unknowns():
     with pytest.raises(ConfigError, match="folds"):
         run_study("P1", {"n": 20, "folds": 30, "replications": 1,
                          "p_over_n": [1.0], "methods": ["pcr"]})
-    # n, replications, folds and seed are integers (not bools) in range, and
-    # the grid is non-empty, positive and finite; each is checked before any
-    # grid point runs.
+    # n, replications, folds and seed are integers (not bools) in range, the
+    # grid is non-empty, positive and finite, and sigma_eps_sq, decay_gamma,
+    # rho and beta_star are numbers (not strings) in range; each is checked
+    # before any grid point runs.
     bad_configs = [
         ("baseline", {"replications": 0}, "replications"),
         ("P1", {"replications": 1.5}, "replications"),
@@ -565,6 +588,12 @@ def test_run_study_rejects_unknowns():
         ("P1", {"p_over_n": [float("nan")]}, "p_over_n"),
         ("baseline", {"p_over_n": [0.5, float("inf")]}, "p_over_n"),
         ("double_descent", {"u_star_over_n": []}, "u_star_over_n"),
+        ("P1", {"sigma_eps_sq": 0.0}, "sigma_eps_sq"),
+        ("baseline", {"sigma_eps_sq": 0.0}, "sigma_eps_sq"),
+        ("P1", {"decay_gamma": "x"}, "decay_gamma"),
+        ("u_star", {"p_over_n": ["a"]}, "p_over_n"),
+        ("baseline", {"beta_star": ["a"]}, "beta_star"),
+        ("baseline", {"rho": "0.5"}, "rho"),
     ]
     for study, config, key in bad_configs:
         with pytest.raises(ConfigError, match=key):
