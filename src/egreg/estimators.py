@@ -387,18 +387,25 @@ def fit_method(data: Dataset, method: str, params: dict) -> FittedModel:
     """Dispatch a fit by method name with a {"d", "u", "lambda"} params dict.
 
     ``params`` follows the rule CV grids follow, so a ``kfold_cv`` pick fits as it is.
+    A ``d`` above the rank of X, or a ``u`` above ``d``, is a bad parameter
+    here: it raises :class:`ParameterError` with the message of the
+    :class:`DimensionError` that the ``fit_*`` functions raise.
     """
     key = str(method).lower()
     params = _check_params(key, params)
-    if key == "pcr":
-        return fit_pcr(data, params["d"])
-    if key == "ridge":
-        return fit_ridge(data, params["lambda"])
-    if key == "niece":
-        return fit_niece(data, params["u"], params.get("d"))
-    if key == "egreg":
-        return fit_egreg(data, params.get("d"), params["lambda"])
-    return fit_simpls(data, params["d"])
+    try:
+        if key == "pcr":
+            return fit_pcr(data, params["d"])
+        if key == "ridge":
+            return fit_ridge(data, params["lambda"])
+        if key == "niece":
+            return fit_niece(data, params["u"], params.get("d"))
+        if key == "egreg":
+            return fit_egreg(data, params.get("d"), params["lambda"])
+        return fit_simpls(data, params["d"])
+    except DimensionError as exc:
+        # data is a valid Dataset, so only d or u can be out of range here.
+        raise ParameterError(str(exc)) from None
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:

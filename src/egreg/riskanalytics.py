@@ -35,42 +35,48 @@ def _check_psd(name, w, S):
         raise ContractError(f"{name} must be positive semidefinite")
 
 
-@dataclass(frozen=True)
 class TruthSpec:
     """Ground truth of the generating model: beta*, Sigma_x, Sigma_eps.
 
     ``Sigma_x_root`` is a p-by-k factor with ``root @ root.T == Sigma_x``
     (e.g. a Cholesky factor, or eigenvectors scaled by the square roots of
     the eigenvalues).  Risks are sums of squares in it, so they stay
-    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  A
-    given factor must reproduce ``Sigma_x`` entrywise; when omitted it is
-    computed from ``Sigma_x`` by ``eigh``, clipping the eigenvalues at 0.
+    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  Give
+    ``Sigma_x``, its factor, or both:
+
+    - ``TruthSpec(beta, None, Sigma_eps, root)`` defines ``Sigma_x`` as the
+      symmetrized ``root @ root.T``.  It is formed on the first read of
+      ``truth.Sigma_x``, so a truth that is only used for risks costs no
+      p-by-p-by-p product.
+    - When both are given, the factor must reproduce ``Sigma_x`` entrywise.
+    - When the factor is omitted, it is computed from ``Sigma_x`` by
+      ``eigh``, clipping the eigenvalues at 0.
+
+    Instances are immutable.
     """
 
-    beta_star: np.ndarray
-    Sigma_x: np.ndarray
-    Sigma_eps: np.ndarray
-    Sigma_x_root: np.ndarray | None = None
+    __slots__ = ("beta_star", "Sigma_eps", "Sigma_x_root", "_Sigma_x")
 
-    def __post_init__(self):
-        beta = _as_matrix(self.beta_star, "beta_star")
-        Sx = _as_matrix(self.Sigma_x, "Sigma_x")
-        Se = _as_matrix(self.Sigma_eps, "Sigma_eps")
-        object.__setattr__(self, "beta_star", beta)
-        object.__setattr__(self, "Sigma_x", Sx)
-        object.__setattr__(self, "Sigma_eps", Se)
+    def __init__(self, beta_star, Sigma_x, Sigma_eps, Sigma_x_root=None):
+        beta = _as_matrix(beta_star, "beta_star")
+        Sx = None if Sigma_x is None else _as_matrix(Sigma_x, "Sigma_x")
+        Se = _as_matrix(Sigma_eps, "Sigma_eps")
         p, q = beta.shape
-        if Sx.shape != (p, p):
+        if Sx is not None and Sx.shape != (p, p):
             raise DimensionError(f"Sigma_x must be {p}x{p}, got {Sx.shape}")
         if Se.shape != (q, q):
             raise DimensionError(f"Sigma_eps must be {q}x{q}, got {Se.shape}")
         for name, S in (("Sigma_x", Sx), ("Sigma_eps", Se)):
+            if S is None:
+                continue
             asym = float(np.max(np.abs(S - S.T)))
             if asym > 1e-10 * max(1.0, float(np.max(np.abs(S)))):
                 raise ContractError(f"{name} is not symmetric")
         _check_psd("Sigma_eps", np.linalg.eigvalsh(Se), Se)
-        root = self.Sigma_x_root
+        root = Sigma_x_root
         if root is None:
+            if Sx is None:
+                raise ContractError("TruthSpec needs Sigma_x, Sigma_x_root or both")
             w, V = np.linalg.eigh(Sx)
             _check_psd("Sigma_x", w, Sx)
             root = V * np.sqrt(np.maximum(w, 0.0))
@@ -80,10 +86,27 @@ class TruthSpec:
             root = _as_matrix(root, "Sigma_x_root")
             if root.shape[0] != p:
                 raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
-            err = float(np.max(np.abs(root @ root.T - Sx)))
-            if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))):
-                raise ContractError("Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
-        object.__setattr__(self, "Sigma_x_root", root)
+            if Sx is not None:
+                err = float(np.max(np.abs(root @ root.T - Sx)))
+                if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))):
+                    raise ContractError(
+                        "Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
+        for name, value in (("beta_star", beta), ("Sigma_eps", Se),
+                            ("Sigma_x_root", root), ("_Sigma_x", Sx)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TruthSpec is immutable; cannot set {name!r}")
+
+    @property
+    def Sigma_x(self) -> np.ndarray:
+        """The p-by-p predictor covariance; from the factor on first read if not given."""
+        if self._Sigma_x is None:
+            S = self.Sigma_x_root @ self.Sigma_x_root.T
+            S += S.T
+            S *= 0.5
+            object.__setattr__(self, "_Sigma_x", S)
+        return self._Sigma_x
 
     @property
     def p(self) -> int:

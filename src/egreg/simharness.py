@@ -141,7 +141,10 @@ def _haar_orthogonal(p, rng):
 def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     """Design-side draws (fixed across replications): X, truth, planted basis.
 
-    The truth carries ``Sigma_x = root root'`` with ``root = V sqrt(sig)``.
+    The truth is built from the factor ``root = V sqrt(sig)`` alone, scaled
+    in place in the Haar factor V.  ``Sigma_x = root root'`` is formed only
+    if a caller reads ``truth.Sigma_x``; the studies never do, so a grid
+    point costs no p x p x p product.
     """
     sig = cfg.spectrum()
     rng = np.random.default_rng([cfg.seed, stream, _TAG_MODEL])
@@ -150,12 +153,8 @@ def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     X = (Z * np.sqrt(sig)) @ V.T
     P0 = np.asarray(cfg.P, dtype=int) - 1
     Gamma = V[:, P0].copy()
-    root = V * np.sqrt(sig)
-    del V
-    Sigma_x = root @ root.T
-    Sigma_x += Sigma_x.T
-    Sigma_x *= 0.5
-    return X, TruthSpec(Gamma @ cfg.alpha, Sigma_x, cfg.Sigma_eps, root), Gamma
+    V *= np.sqrt(sig)
+    return X, TruthSpec(Gamma @ cfg.alpha, None, cfg.Sigma_eps, V), Gamma
 
 
 def _responses(X, truth: TruthSpec, seed, stream, reps):
@@ -684,6 +683,8 @@ def _point_frame(study, cfg, n, seed, ratio):
         rho = _real("rho", cfg["rho"], ConfigError)
         if not 0.0 <= rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {rho}")
+        if str(cfg["kind"]).upper() not in ("CS", "AR1"):
+            raise ConfigError(f"kind must be 'CS' or 'AR1', got {cfg['kind']!r}")
         return partial(_baseline_frame, cfg["kind"], n, _baseline_beta(p, cfg["beta_star"]),
                        rho, sigma_eps_sq, seed)
     if study == "P1":

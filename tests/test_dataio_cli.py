@@ -503,6 +503,23 @@ def test_cli_fit_rejects_a_flag_its_method_does_not_use(tmp_path, capsys):
     assert not (tmp_path / "m.json.manifest.json").exists()
 
 
+def test_cli_fit_parameters_above_the_rank_exit_2(tmp_path, capsys):
+    # d or u above the rank of X is a bad flag value, like --d 0.
+    X, Y = _toy(seed=13, n=30, p=5)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    mp = tmp_path / "m.json"
+    for flags, message in ((["--method", "pcr", "--d", "99"], "d must satisfy"),
+                           (["--method", "simpls", "--d", "99"], "d must satisfy"),
+                           (["--method", "niece", "--u", "9"], "u must satisfy"),
+                           (["--method", "egreg", "--d", "6", "--lambda", "1"], "d must satisfy"),
+                           (["--method", "pcr", "--d", "0"], "d must be")):
+        assert main(["fit", str(train), str(mp), *flags]) == 2, flags
+        assert message in capsys.readouterr().err
+        assert not mp.exists()
+        assert not (tmp_path / "m.json.manifest.json").exists()
+
+
 def test_cli_method_choices_are_the_parameter_table():
     # build_parser runs before the BLAS thread cap, so cli spells the choices
     # out instead of importing estimators; this keeps the two lists equal.

@@ -303,6 +303,13 @@ def test_fit_method_dispatch_and_missing_params():
         fit_method(data, "pcr", {"d": 2, "lambda": 1.0})
     with pytest.raises(ParameterError):
         fit_method(data, "huber", {})
+    # Above the rank, fit_method reports a bad parameter; fit_pcr a bad dimension.
+    with pytest.raises(DimensionError, match="d must satisfy"):
+        fit_pcr(data, 99)
+    with pytest.raises(ParameterError, match="d must satisfy"):
+        fit_method(data, "pcr", {"d": 99})
+    with pytest.raises(ParameterError, match="u must satisfy"):
+        fit_method(data, "niece", {"u": 9})
 
 
 def test_fit_requires_centered_dataset():

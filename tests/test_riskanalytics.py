@@ -292,3 +292,20 @@ def test_truth_spec_factors_sigma_x_and_checks_a_given_factor():
         TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, off)
     with pytest.raises(DimensionError):
         TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, chol[:-1])
+    # Given the factor alone, Sigma_x is its symmetrized product, to the bit.
+    root_only = TruthSpec(truth.beta_star, None, truth.Sigma_eps, chol)
+    product = chol @ chol.T
+    product += product.T
+    product *= 0.5
+    assert np.array_equal(root_only.Sigma_x, product)
+    assert root_only.Sigma_x is root_only.Sigma_x
+    with pytest.raises(DimensionError):
+        TruthSpec(truth.beta_star, None, truth.Sigma_eps, chol[:-1])
+    with pytest.raises(ContractError, match="non-finite"):
+        TruthSpec(truth.beta_star, None, truth.Sigma_eps, np.where(chol > 0.5, np.inf, chol))
+    with pytest.raises(ContractError, match="Sigma_eps is not symmetric"):
+        TruthSpec(truth.beta_star, None, np.array([[1.0, 0.5], [0.0, 1.0]]), chol)
+    with pytest.raises(ContractError, match="needs Sigma_x"):
+        TruthSpec(truth.beta_star, None, truth.Sigma_eps)
+    with pytest.raises(AttributeError):
+        root_only.Sigma_x_root = chol

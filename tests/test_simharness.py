@@ -25,6 +25,7 @@ from egreg import (
     run_study,
     subspace_distance,
     thin_svd,
+    TruthSpec,
 )
 from egreg.envscore import _rank_scores
 from egreg.estimators import (
@@ -570,8 +571,8 @@ def test_run_study_rejects_unknowns(monkeypatch):
                          "p_over_n": [1.0], "methods": ["pcr"]})
     # n, replications, folds and seed are integers (not bools) in range, the
     # grid is non-empty, positive and finite, and sigma_eps_sq, decay_gamma,
-    # rho and beta_star are numbers (not strings) in range; each is checked
-    # before any grid point runs.
+    # rho and beta_star are numbers (not strings) in range, and baseline's
+    # kind is CS or AR1; each is checked before any grid point runs.
     bad_configs = [
         ("baseline", {"replications": 0}, "replications"),
         ("P1", {"replications": 1.5}, "replications"),
@@ -594,10 +595,25 @@ def test_run_study_rejects_unknowns(monkeypatch):
         ("u_star", {"p_over_n": ["a"]}, "p_over_n"),
         ("baseline", {"beta_star": ["a"]}, "beta_star"),
         ("baseline", {"rho": "0.5"}, "rho"),
+        ("baseline", {"kind": "XX"}, "kind"),
     ]
     for study, config, key in bad_configs:
         with pytest.raises(ConfigError, match=key):
             run_study(study, config)
+
+
+def test_model_frame_studies_never_form_sigma_x(monkeypatch):
+    # Their risks are sums of squares in the factor; Sigma_x is never read.
+    def formed(self):
+        raise AssertionError("Sigma_x was formed")
+
+    monkeypatch.setattr(TruthSpec, "Sigma_x", property(formed))
+    res = run_study("P1", {"n": 30, "replications": 2, "folds": 3, "p_over_n": [1.0, 2.0],
+                           "methods": ["pcr", "egreg"]})
+    assert np.all(np.isfinite(res.risks))
+    res = run_study("double_descent", {"n": 20, "replications": 2, "folds": 3,
+                                       "u_star_over_n": [0.6, 1.0, 1.5]})
+    assert np.all(np.isfinite(res.risks))
 
 
 def test_study_result_layout_and_determinism():
