@@ -211,13 +211,13 @@ def _checked_design(X, rel_tol):
     X = _as_matrix(X, "X")
     if rel_tol <= 0:
         raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
-    if not X.any():
-        raise RankZeroError("X is identically zero")
     return X
 
 
 def _rank_of(s, rel_tol):
     """Count the singular values (descending) above ``rel_tol * sigma_1``."""
+    if not s[0] > 0:
+        raise RankZeroError("X is identically zero")
     r = int(np.count_nonzero(s > rel_tol * s[0]))
     if r == 0:
         raise RankZeroError(f"no singular value exceeds rel_tol*sigma_1 = {rel_tol * s[0]:.3e}")
@@ -244,7 +244,16 @@ def thin_svd(X, rel_tol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
         If X is identically zero (or no singular value clears the cutoff).
     """
     X = _checked_design(X, rel_tol)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return _truncated(*np.linalg.svd(X, full_matrices=False), rel_tol)
+
+
+def _truncated(U, s, Vt, rel_tol=DEFAULT_RANK_RTOL) -> SvdFactors:
+    """Cut one LAPACK SVD ``(U, s, Vt)`` at its numerical rank and fix its signs.
+
+    :func:`thin_svd` and the batched fold factors of
+    :func:`egreg.simharness._fold_caches` both end here, so a stacked
+    ``np.linalg.svd`` call yields the factors ``thin_svd`` gives each matrix.
+    """
     r = _rank_of(s, rel_tol)
     U = U[:, :r].copy()
     D = s[:r].copy()

@@ -53,7 +53,7 @@ from .estimators import (
     simpls_coefficients,
 )
 from .exceptions import ConfigError, ContractError, ParameterError
-from .matrixcore import Dataset, _as_matrix, _recenter, thin_svd
+from .matrixcore import Dataset, _as_matrix, _recenter, _truncated, thin_svd
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -266,16 +266,27 @@ def _fold_indices(n, k, seed):
 
 
 def _fold_caches(svd, folds):
-    """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``)."""
+    """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
+
+    The training folds of one size are stacked and factored by one
+    ``np.linalg.svd`` call; each fold's factors are then cut and signed as
+    :func:`~egreg.matrixcore.thin_svd` does, so they equal ``thin_svd(Z[tr])``
+    bit for bit.
+    """
     Z = svd.U * svd.D
-    caches = []
+    trs = []
     for va in folds:
         train = np.ones(Z.shape[0], bool)
         train[va] = False
-        tr = np.flatnonzero(train)
-        svd_f = thin_svd(Z[tr])
-        caches.append(_Fold(tr=tr, va=va, svd=svd_f, A=(Z[va] @ svd_f.V) / svd_f.D))
-    return caches
+        trs.append(np.flatnonzero(train))
+    factors = [None] * len(folds)
+    for size in {tr.size for tr in trs}:
+        at = [i for i, tr in enumerate(trs) if tr.size == size]
+        U, s, Vt = np.linalg.svd(Z[np.stack([trs[i] for i in at])], full_matrices=False)
+        for j, i in enumerate(at):
+            factors[i] = _truncated(U[j], s[j], Vt[j])
+    return [_Fold(tr=tr, va=va, svd=f, A=(Z[va] @ f.V) / f.D)
+            for tr, va, f in zip(trs, folds, factors)]
 
 
 def _fold_phi(fold, B):
@@ -641,26 +652,28 @@ def _sample_fits(Xc, Ys, folds, methods):
 def _known_basis_fits(Xc, Gamma, Ys, folds, methods):
     """double_descent's NIECE and EgReg, which treat the planted basis Gamma as known.
 
-    NIECE is ordinary least squares of Y on the reduced design X Gamma when
-    u* <= n-1; at u* = n the stability cap u = n-1 keeps the first n-1
-    planted directions (the planted scores are all equal, so the tie-break
-    keeps the lowest indices); for u* > n it is the minimum-norm
-    interpolator on all u* planted directions (pinv of the wide reduced
-    design, the lambda -> 0 limit of the reduced ridge problem).  EgReg is
-    ridge on the reduced design with lambda tuned by CV (the planted scores
-    are equal, so the score rescaling is a scalar absorbed by the lambda
-    grid).  The sample PC-ranked NIECE cannot spike at u*/n = 1 -- its
-    reduced design is X's own singular frame -- which is why this study
+    Both come from one thin SVD of the reduced design X Gamma.  NIECE is
+    full-rank PCR on it: ordinary least squares of Y on X Gamma when
+    u* <= n-1, and for u* > n the minimum-norm interpolator on all u*
+    planted directions (the lambda -> 0 limit of the reduced ridge problem).
+    At u* = n the stability cap u = n-1 keeps the first n-1 planted
+    directions (the planted scores are all equal, so the tie-break keeps the
+    lowest indices), whose reduced design NIECE factors on its own.  EgReg
+    is ridge on the reduced design with lambda tuned by CV (the planted
+    scores are equal, so the score rescaling is a scalar absorbed by the
+    lambda grid).  The sample PC-ranked NIECE cannot spike at u*/n = 1 --
+    its reduced design is X's own singular frame -- which is why this study
     keeps the basis known.
     """
     n, u_star = Xc.shape[0], Gamma.shape[1]
+    capped = u_star == n
+    svd_g = thin_svd(Xc @ Gamma) if "EgReg" in methods or not capped else None
     fits = {}
     if "NIECE" in methods:
-        G_keep = Gamma[:, :n - 1 if u_star == n else u_star]
-        piv = np.linalg.pinv(Xc @ G_keep)
-        fits["NIECE"] = [G_keep @ (piv @ Yc) for Yc in Ys]
+        G_keep = Gamma[:, :n - 1] if capped else Gamma
+        svd_k = thin_svd(Xc @ G_keep) if capped else svd_g
+        fits["NIECE"] = [G_keep @ pcr_coefficients(svd_k, Yc, svd_k.r) for Yc in Ys]
     if "EgReg" in methods:
-        svd_g = thin_svd(Xc @ Gamma)
         grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
         best = _tune(svd_g, _fold_caches(svd_g, folds), np.stack(Ys, axis=1), grid_g)
         fits["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)

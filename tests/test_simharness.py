@@ -17,6 +17,7 @@ from egreg import (
     Dataset,
     EnvelopeSimConfig,
     ParameterError,
+    RankZeroError,
     envelope_scores,
     gen_baseline,
     gen_envelope_model,
@@ -43,10 +44,14 @@ from egreg.simharness import (
     _fold_indices,
     _Grid,
     _haar_orthogonal,
+    _known_basis_fits,
     _model_frame,
     _pick_best,
+    _point_frame,
+    _responses,
     _tune,
 )
+from egreg.matrixcore import SvdFactors
 
 
 def _cfg(seed=0, n=80, p=8, q=1, decay=1.0, picks=(1, 2), amp=2.0, sig=4.0):
@@ -262,6 +267,86 @@ def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
         sign = np.sign(np.sum(fold.svd.U * fresh.U, axis=0))    # one per column pair
         assert_allclose(fold.svd.U * sign, fresh.U, rtol=0, atol=1e-9)
         assert_allclose(fold.A * sign, X[va] @ fresh.V / fresh.D, rtol=0, atol=1e-9)
+
+
+def _same_bits(a, b):
+    return (a.r == b.r and a.U.tobytes() == b.U.tobytes()
+            and a.D.tobytes() == b.D.tobytes() and a.V.tobytes() == b.V.tobytes())
+
+
+@pytest.mark.parametrize("n,p,k,dup_fold", [
+    pytest.param(20, 6, 4, None, id="equal-folds-tall"),
+    pytest.param(20, 45, 5, None, id="equal-folds-wide"),
+    pytest.param(14, 5, 4, None, id="unequal-folds-tall"),      # folds of 4+4+3+3 rows
+    pytest.param(14, 30, 4, None, id="unequal-folds-wide"),
+    pytest.param(12, 30, 4, 0, id="low-rank-fold-in-stack"),
+])
+def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
+    # Folds of one training size are factored by one stacked LAPACK call;
+    # each must carry exactly the bits of its own thin_svd call.
+    rng = np.random.default_rng(n + p)
+    X = rng.standard_normal((n, p))
+    folds = _fold_indices(n, k, 3)
+    if dup_fold is not None:
+        # Two equal rows held out by different folds: the training folds
+        # that keep both lose a rank against those that hold one out.
+        X[folds[dup_fold + 1][0]] = X[folds[dup_fold][0]]
+    X -= X.mean(axis=0)
+    svd = thin_svd(X)
+    Z = svd.U * svd.D
+    caches = _fold_caches(svd, folds)
+    for fold in caches:
+        assert _same_bits(fold.svd, thin_svd(Z[fold.tr]))
+    sizes = {c.tr.size for c in caches}
+    assert len(sizes) == (1 if n % k == 0 else 2)
+    if dup_fold is not None:
+        assert len({c.svd.r for c in caches}) == 2 and len(sizes) == 1
+
+
+def test_batched_fold_factors_raise_thin_svds_error_on_a_zero_fold():
+    # Only row 0 of Z = U D is nonzero, so the training rows of fold 0 are
+    # all zero while fold 1's are not.
+    n = 6
+    svd = SvdFactors(U=np.eye(n)[:, :1], D=np.ones(1), V=np.ones((1, 1)), r=1)
+    folds = [np.arange(3), np.arange(3, 6)]
+    with pytest.raises(RankZeroError, match="identically zero") as fresh:
+        thin_svd(np.zeros((3, 1)))
+    with pytest.raises(RankZeroError) as batched:
+        _fold_caches(svd, folds)
+    assert str(batched.value) == str(fresh.value)
+
+
+def _dd_point(n, ratio, R=3, seed=4):
+    frame = _point_frame("double_descent", {}, n, seed, ratio)
+    X, truth, Gamma = frame(stream=0)
+    Xc = simharness._recenter(X)
+    Ys = [simharness._recenter(Y) for Y in _responses(X, truth, seed, 0, range(R))]
+    return Xc, Gamma, Ys, _fold_indices(n, 4, 1)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
+def test_known_basis_niece_is_the_min_norm_least_squares_fit(ratio, monkeypatch):
+    # NIECE is full-rank PCR on the reduced design's SVD: the pinv fit on
+    # the kept planted directions (the first n-1 at u* = n).
+    n = 24
+    Xc, Gamma, Ys, folds = _dd_point(n, ratio)
+    u_star = Gamma.shape[1]
+    shapes = []
+
+    def counted(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return thin_svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(simharness, "thin_svd", counted)
+    fits = _known_basis_fits(Xc, Gamma, Ys, folds, ("NIECE", "EgReg"))
+    G_keep = Gamma[:, :n - 1 if u_star == n else u_star]
+    piv = np.linalg.pinv(Xc @ G_keep)
+    for beta, Yc in zip(fits["NIECE"], Ys):
+        assert_allclose(beta, G_keep @ (piv @ Yc), rtol=1e-12, atol=0)
+    if u_star == n:
+        assert shapes == [(n, u_star), (n, n - 1)]
+    else:
+        assert shapes == [(n, u_star)]    # one factorization feeds NIECE and EgReg
 
 
 def _cv_data(seed=9, n=48, p=6, q=2):
