@@ -149,20 +149,26 @@ def risk_curve(cfg_base: LimitConfig, gamma_grid) -> RiskCurve:
     """Evaluate both limits along a gamma grid (NIECE NaN in the gamma=1 band).
 
     ``cfg_base`` supplies c^2 and tr{Sigma_eps}; its gamma is ignored in
-    favor of the grid values.  The grid must be ascending and positive.
+    favor of the grid values.  The grid must be finite, positive and
+    strictly ascending.  A gamma whose lambda* or EgReg risk overflows the
+    float range raises ``DomainError`` naming it.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError("gamma_grid must be a non-empty 1-D array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ParameterError("gamma_grid must be strictly ascending and positive")
+    if not np.all(np.isfinite(grid)) or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ParameterError("gamma_grid must be finite, positive and strictly ascending")
     niece = np.empty(grid.size)
     egreg = np.empty(grid.size)
     lam_star = np.empty(grid.size)
     for i, g in enumerate(grid):
         cfg = LimitConfig(gamma=float(g), c_sq=cfg_base.c_sq, tr_sigma_eps=cfg_base.tr_sigma_eps)
         lam_star[i] = optimal_lambda(cfg)
-        egreg[i] = limiting_risk_egreg(cfg, lam_star[i])
+        # An overflow is reported once, as the DomainError below, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            egreg[i] = limiting_risk_egreg(cfg, lam_star[i])
+        if not (math.isfinite(lam_star[i]) and math.isfinite(egreg[i])):
+            raise DomainError(f"the limiting EgReg risk or lambda* is not finite at gamma = {g}")
         if abs(g - 1.0) <= GAMMA_ONE_BAND:
             niece[i] = math.nan
         else:

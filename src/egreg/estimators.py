@@ -97,8 +97,9 @@ def _require_centered(data: Dataset):
 
 
 def _integer(name, v, low=None, error=ParameterError):
-    """``v`` as an int: an integer or integral float (JSON Schema counts 2.0 as
-    an integer), >= low if given.  Anything else, bools included, raises ``error``."""
+    """``v`` as an int: an integer or integral float (a JSON config may write an
+    integer as ``100.0``), >= low if given.  Anything else, bools included, raises
+    ``error``."""
     whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
     if isinstance(v, bool) or not whole or low is not None and v < low:
         raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {v!r}")

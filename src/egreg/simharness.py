@@ -587,15 +587,16 @@ _STUDY_DEFAULTS = {
 
 
 def _canon_methods(methods, allowed, study):
+    # A string is not a list: "pcr" would otherwise read as the methods p, c and r.
+    if not isinstance(methods, (list, tuple)) or not methods:
+        raise ConfigError(f"methods must be a non-empty list of method names, got {methods!r}")
     out = []
     for m in methods:
         label = _CANON_METHOD.get(str(m).lower())
         if label is None or label not in allowed:
-            raise ConfigError(f"method {m!r} is not available in the {study} study")
+            raise ConfigError(f"methods: {m!r} is not available in the {study} study")
         if label not in out:
             out.append(label)
-    if not out:
-        raise ConfigError("methods list is empty")
     return tuple(out)
 
 
@@ -716,8 +717,9 @@ def _point_frame(study, cfg, n, seed, ratio):
         u_star = p
         if u_star < 12:
             raise ConfigError(
-                f"u_star = {u_star} is infeasible: the first material index 7 needs "
-                f"p = round(1.5 u_star) >= u_star + 6, i.e. u_star >= 12"
+                f"u_star_over_n = {ratio} gives u_star = {u_star}, which is infeasible: the "
+                f"first material index 7 needs p = round(1.5 u_star) >= u_star + 6, i.e. "
+                f"u_star >= 12"
             )
         p = int(np.rint(1.5 * u_star))
         P = tuple(range(7, 7 + u_star))
@@ -726,7 +728,7 @@ def _point_frame(study, cfg, n, seed, ratio):
     if P[-1] > p:
         raise ConfigError(
             f"p = {p} is too small for material indices up to {P[-1]} "
-            f"(p/n = {ratio}, n = {n})"
+            f"(p_over_n = {ratio}, n = {n})"
         )
     return partial(_model_frame, EnvelopeSimConfig(
         n=n, p=p, q=1, decay_gamma=_real("decay_gamma", cfg.get("decay_gamma", 1.0), ConfigError),
@@ -738,14 +740,16 @@ def _point_frame(study, cfg, n, seed, ratio):
 def run_study(study: str, config: dict | None = None) -> StudyResult:
     """Run one of the four studies: P1, u_star, baseline, double_descent.
 
-    ``config`` overrides the study defaults; unknown keys are rejected so
-    typos cannot silently fall back to defaults.  See ``CONFIG_SCHEMAS`` for
-    the accepted keys per study.  Every grid point is checked before any is
-    computed.  double_descent fits NIECE and EgReg on the known planted
-    basis (:func:`_known_basis_fits`); every other method, double_descent's
-    EgReg(r) included, is tuned and fit by :func:`_sample_fits`.
+    ``config`` overrides the study defaults in ``_STUDY_DEFAULTS``, whose
+    keys are the only ones accepted, so a typo cannot silently fall back to
+    a default.  This is the one validator of a study config: every value is
+    checked, and every grid point built, before any is computed, and a bad
+    study name, key or value raises ``ConfigError`` naming it.  double_descent
+    fits NIECE and EgReg on the known planted basis (:func:`_known_basis_fits`);
+    every other method, double_descent's EgReg(r) included, is tuned and fit
+    by :func:`_sample_fits`.
     """
-    if study not in _STUDY_DEFAULTS:
+    if not isinstance(study, str) or study not in _STUDY_DEFAULTS:
         raise ConfigError(
             f"unknown study {study!r}; expected one of {sorted(_STUDY_DEFAULTS)}"
         )
@@ -781,60 +785,3 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
     ses = terms.std(axis=2, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(terms.shape[:2])
     return StudyResult(study=study, grid_name=grid_name, grid=grid, methods=methods,
                        risks=terms.mean(axis=2), ses=ses, config=dict(cfg), seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Config schemas (JSON)
-# ---------------------------------------------------------------------------
-
-_POS_NUM = {"type": "number", "exclusiveMinimum": 0}
-_POS_NUM_ARRAY = {"type": "array", "items": _POS_NUM, "minItems": 1}
-
-
-def _schema(study, extra):
-    props = {
-        "study": {"const": study},
-        "seed": {"type": "integer", "minimum": 0},
-        "replications": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 2},
-        "folds": {"type": "integer", "minimum": 2},
-        "methods": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-    }
-    props.update(extra)
-    return {
-        "type": "object",
-        "properties": props,
-        "required": ["study", "seed"],
-        "additionalProperties": False,
-    }
-
-
-CONFIG_SCHEMAS = {
-    "P1": _schema("P1", {
-        "p1": {"type": "integer", "minimum": 1},
-        "p_over_n": _POS_NUM_ARRAY,
-        "decay_gamma": _POS_NUM,
-        "sigma_eps_sq": _POS_NUM,
-    }),
-    "u_star": _schema("u_star", {
-        "u_star": {"oneOf": [{"type": "integer", "minimum": 1}, {"const": "half"}]},
-        "p_over_n": _POS_NUM_ARRAY,
-        "decay_gamma": _POS_NUM,
-        "sigma_eps_sq": _POS_NUM,
-    }),
-    "baseline": _schema("baseline", {
-        "kind": {"enum": ["CS", "AR1"]},
-        "rho": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "p_over_n": _POS_NUM_ARRAY,
-        "sigma_eps_sq": _POS_NUM,
-        "beta_star": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                {"type": "null"},
-            ]
-        },
-    }),
-    "double_descent": _schema("double_descent", {
-        "u_star_over_n": _POS_NUM_ARRAY,
-    }),
-}

@@ -183,3 +183,14 @@ def test_risk_curve_rejects_bad_grid():
         risk_curve(_cfg(0.5), np.array([2.0, 1.0]))
     with pytest.raises(ParameterError):
         risk_curve(_cfg(0.5), np.array([-1.0, 1.0]))
+    for grid in ([0.5, np.inf], [np.nan, 1.0], [0.5, 2.0, np.nan]):
+        with pytest.raises(ParameterError, match="finite"):
+            risk_curve(_cfg(0.5), np.array(grid))
+
+
+def test_risk_curve_names_the_first_gamma_whose_risk_overflows():
+    # lambda* = 10 gamma / 10 overflows at 5e307; at 1e200 only the risk does.
+    with pytest.raises(DomainError, match=r"gamma = 1e\+200"):
+        risk_curve(_cfg(0.5), np.array([0.5, 1.0, 1e200, 5e307]))
+    with pytest.raises(DomainError, match=r"gamma = 5e\+307"):
+        risk_curve(_cfg(0.5), np.array([0.5, 5e307]))

@@ -6,14 +6,19 @@ codes and emitted files can be checked directly.
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import egreg
 from egreg import ConfigError, EnvelopeSimConfig, ParseError
-from egreg.cli import main
+from egreg.cli import _THREAD_VARS, main
 from egreg.dataio import (
     config_digest,
     load_model,
@@ -24,7 +29,7 @@ from egreg.dataio import (
 )
 from egreg.estimators import fit_method, predict
 from egreg.matrixcore import Dataset, center_standardize
-from egreg.simharness import _alternating, _model_frame, _responses
+from egreg.simharness import _alternating, _model_frame, _responses, run_study
 
 
 def _write_xy(path, X, Y, x_names=None, y_names=None):
@@ -662,6 +667,135 @@ def test_cli_theory_frozen_point(tmp_path):
     _manifest(tmp_path / "curve.csv.manifest.json")
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--grid-log", "--grid-start", "0"], "--grid-start"),
+    (["--grid-log", "--grid-stop", "0"], "--grid-stop"),
+    (["--grid-log", "--grid-stop", "inf"], "--grid-stop"),
+    (["--grid-start", "nan"], "--grid-start"),
+    (["--grid-start", "-1"], "--grid-start"),
+])
+def test_cli_theory_rejects_a_grid_end_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                        flags, named):
+    out = tmp_path / "curve.csv"
+    assert main(["theory", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,gamma", [
+    (["--grid-stop", "1e308", "--grid-count", "3"], "5e+307"),
+    (["--grid-stop", "1e200", "--grid-count", "2"], "1e+200"),
+])
+def test_cli_theory_rejects_a_grid_whose_risk_overflows(tmp_path, capsys, flags, gamma):
+    # lambda* = tr(Sigma_eps) gamma / c^2 overflows at 5e307; at 1e200 the risk does.
+    out = tmp_path / "curve.csv"
+    assert main(["theory", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert f"gamma = {gamma}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_SMALL_STUDY = {"seed": 0, "n": 20, "replications": 1, "folds": 3, "p_over_n": [1.0]}
+_NO_SEED = object()
+
+# Every rule a study config obeys, one case each: (study, keys set, key named).
+_BAD_STUDY_CONFIGS = [
+    ("P1", {"seed": _NO_SEED}, "seed"),
+    ("P1", {"seed": "0"}, "seed"),
+    ("P1", {"seed": True}, "seed"),
+    ("P1", {"seed": -1}, "seed"),
+    ("P1", {"replications": 0}, "replications"),
+    ("P1", {"replications": 1.5}, "replications"),
+    ("P1", {"replications": True}, "replications"),
+    ("P1", {"n": 1}, "n"),
+    ("P1", {"folds": 1}, "folds"),
+    ("P1", {"folds": 21}, "folds"),
+    ("P1", {"methods": 5}, "methods"),
+    ("P1", {"methods": "pcr"}, "methods"),
+    ("P1", {"methods": []}, "methods"),
+    ("P1", {"methods": ["lasso"]}, "methods"),
+    ("P1", {"p_over_n": 0.5}, "p_over_n"),
+    ("P1", {"p_over_n": []}, "p_over_n"),
+    ("P1", {"p_over_n": [0]}, "p_over_n"),
+    ("P1", {"p_over_n": ["a"]}, "p_over_n"),
+    ("u_star", {"u_star": "full"}, "u_star"),
+    ("u_star", {"u_star": 0}, "u_star"),
+    ("P1", {"p1": 0}, "p1"),
+    ("baseline", {"kind": "XX"}, "kind"),
+    ("baseline", {"rho": 1}, "rho"),
+    ("baseline", {"rho": "0.5"}, "rho"),
+    ("P1", {"sigma_eps_sq": 0}, "sigma_eps_sq"),
+    ("P1", {"decay_gamma": 0}, "decay_gamma"),
+    ("baseline", {"beta_star": "x"}, "beta_star"),
+    ("baseline", {"beta_star": ["a"]}, "beta_star"),
+    ("double_descent", {"u_star_over_n": [0.05]}, "u_star_over_n"),
+    ("P1", {"tyop": 2}, "tyop"),
+    ("Q9", {}, "Q9"),
+]
+
+
+@pytest.mark.parametrize("study,keys,named", _BAD_STUDY_CONFIGS,
+                         ids=[f"{s}-{k}" for s, k, _ in _BAD_STUDY_CONFIGS])
+def test_cli_simulate_rejects_each_bad_config_value(tmp_path, capsys, study, keys, named):
+    doc = {"study": study, **_SMALL_STUDY, **keys}
+    if study == "double_descent":
+        del doc["p_over_n"]
+    doc = {k: v for k, v in doc.items() if v is not _NO_SEED}
+    cpath, out = tmp_path / "cfg.json", tmp_path / "o"
+    cpath.write_text(json.dumps(doc))
+    assert main(["simulate", str(cpath), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", err), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _study_csv(path, study, config):
+    write_table(path, run_study(study, config).rows())
+    return path.read_bytes()
+
+
+def test_cli_simulate_accepts_kind_in_any_case(tmp_path):
+    config = {"seed": 2, "n": 30, "replications": 2, "folds": 3, "p_over_n": [0.5],
+              "methods": ["pcr", "ridge"], "kind": "cs"}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"study": "baseline", **config}))
+    assert main(["simulate", str(cpath), str(tmp_path / "o")]) == 0
+    out = (tmp_path / "o" / "baseline.csv").read_bytes()
+    assert out == _study_csv(tmp_path / "lib.csv", "baseline", config)
+    assert out == _study_csv(tmp_path / "upper.csv", "baseline", {**config, "kind": "CS"})
+
+
+def test_cli_simulate_runs_without_jsonschema(tmp_path):
+    # A sitecustomize on the path makes jsonschema unimportable in the child
+    # processes; the CLI must still run and match the library's CSV.
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text('import sys\nsys.modules["jsonschema"] = None\n')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(egreg.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(site), src]),
+           "EGREG_THREADS": "1", **{var: "1" for var in _THREAD_VARS}}
+    config = {"seed": 0, "replications": 2, "p_over_n": [0.5], "methods": ["pcr", "egreg"]}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"study": "P1", **config}))
+    cli = subprocess.run([sys.executable, "-m", "egreg.cli", "simulate", str(cpath),
+                          str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    assert cli.returncode == 0, cli.stderr
+    reference = (
+        "import json, sys\n"
+        "try:\n    import jsonschema\nexcept ImportError:\n    pass\n"
+        "else:\n    sys.exit('jsonschema is importable')\n"
+        "from egreg.dataio import write_table\n"
+        "from egreg.simharness import run_study\n"
+        "write_table(sys.argv[1], run_study('P1', json.loads(sys.argv[2])).rows())\n"
+    )
+    ref = subprocess.run([sys.executable, "-c", reference, str(tmp_path / "ref.csv"),
+                          json.dumps(config)], env=env, capture_output=True, text=True)
+    assert ref.returncode == 0, ref.stderr
+    assert (tmp_path / "o" / "P1.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_cli_simulate_rerun_is_byte_identical(tmp_path):
     config = {"study": "P1", "seed": 3, "n": 80, "replications": 2,
               "p_over_n": [0.25], "methods": ["niece", "egreg"]}
@@ -706,7 +840,7 @@ def test_cli_simulate_config_errors(tmp_path, capsys):
     assert main(["simulate", str(bad), str(tmp_path / "o"), "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "seed" in err and "Traceback" not in err
-    # JSON's NaN passes the schema's exclusiveMinimum; the study rejects it.
+    # json reads NaN as a number; the study rejects it as a grid value.
     bad.write_text(json.dumps({"study": "P1", "seed": 1, "p_over_n": [float("nan")]}))
     assert main(["simulate", str(bad), str(tmp_path / "o")]) == 2
     assert "p_over_n" in capsys.readouterr().err

@@ -681,6 +681,8 @@ def test_run_study_rejects_unknowns(monkeypatch):
         ("baseline", {"beta_star": ["a"]}, "beta_star"),
         ("baseline", {"rho": "0.5"}, "rho"),
         ("baseline", {"kind": "XX"}, "kind"),
+        ("P1", {"methods": 5}, "methods"),
+        ("P1", {"methods": "pcr"}, "methods"),
     ]
     for study, config, key in bad_configs:
         with pytest.raises(ConfigError, match=key):
