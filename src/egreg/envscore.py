@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DegeneracyWarning, DimensionError
-from .matrixcore import SvdFactors, _as_matrix
+from .matrixcore import SvdFactors, _as_matrix, _check_symmetric, _fix_signs
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def population_niece(M, B, d: int, u_star: int) -> EnvelopeBasis:
     if M.shape != (p, p) or B.shape != (p, p):
         raise DimensionError(f"M and B must be square of equal size, got {M.shape}, {B.shape}")
     for name, S in (("M", M), ("B", B)):
-        asym = float(np.max(np.abs(S - S.T)))
-        if asym > 1e-10 * max(1.0, float(np.max(np.abs(S)))):
-            raise ContractError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+        _check_symmetric(S, name, 1e-10)
     if not 0 < u_star <= d <= p:
         raise DimensionError(f"need 0 < u_star <= d <= p, got u_star={u_star}, d={d}, p={p}")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
@@ -148,9 +146,7 @@ def population_niece(M, B, d: int, u_star: int) -> EnvelopeBasis:
     V = V[:, ::-1].copy()
     if w[-1] <= 0:
         raise ContractError("M must be positive definite")
-    lead = np.argmax(np.abs(V), axis=0)
-    flip = V[lead, np.arange(p)] < 0
-    V[:, flip] *= -1.0
+    _fix_signs(V)
     gaps = (w[:-1] - w[1:]) / abs(w[0])
     non_unique = bool(p > 1 and np.any(gaps <= 1e-8))
     if non_unique:

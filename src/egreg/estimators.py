@@ -25,8 +25,8 @@ import numpy as np
 
 from .envscore import EnvelopeScores, envelope_scores, top_ranked
 from .exceptions import ContractError, DimensionError, ParameterError
-from .matrixcore import (Dataset, SvdFactors, Transform, _check_finite_rows, cross_cov,
-                         numerical_rank, thin_svd)
+from .matrixcore import (Dataset, SvdFactors, Transform, _check_finite_rows, _fix_signs,
+                         _real_array, numerical_rank, thin_svd)
 
 #: Deflation tolerance for the SIMPLS early-stop test.
 SIMPLS_TOL = 1e-12
@@ -205,7 +205,7 @@ def _lane_norms(M):
     return np.sqrt(M @ M.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
+def _simpls_lockstep(Z, Y, train, d: int):
     """The SIMPLS recurrence (de Jong 1993), run in lockstep over lanes.
 
     ``Z`` (n x k) holds the predictors in any isometric coordinates (the fit
@@ -217,14 +217,14 @@ def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
     elsewhere), and ``zr = Z r`` on every row.  Each component is one GEMM
     for all lanes.  A lane stops before d components when its deflated
     cross-product, its score or its orthogonalized loading collapses below
-    the tolerance.
+    :data:`SIMPLS_TOL`.
     """
     lanes, n, q = Y.shape
     k = Z.shape[1]
     n_tr = train.sum(axis=1)
     S = Z.T @ (train[:, :, None] * Y).transpose(1, 0, 2).reshape(n, -1)
     S = np.ascontiguousarray(S.reshape(k, lanes, q).transpose(1, 0, 2))
-    s_tol = tol * np.maximum(1.0, _lane_norms(S))
+    s_tol = SIMPLS_TOL * np.maximum(1.0, _lane_norms(S))
     live = np.arange(lanes)
     basis = np.empty((lanes, d, k))   # deflation basis, one row per component
     # Per-lane reductions are BLAS dots and stacked matmuls, so a single
@@ -238,8 +238,8 @@ def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
         else:
             G = S.transpose(0, 2, 1) @ S
             w = np.linalg.eigh((G + G.transpose(0, 2, 1)) / 2.0)[1][:, :, -1:]
-            lead = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)
-            r = (S @ np.where(lead < 0, -w, w))[:, :, 0]
+            _fix_signs(w[:, :, 0].T)    # each lane's leading eigenvector is a column
+            r = (S @ w)[:, :, 0]
         zr = r @ Z.T
         mask = train[live]
         t = zr - (mask * zr).sum(axis=1, keepdims=True) / n_tr[live, None]
@@ -254,7 +254,7 @@ def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
             v = pl - Vb.transpose(0, 2, 1) @ (Vb @ pl)
             nv = _lane_norms(v)
             v /= nv[:, None, None]
-        keep &= (nt > tol) & (nv > tol * np.maximum(1.0, _lane_norms(pl)))
+        keep &= (nt > SIMPLS_TOL) & (nv > SIMPLS_TOL * np.maximum(1.0, _lane_norms(pl)))
         if not keep.all():
             live, S, s_tol, basis = live[keep], S[keep], s_tol[keep], basis[keep]
             r, t, zr, v = r[keep], t[keep], zr[keep], v[keep]
@@ -265,30 +265,24 @@ def _simpls_lockstep(Z, Y, train, d: int, tol: float = SIMPLS_TOL):
         yield live, r, t, zr
 
 
-def _simpls_components(X, Y, d: int, tol: float = SIMPLS_TOL):
-    """SIMPLS weights R (p x k) and scores T (n x k) for k <= d components.
+def simpls_coefficients(X, Y, d: int) -> tuple[np.ndarray, int]:
+    """SIMPLS coefficients with up to d components; returns (beta, achieved).
 
-    The one-lane, all-rows case of :func:`_simpls_lockstep`: each column pair
-    satisfies ``t = X r - mean`` with ``||t|| = 1``, and the scores are
-    mutually orthogonal.
+    The one-lane, all-rows case of :func:`_simpls_lockstep`: its k <= d
+    components give weights R (p x k) and unit, mutually orthogonal scores
+    T (n x k) with ``t = X r - mean``, and ``beta = R T'Y``.
     """
-    steps = list(_simpls_lockstep(X, Y[None], np.ones((1, X.shape[0])), d, tol))
-    R = np.empty((X.shape[1], len(steps)))
-    T = np.empty((X.shape[0], len(steps)))
-    for j, (_, r, t, _) in enumerate(steps):
-        R[:, j], T[:, j] = r[0], t[0]
-    return R, T
-
-
-def simpls_coefficients(X, Y, d: int, tol: float = SIMPLS_TOL) -> tuple[np.ndarray, int]:
-    """SIMPLS coefficients with up to d components; returns (beta, achieved)."""
     d = _integer("d", d)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    R, T = _simpls_components(X, Y, d, tol)
-    return R @ (T.T @ Y), R.shape[1]
+    steps = list(_simpls_lockstep(X, Y[None], np.ones((1, X.shape[0])), d))
+    R = np.empty((X.shape[1], len(steps)))
+    T = np.empty((X.shape[0], len(steps)))
+    for j, (_, r, t, _) in enumerate(steps):
+        R[:, j], T[:, j] = r[0], t[0]
+    return R @ (T.T @ Y), len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def fit_niece(data: Dataset, u: int, d: int | None = None) -> FittedModel:
     _require_centered(data)
     svd = thin_svd(data.X)
     d = svd.r if d is None else _integer("d", d)
-    scores = envelope_scores(svd, cross_cov(data).Sxy, d)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, d)
     beta = niece_coefficients(svd, scores, data.Y, u, d)
     return FittedModel(
         beta=beta, method="NIECE", d=d, u=int(u), transform=data.transform
@@ -347,7 +341,8 @@ def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
     lam = _lambda("egreg", lam)
     svd = thin_svd(data.X)
     d = svd.r if d is None else _integer("d", d)
-    idx, phi, f = _egreg_filter(svd, envelope_scores(svd, cross_cov(data).Sxy, d), d, lam)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, d)
+    idx, phi, f = _egreg_filter(svd, scores, d, lam)
     gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
     zero = idx[phi == 0.0]
     flags = {}
@@ -414,10 +409,11 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
 
     Applies the stored centering/standardization to ``Xnew``, multiplies by
     the coefficients, and maps the result back to the original response
-    scale.  A 1-D input is treated as a single observation row; a row with
-    a NaN or infinite cell raises :class:`ContractError` naming it.
+    scale.  A 1-D input is treated as a single observation row.  Ragged,
+    non-numeric or complex input raises :class:`ContractError`, and so does
+    a row with a NaN or infinite cell, naming it.
     """
-    X = np.asarray(Xnew, dtype=float)
+    X = _real_array(Xnew, "Xnew")
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2:

@@ -3,7 +3,9 @@
 Centering/standardization with replayable transforms, a thin SVD with a
 deterministic sign convention, sample cross-covariances, and a Frobenius
 subspace distance.  All operations are pure functions of their inputs and
-safe to share read-only across threads.
+safe to share read-only across threads.  The sign convention
+(:func:`_fix_signs`), the symmetry check (:func:`_check_symmetric`) and the
+coercion of array input (:func:`_real_array`) live here for every module.
 """
 
 from __future__ import annotations
@@ -27,9 +29,21 @@ CENTER_TOL = 1e-10
 DEFAULT_RANK_RTOL = 1e-10
 
 
+def _real_array(a, name):
+    """``a`` as a float array.  Ragged nesting, cells that are not numbers
+    and complex values raise :class:`ContractError` naming the array."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex values are not allowed")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{name} must be an array of real numbers: {exc}") from None
+
+
 def _as_matrix(a, name="array"):
     """Coerce to a 2-D float array; 1-D input becomes a single column."""
-    arr = np.asarray(a, dtype=float)
+    arr = _real_array(a, name)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -142,9 +156,23 @@ class CovPair:
     Sxy: np.ndarray
 
     def __post_init__(self):
-        asym = float(np.max(np.abs(self.Sx - self.Sx.T)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(self.Sx)))):
-            raise ContractError(f"Sx is not symmetric (max asymmetry {asym:.3e})")
+        _check_symmetric(self.Sx, "Sx", 1e-12)
+
+
+def _check_symmetric(S, name, rtol):
+    """Raise :class:`ContractError` unless ``max|S - S'| <= rtol * max(1, max|S|)``."""
+    asym = float(np.max(np.abs(S - S.T)))
+    if asym > rtol * max(1.0, float(np.max(np.abs(S)))):
+        raise ContractError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+
+
+def _fix_signs(V, *paired):
+    """Flip each column of V, in place, so its largest-magnitude entry is
+    positive; the same columns of every ``paired`` matrix flip with it."""
+    lead = np.argmax(np.abs(V), axis=0)
+    flip = V[lead, np.arange(V.shape[1])] < 0
+    for M in (V, *paired):
+        M[:, flip] *= -1.0
 
 
 def _check_finite_rows(M, what):
@@ -258,10 +286,7 @@ def _truncated(U, s, Vt, rel_tol=DEFAULT_RANK_RTOL) -> SvdFactors:
     U = U[:, :r].copy()
     D = s[:r].copy()
     V = Vt[:r].T.copy()
-    lead = np.argmax(np.abs(V), axis=0)
-    flip = V[lead, np.arange(r)] < 0
-    V[:, flip] *= -1.0
-    U[:, flip] *= -1.0
+    _fix_signs(V, U)
     return SvdFactors(U=U, D=D, V=V, r=r)
 
 

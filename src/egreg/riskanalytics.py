@@ -22,7 +22,7 @@ import numpy as np
 from .envscore import EnvelopeScores, top_ranked
 from .estimators import _egreg_filter
 from .exceptions import ContractError, DegeneracyWarning, DimensionError, ParameterError
-from .matrixcore import SvdFactors, _as_matrix
+from .matrixcore import SvdFactors, _as_matrix, _check_symmetric
 
 
 def _check_psd(name, w, S):
@@ -67,11 +67,8 @@ class TruthSpec:
         if Se.shape != (q, q):
             raise DimensionError(f"Sigma_eps must be {q}x{q}, got {Se.shape}")
         for name, S in (("Sigma_x", Sx), ("Sigma_eps", Se)):
-            if S is None:
-                continue
-            asym = float(np.max(np.abs(S - S.T)))
-            if asym > 1e-10 * max(1.0, float(np.max(np.abs(S)))):
-                raise ContractError(f"{name} is not symmetric")
+            if S is not None:
+                _check_symmetric(S, name, 1e-10)
         _check_psd("Sigma_eps", np.linalg.eigvalsh(Se), Se)
         root = Sigma_x_root
         if root is None:

@@ -112,6 +112,10 @@ class EnvelopeSimConfig:
         object.__setattr__(self, "Sigma_eps", Se)
         if Se.shape != (self.q, self.q):
             raise ConfigError(f"Sigma_eps must be {self.q}x{self.q}, got {Se.shape}")
+        try:
+            np.linalg.cholesky(Se)    # the noise draws use this factor
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"Sigma_eps must be positive definite, got {Se.tolist()}") from None
         if self.eigenvalues is not None:
             ev = np.asarray(self.eigenvalues, dtype=float)
             if ev.shape != (self.p,) or np.any(ev <= 0) or np.any(np.diff(ev) > 0):
@@ -618,18 +622,20 @@ def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
     return egreg_coefficients(svd_full, scores_full, Yc, d, lam)[0]
 
 
-def _sample_fits(Xc, Ys, folds, methods):
-    """CV-tune and refit each method on every replication's response (shared Xc).
+def _sample_fits(X, svd, Y, folds, methods):
+    """CV-tune and refit each method on every replication's response.
 
-    The replications are the lanes of one CV call per method.  Returns
-    ``{method: [beta_hat per replication]}``.
+    ``X`` is the centered design and ``svd`` its thin SVD; ``Y`` holds the
+    replications as the lanes (n x R x q) of one CV call per method.  Each
+    replication's envelope scores are computed only if NIECE or an EgReg
+    variant is among ``methods``.  Returns ``{method: [beta_hat per
+    replication]}``.
     """
-    n = Xc.shape[0]
-    svd_full = thin_svd(Xc)
-    caches = _fold_caches(svd_full, folds)
-    r_cap = min(svd_full.r, min(c.svd.r for c in caches))
+    n = X.shape[0]
+    caches = _fold_caches(svd, folds)
+    r_cap = min(svd.r, min(c.svd.r for c in caches))
     ds = np.arange(1, r_cap + 1)
-    lam = _lambda_grid(svd_full.D[0] ** 2)
+    lam = _lambda_grid(svd.D[0] ** 2)
     grids = {
         "PCR": _Grid("pcr", d=ds),
         "Ridge": _Grid("ridge", lam=lam),
@@ -638,47 +644,46 @@ def _sample_fits(Xc, Ys, folds, methods):
         "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
         "EgReg(r)": _Grid("egreg", lam=lam),
     }
-    Y = np.stack(Ys, axis=1)
-    best = {label: _tune(svd_full, caches, Y, grids[label]) for label in methods}
+    best = {label: _tune(svd, caches, Y, grids[label]) for label in methods}
+    scored = not {"NIECE", "EgReg", "EgReg(r)"}.isdisjoint(methods)
     fits = {m: [] for m in methods}
-    for rep, Yc in enumerate(Ys):
-        scores_full = envelope_scores(svd_full, Xc.T @ Yc / n, svd_full.r)
+    for rep in range(Y.shape[1]):
+        Yc = np.ascontiguousarray(Y[:, rep])    # BLAS rounds a strided operand differently
+        scores = envelope_scores(svd, X.T @ Yc / n, svd.r) if scored else None
         for label in methods:
-            fits[label].append(
-                _final_fit(grids[label], best[label][rep], svd_full, scores_full, Xc, Yc)
-            )
+            fits[label].append(_final_fit(grids[label], best[label][rep], svd, scores, X, Yc))
     return fits
 
 
-def _known_basis_fits(Xc, Gamma, Ys, folds, methods):
+def _known_basis_fits(Xc, Gamma, Y, folds, methods):
     """double_descent's NIECE and EgReg, which treat the planted basis Gamma as known.
 
     Both come from one thin SVD of the reduced design X Gamma.  NIECE is
-    full-rank PCR on it: ordinary least squares of Y on X Gamma when
-    u* <= n-1, and for u* > n the minimum-norm interpolator on all u*
+    full-rank PCR on it, untuned: ordinary least squares of Y on X Gamma
+    when u* <= n-1, and for u* > n the minimum-norm interpolator on all u*
     planted directions (the lambda -> 0 limit of the reduced ridge problem).
     At u* = n the stability cap u = n-1 keeps the first n-1 planted
     directions (the planted scores are all equal, so the tie-break keeps the
     lowest indices), whose reduced design NIECE factors on its own.  EgReg
-    is ridge on the reduced design with lambda tuned by CV (the planted
-    scores are equal, so the score rescaling is a scalar absorbed by the
-    lambda grid).  The sample PC-ranked NIECE cannot spike at u*/n = 1 --
-    its reduced design is X's own singular frame -- which is why this study
-    keeps the basis known.
+    is ridge on the reduced design, tuned and refit by :func:`_sample_fits`
+    (the planted scores are equal, so the score rescaling is a scalar
+    absorbed by the lambda grid).  The sample PC-ranked NIECE cannot spike
+    at u*/n = 1 -- its reduced design is X's own singular frame -- which is
+    why this study keeps the basis known.
     """
     n, u_star = Xc.shape[0], Gamma.shape[1]
     capped = u_star == n
-    svd_g = thin_svd(Xc @ Gamma) if "EgReg" in methods or not capped else None
+    XG = Xc @ Gamma
+    svd_g = thin_svd(XG) if "EgReg" in methods or not capped else None
     fits = {}
     if "NIECE" in methods:
         G_keep = Gamma[:, :n - 1] if capped else Gamma
         svd_k = thin_svd(Xc @ G_keep) if capped else svd_g
-        fits["NIECE"] = [G_keep @ pcr_coefficients(svd_k, Yc, svd_k.r) for Yc in Ys]
+        fits["NIECE"] = [G_keep @ pcr_coefficients(svd_k, Y[:, rep], svd_k.r)
+                         for rep in range(Y.shape[1])]
     if "EgReg" in methods:
-        grid_g = _Grid("ridge", lam=_lambda_grid(svd_g.D[0] ** 2))
-        best = _tune(svd_g, _fold_caches(svd_g, folds), np.stack(Ys, axis=1), grid_g)
-        fits["EgReg"] = [Gamma @ _final_fit(grid_g, b, svd_g, None, None, Yc)
-                         for b, Yc in zip(best, Ys)]
+        ridge = _sample_fits(XG, svd_g, Y, folds, ["Ridge"])["Ridge"]
+        fits["EgReg"] = [Gamma @ b for b in ridge]
     return fits
 
 
@@ -775,11 +780,11 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
         X, truth, Gamma = frame(stream=g)
         Xc = _recenter(X)
         folds = _fold_indices(n, folds_k, [seed, g, _TAG_FOLDS])
-        Ys = [_recenter(Y) for Y in _responses(X, truth, seed, g, range(R))]
-        fits = _known_basis_fits(Xc, Gamma, Ys, folds, methods) if dd else {}
+        Y = np.stack([_recenter(Y) for Y in _responses(X, truth, seed, g, range(R))], axis=1)
+        fits = _known_basis_fits(Xc, Gamma, Y, folds, methods) if dd else {}
         sampled = [m for m in methods if m not in fits]
         if sampled:
-            fits.update(_sample_fits(Xc, Ys, folds, sampled))
+            fits.update(_sample_fits(Xc, thin_svd(Xc), Y, folds, sampled))
         terms.append([empirical_risk_terms(fits[m], truth) for m in methods])
     terms = np.array(terms)    # grid points x methods x replications
     ses = terms.std(axis=2, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(terms.shape[:2])

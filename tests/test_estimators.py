@@ -2,6 +2,8 @@
 EgReg/NIECE identity at lambda = 0, SIMPLS against its least-squares limit,
 and the prediction transform chain."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,10 +261,11 @@ def test_simpls_zero_response_stops_early():
 
 
 def test_simpls_scores_are_orthonormal():
-    from egreg.estimators import _simpls_components
+    from egreg.estimators import _simpls_lockstep
 
     data = _centered(seed=19, n=50, p=8, q=2)
-    T = _simpls_components(data.X, data.Y, 5)[1]
+    steps = _simpls_lockstep(data.X, data.Y[None], np.ones((1, data.n)), 5)
+    T = np.array([t[0] for _, _, t, _ in steps]).T
     assert_allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-8)
 
 
@@ -340,6 +343,33 @@ def test_predict_standardized_chain_round_trip():
     manual = (raw.X - tr.x_mean) / tr.x_scale @ model.beta
     manual = manual * tr.y_scale + tr.y_mean
     assert_allclose(predict(model, raw.X), manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad,why", [
+    ([["a", 1.0, 2.0]], "string"),
+    ([[None, "x", 2.0]], "string"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0]], "inhomogeneous"),
+    ([[1.0, [2.0], 3.0]], "sequence"),
+    ([[1.0 + 2.0j, 1.0, 2.0]], "complex"),
+    (np.ones((2, 3), complex), "complex"),
+    (np.array([[1.0, 1j, None]], dtype=object), "complex"),
+], ids=["string", "string-and-none", "ragged", "nested-cell", "complex-list",
+        "complex-array", "complex-object"])
+@pytest.mark.parametrize("name", ["X", "Y", "Xnew"])
+def test_bad_array_input_raises_contract_error_naming_the_array(bad, why, name):
+    # Each bad input fails coercion to a real float array, as Dataset's X or
+    # Y or as predict's Xnew; the error is typed and names the array, and
+    # complex values are never silently truncated.
+    model = fit_pcr(_centered(seed=27, n=20, p=3), 2)
+    call = {"X": lambda: Dataset(bad, np.ones((len(bad), 1))),
+            "Y": lambda: Dataset(np.ones((len(bad), 2)), bad),
+            "Xnew": lambda: predict(model, bad)}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no ComplexWarning either
+        with pytest.raises(ContractError, match=rf"^{name} must be an array of real numbers") \
+                as err:
+            call()
+    assert why in str(err.value)
 
 
 def test_predict_single_row_and_dim_check():

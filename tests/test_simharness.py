@@ -85,6 +85,17 @@ def test_config_validation():
     assert cfg.u_star == 2
 
 
+@pytest.mark.parametrize("Sigma_eps", [[[0.0]], [[-1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["zero", "negative", "indefinite"])
+def test_config_rejects_a_noise_covariance_that_is_not_positive_definite(Sigma_eps):
+    # The noise draws use the Cholesky factor of Sigma_eps, so a singular or
+    # indefinite one is a config error, not a LinAlgError at draw time.
+    q = len(Sigma_eps)
+    with pytest.raises(ConfigError, match="Sigma_eps must be positive definite"):
+        EnvelopeSimConfig(n=20, p=10, q=q, decay_gamma=1.0, P=(1, 2),
+                          alpha=np.ones((2, q)), Sigma_eps=Sigma_eps, seed=0)
+
+
 def test_spectrum_decay_values():
     cfg = _cfg(decay=1.0, p=8)
     sig = cfg.spectrum()
@@ -183,9 +194,9 @@ def study_points(monkeypatch):
     points = []
     fits, risk = simharness._sample_fits, simharness.empirical_risk_terms
 
-    def spy_fits(Xc, Ys, folds, methods):
-        points.append([Xc, Ys])
-        return fits(Xc, Ys, folds, methods)
+    def spy_fits(Xc, svd, Y, folds, methods):
+        points.append([Xc, Y])
+        return fits(Xc, svd, Y, folds, methods)
 
     def spy_risk(beta_hats, truth):
         points[-1].append(truth)
@@ -203,12 +214,12 @@ def test_gen_baseline_draws_the_baseline_study_points(study_points):
                            "rho": 0.4, "p_over_n": ratios, "beta_star": [1.0, -2.0],
                            "sigma_eps_sq": 4.0, "folds": 5, "methods": ["pcr"]})
     assert len(study_points) == len(ratios)
-    for g, (ratio, (Xc, Ys, truth)) in enumerate(zip(ratios, study_points)):
+    for g, (ratio, (Xc, Y, truth)) in enumerate(zip(ratios, study_points)):
         for k in range(3):
             data, t = gen_baseline("AR1", 30, round(ratio * 30), 0.4, beta_star=[1.0, -2.0],
                                    sigma_eps_sq=4.0, seed=8, rep=k, stream=g)
             assert np.array_equal(data.X, Xc)
-            assert np.array_equal(data.Y, Ys[k])
+            assert np.array_equal(data.Y, Y[:, k])
             assert np.array_equal(t.beta_star, truth.beta_star)
             assert np.array_equal(t.Sigma_x, truth.Sigma_x)
 
@@ -219,14 +230,14 @@ def test_gen_envelope_model_draws_the_p1_study_points(study_points):
                      "decay_gamma": 0.5, "sigma_eps_sq": 2.0, "folds": 4,
                      "methods": ["pcr"]})
     assert len(study_points) == len(ratios)
-    for g, (ratio, (Xc, Ys, truth)) in enumerate(zip(ratios, study_points)):
+    for g, (ratio, (Xc, Y, truth)) in enumerate(zip(ratios, study_points)):
         sim = EnvelopeSimConfig(n=40, p=round(ratio * 40), q=1, decay_gamma=0.5,
                                 P=range(3, 13), alpha=((-1.0) ** np.arange(10))[:, None],
                                 Sigma_eps=[[2.0]], seed=6)
         for k in range(2):
             data, t, _ = gen_envelope_model(sim, rep=k, stream=g)
             assert np.array_equal(data.X, Xc)
-            assert np.array_equal(data.Y, Ys[k])
+            assert np.array_equal(data.Y, Y[:, k])
             assert np.array_equal(t.beta_star, truth.beta_star)
             assert np.array_equal(t.Sigma_x, truth.Sigma_x)
 
@@ -320,8 +331,9 @@ def _dd_point(n, ratio, R=3, seed=4):
     frame = _point_frame("double_descent", {}, n, seed, ratio)
     X, truth, Gamma = frame(stream=0)
     Xc = simharness._recenter(X)
-    Ys = [simharness._recenter(Y) for Y in _responses(X, truth, seed, 0, range(R))]
-    return Xc, Gamma, Ys, _fold_indices(n, 4, 1)
+    Y = np.stack([simharness._recenter(Y) for Y in _responses(X, truth, seed, 0, range(R))],
+                 axis=1)
+    return Xc, Gamma, Y, _fold_indices(n, 4, 1)
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
@@ -329,7 +341,7 @@ def test_known_basis_niece_is_the_min_norm_least_squares_fit(ratio, monkeypatch)
     # NIECE is full-rank PCR on the reduced design's SVD: the pinv fit on
     # the kept planted directions (the first n-1 at u* = n).
     n = 24
-    Xc, Gamma, Ys, folds = _dd_point(n, ratio)
+    Xc, Gamma, Y, folds = _dd_point(n, ratio)
     u_star = Gamma.shape[1]
     shapes = []
 
@@ -338,15 +350,33 @@ def test_known_basis_niece_is_the_min_norm_least_squares_fit(ratio, monkeypatch)
         return thin_svd(M, *args, **kwargs)
 
     monkeypatch.setattr(simharness, "thin_svd", counted)
-    fits = _known_basis_fits(Xc, Gamma, Ys, folds, ("NIECE", "EgReg"))
+    fits = _known_basis_fits(Xc, Gamma, Y, folds, ("NIECE", "EgReg"))
     G_keep = Gamma[:, :n - 1 if u_star == n else u_star]
     piv = np.linalg.pinv(Xc @ G_keep)
-    for beta, Yc in zip(fits["NIECE"], Ys):
+    for beta, Yc in zip(fits["NIECE"], Y.transpose(1, 0, 2)):
         assert_allclose(beta, G_keep @ (piv @ Yc), rtol=1e-12, atol=0)
     if u_star == n:
         assert shapes == [(n, u_star), (n, n - 1)]
     else:
         assert shapes == [(n, u_star)]    # one factorization feeds NIECE and EgReg
+
+
+def test_sample_fits_scores_replications_only_for_score_ranked_methods(monkeypatch):
+    # Ridge needs no envelope scores, so a ridge-only call (double_descent's
+    # reduced design) makes none; NIECE scores each replication once.
+    Xc, _, Y, folds = _dd_point(24, 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return envelope_scores(*args)
+
+    monkeypatch.setattr(simharness, "envelope_scores", counted)
+    svd = thin_svd(Xc)
+    simharness._sample_fits(Xc, svd, Y, folds, ["Ridge"])
+    assert calls == []
+    simharness._sample_fits(Xc, svd, Y, folds, ["Ridge", "NIECE"])
+    assert len(calls) == Y.shape[1]
 
 
 def _cv_data(seed=9, n=48, p=6, q=2):
