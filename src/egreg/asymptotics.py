@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, ParameterError, SingularityError
+from .matrixcore import _real, _real_array
 
 #: Half-width of the exclusion band around gamma = 1 for the NIECE limit.
 GAMMA_ONE_BAND = 1e-9
@@ -40,7 +41,7 @@ class LimitConfig:
 
     def __post_init__(self):
         for name in ("gamma", "c_sq", "tr_sigma_eps"):
-            if not getattr(self, name) > 0:
+            if not _real(name, getattr(self, name)) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
 
 
@@ -128,7 +129,7 @@ def limiting_risk_egreg(cfg: LimitConfig, lam: float) -> float:
 
     Finite for every gamma > 0, including the interpolation threshold.
     """
-    if not lam > 0:
+    if not _real("lambda", lam) > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     m = stieltjes_m(-lam, cfg.gamma)
     mp = stieltjes_m_prime(-lam, cfg.gamma)
@@ -153,7 +154,7 @@ def risk_curve(cfg_base: LimitConfig, gamma_grid) -> RiskCurve:
     strictly ascending.  A gamma whose lambda* or EgReg risk overflows the
     float range raises ``DomainError`` naming it.
     """
-    grid = np.asarray(gamma_grid, dtype=float)
+    grid = _real_array(gamma_grid, "gamma_grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError("gamma_grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -166,7 +167,8 @@ def risk_curve(cfg_base: LimitConfig, gamma_grid) -> RiskCurve:
         lam_star[i] = optimal_lambda(cfg)
         # An overflow is reported once, as the DomainError below, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            egreg[i] = limiting_risk_egreg(cfg, lam_star[i])
+            egreg[i] = limiting_risk_egreg(cfg, lam_star[i]) if math.isfinite(lam_star[i]) \
+                else math.inf
         if not (math.isfinite(lam_star[i]) and math.isfinite(egreg[i])):
             raise DomainError(f"the limiting EgReg risk or lambda* is not finite at gamma = {g}")
         if abs(g - 1.0) <= GAMMA_ONE_BAND:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DegeneracyWarning, DimensionError
-from .matrixcore import SvdFactors, _as_matrix, _check_symmetric, _fix_signs
+from .matrixcore import SvdFactors, _as_matrix, _check_symmetric, _count, _fix_signs
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def envelope_scores(svd: SvdFactors, Sxy, d: int) -> EnvelopeScores:
         raise DimensionError(
             f"Sxy has {Sxy.shape[0]} rows but the SVD is over {svd.V.shape[0]} predictors"
         )
-    if not 1 <= d <= svd.r:
-        raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
+    d = _count("d", d, svd.r, "r")
     W = svd.V[:, :d].T @ Sxy
     # Sum of squares per row; clamp rounding noise so ranks are well defined.
     phi = np.maximum(np.einsum("ij,ij->i", W, W), 0.0)
@@ -109,12 +108,8 @@ def top_ranked(scores: EnvelopeScores, u: int, d: int | None = None) -> np.ndarr
     ``scores.d`` this is simply ``scores.order[:u]``; smaller ``d`` restricts
     the candidate pool while preserving the tie-break order.
     """
-    if d is None:
-        d = scores.d
-    if not 1 <= d <= scores.d:
-        raise DimensionError(f"d must satisfy 1 <= d <= {scores.d}, got {d}")
-    if not 1 <= u <= d:
-        raise DimensionError(f"u must satisfy 1 <= u <= d = {d}, got {u}")
+    d = scores.d if d is None else _count("d", d, scores.d)
+    u = _count("u", u, d, "d")
     pool = scores.order[scores.order < d]
     return pool[:u]
 
@@ -139,8 +134,8 @@ def population_niece(M, B, d: int, u_star: int) -> EnvelopeBasis:
         raise DimensionError(f"M and B must be square of equal size, got {M.shape}, {B.shape}")
     for name, S in (("M", M), ("B", B)):
         _check_symmetric(S, name, 1e-10)
-    if not 0 < u_star <= d <= p:
-        raise DimensionError(f"need 0 < u_star <= d <= p, got u_star={u_star}, d={d}, p={p}")
+    d = _count("d", d, p, "p")
+    u_star = _count("u_star", u_star, d, "d")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
@@ -161,7 +156,7 @@ def population_niece(M, B, d: int, u_star: int) -> EnvelopeBasis:
     order, _ = _rank_scores(phi, w[:d])
     return EnvelopeBasis(
         basis=V[:, order[:u_star]].copy(),
-        u=int(u_star),
+        u=u_star,
         source="population",
         non_unique=non_unique,
     )

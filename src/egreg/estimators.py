@@ -18,15 +18,14 @@ document and test their own convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envscore import EnvelopeScores, envelope_scores, top_ranked
 from .exceptions import ContractError, DimensionError, ParameterError
-from .matrixcore import (Dataset, SvdFactors, Transform, _check_finite_rows, _fix_signs,
-                         _real_array, numerical_rank, thin_svd)
+from .matrixcore import (Dataset, SvdFactors, Transform, _as_matrix, _check_finite_rows, _count,
+                         _fix_signs, _integer, _real, _real_array, numerical_rank, thin_svd)
 
 #: Deflation tolerance for the SIMPLS early-stop test.
 SIMPLS_TOL = 1e-12
@@ -66,7 +65,7 @@ class FittedModel:
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = _real_array(self.beta, "beta")
         if beta.ndim != 2:
             raise DimensionError("beta must be a p-by-q matrix")
         if not np.all(np.isfinite(beta)):
@@ -94,24 +93,6 @@ def _require_centered(data: Dataset):
         raise ContractError(
             "estimators require centered data; run center_standardize first"
         )
-
-
-def _integer(name, v, low=None, error=ParameterError):
-    """``v`` as an int: an integer or integral float (a JSON config may write an
-    integer as ``100.0``), >= low if given.  Anything else, bools included, raises
-    ``error``."""
-    whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
-    if isinstance(v, bool) or not whole or low is not None and v < low:
-        raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {v!r}")
-    return int(v)
-
-
-def _real(name, v, error=ParameterError):
-    """``v`` as a finite float; anything else, bools and strings included, raises ``error``."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
-            or not math.isfinite(v):
-        raise error(f"{name} must be a finite number, got {v!r}")
-    return float(v)
 
 
 def _lambda(method, v):
@@ -151,8 +132,7 @@ def _shrink(s, lam):
 
 def _filtered(svd: SvdFactors, Y, idx, f) -> np.ndarray:
     """The spectral filter ``V_idx diag(f / D_idx) U_idx' Y``."""
-    Y = np.asarray(Y, dtype=float)
-    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ Y))
+    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ _real_array(Y, "Y")))
 
 
 def _egreg_filter(svd: SvdFactors, scores: EnvelopeScores, d: int, lam: float):
@@ -165,9 +145,7 @@ def _egreg_filter(svd: SvdFactors, scores: EnvelopeScores, d: int, lam: float):
 
 def pcr_coefficients(svd: SvdFactors, Y, d: int) -> np.ndarray:
     """PCR coefficients on the d highest-variance PCs."""
-    d = _integer("d", d)
-    if not 1 <= d <= svd.r:
-        raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
+    d = _count("d", d, svd.r, "r")
     return _filtered(svd, Y, slice(d), np.ones(d))
 
 
@@ -180,7 +158,7 @@ def niece_coefficients(
     svd: SvdFactors, scores: EnvelopeScores, Y, u: int, d: int | None = None
 ) -> np.ndarray:
     """NIECE coefficients on the u top-scoring PCs among the first d."""
-    idx = top_ranked(scores, _integer("u", u), d)
+    idx = top_ranked(scores, u, d)
     return _filtered(svd, Y, idx, np.ones(idx.size))
 
 
@@ -195,7 +173,7 @@ def egreg_coefficients(
     continuity from lambda > 0; the affected PC indices are returned so
     callers can flag them.
     """
-    idx, phi, f = _egreg_filter(svd, scores, _integer("d", d), lam)
+    idx, phi, f = _egreg_filter(svd, scores, d, lam)
     return _filtered(svd, Y, idx, f), idx[phi == 0.0]
 
 
@@ -272,11 +250,8 @@ def simpls_coefficients(X, Y, d: int) -> tuple[np.ndarray, int]:
     components give weights R (p x k) and unit, mutually orthogonal scores
     T (n x k) with ``t = X r - mean``, and ``beta = R T'Y``.
     """
-    d = _integer("d", d)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    d = _integer("d", d, 1)
+    X, Y = _as_matrix(X, "X"), _as_matrix(Y, "Y")
     steps = list(_simpls_lockstep(X, Y[None], np.ones((1, X.shape[0])), d))
     R = np.empty((X.shape[1], len(steps)))
     T = np.empty((X.shape[0], len(steps)))
@@ -318,11 +293,10 @@ def fit_niece(data: Dataset, u: int, d: int | None = None) -> FittedModel:
     """
     _require_centered(data)
     svd = thin_svd(data.X)
-    d = svd.r if d is None else _integer("d", d)
-    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, d)
-    beta = niece_coefficients(svd, scores, data.Y, u, d)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
+    beta = niece_coefficients(svd, scores, data.Y, u)
     return FittedModel(
-        beta=beta, method="NIECE", d=d, u=int(u), transform=data.transform
+        beta=beta, method="NIECE", d=scores.d, u=int(u), transform=data.transform
     )
 
 
@@ -340,9 +314,8 @@ def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
     _require_centered(data)
     lam = _lambda("egreg", lam)
     svd = thin_svd(data.X)
-    d = svd.r if d is None else _integer("d", d)
-    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, d)
-    idx, phi, f = _egreg_filter(svd, scores, d, lam)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
+    idx, phi, f = _egreg_filter(svd, scores, scores.d, lam)
     gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
     zero = idx[phi == 0.0]
     flags = {}
@@ -351,7 +324,7 @@ def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
     return FittedModel(
         beta=_filtered(svd, data.Y, idx, f),
         method="EgReg",
-        d=d,
+        d=scores.d,
         lam=lam,
         gamma_hat=gamma_hat,
         transform=data.transform,
@@ -366,10 +339,7 @@ def fit_simpls(data: Dataset, d: int) -> FittedModel:
     achieved component count is reported in ``flags``.
     """
     _require_centered(data)
-    d = _integer("d", d)
-    r = numerical_rank(data.X)
-    if not 1 <= d <= r:
-        raise DimensionError(f"d must satisfy 1 <= d <= r = {r}, got {d}")
+    d = _count("d", d, numerical_rank(data.X), "r")
     beta, achieved = simpls_coefficients(data.X, data.Y, d)
     flags = {"achieved_components": achieved}
     if achieved < d:

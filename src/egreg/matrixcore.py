@@ -5,11 +5,13 @@ deterministic sign convention, sample cross-covariances, and a Frobenius
 subspace distance.  All operations are pure functions of their inputs and
 safe to share read-only across threads.  The sign convention
 (:func:`_fix_signs`), the symmetry check (:func:`_check_symmetric`) and the
-coercion of array input (:func:`_real_array`) live here for every module.
+input rules live here for every module: :func:`_integer`, :func:`_real` and
+:func:`_count` for scalars, :func:`_real_array` for arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,35 @@ CENTER_TOL = 1e-10
 
 #: Default relative cutoff for the numerical rank of a design matrix.
 DEFAULT_RANK_RTOL = 1e-10
+
+
+def _integer(name, v, low=None, error=ParameterError):
+    """``v`` as an int: an integer or integral float (a JSON config may write an
+    integer as ``100.0``), >= low if given.  Anything else, bools included, raises
+    ``error``."""
+    whole = isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not whole or low is not None and v < low:
+        raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {v!r}")
+    return int(v)
+
+
+def _real(name, v, error=ParameterError):
+    """``v`` as a finite float; anything else, bools and strings included, raises ``error``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(v):
+        raise error(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _count(name, v, high, bound=None):
+    """``v`` as an int with ``1 <= v <= high`` (a count such as d or u) by
+    :func:`_integer`'s rule; out of range it raises :class:`DimensionError`,
+    naming ``high`` as ``bound`` if given: "d must satisfy 1 <= d <= r = 5, got 6"."""
+    v = _integer(name, v)
+    if not 1 <= v <= high:
+        where = high if bound is None else f"{bound} = {high}"
+        raise DimensionError(f"{name} must satisfy 1 <= {name} <= {where}, got {v}")
+    return v
 
 
 def _real_array(a, name):

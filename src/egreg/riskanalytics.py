@@ -22,7 +22,7 @@ import numpy as np
 from .envscore import EnvelopeScores, top_ranked
 from .estimators import _egreg_filter
 from .exceptions import ContractError, DegeneracyWarning, DimensionError, ParameterError
-from .matrixcore import SvdFactors, _as_matrix, _check_symmetric
+from .matrixcore import SvdFactors, _as_matrix, _check_symmetric, _count, _real, _real_array
 
 
 def _check_psd(name, w, S):
@@ -145,18 +145,17 @@ def _sigma_trace(M, truth: TruthSpec):
 
 def irreducible_risk(svd: SvdFactors, truth: TruthSpec, d: int) -> float:
     """Risk floor from the part of beta* outside the span of the first d PCs."""
-    if not 1 <= d <= svd.r:
-        raise DimensionError(f"d must satisfy 1 <= d <= r = {svd.r}, got {d}")
-    Vd = svd.V[:, :d]
+    Vd = svd.V[:, :_count("d", d, svd.r, "r")]
     Qb = truth.beta_star - Vd @ (Vd.T @ truth.beta_star)
     return float(_sigma_trace(Qb, truth))
 
 
-def _filter_report(svd: SvdFactors, truth: TruthSpec, d, idx, f, miss, method) -> RiskReport:
+def _filter_report(svd: SvdFactors, truth: TruthSpec, idx, f, miss, method) -> RiskReport:
     """Risk split of the filter ``f`` on PCs ``idx`` against beta*'s projection
-    on the first d PCs.  ``miss`` is ``1 - f`` over those d PCs in PC order (1
-    off ``idx``), given in closed form so no near-equal projections are
-    subtracted: the bias is ``-V_d diag(miss) V_d' beta*``."""
+    on the first d = ``miss.size`` PCs.  ``miss`` is ``1 - f`` over those d PCs
+    in PC order (1 off ``idx``), given in closed form so no near-equal
+    projections are subtracted: the bias is ``-V_d diag(miss) V_d' beta*``."""
+    d = miss.size
     Vd = svd.V[:, :d]
     variance = float(np.trace(truth.Sigma_eps)) * float(
         _sigma_trace(svd.V[:, idx] * (f / svd.D[idx]), truth))
@@ -179,15 +178,15 @@ def reducible_risk_egreg(
     ``lam`` must be positive and finite; the lambda -> 0 limit is
     :func:`reducible_risk_niece` with u = d.
     """
-    if not (math.isfinite(lam) and lam > 0):
+    if not _real("lambda", lam) > 0:
         raise ParameterError(
-            f"lambda must be positive and finite, got {lam}; for the lambda -> 0 limit use "
+            f"lambda must be positive, got {lam}; for the lambda -> 0 limit use "
             "reducible_risk_niece with u = d"
         )
     idx, phi, f = _egreg_filter(svd, scores, d, lam)
-    miss = np.empty(d)
+    miss = np.empty(idx.size)    # idx permutes 0..d-1
     miss[idx] = lam / (phi + lam)
-    return _filter_report(svd, truth, d, idx, f, miss, "EgReg")
+    return _filter_report(svd, truth, idx, f, miss, "EgReg")
 
 
 def reducible_risk_niece(
@@ -200,12 +199,11 @@ def reducible_risk_niece(
     difference between the retained u-span and the full d-span; with u = d
     the difference vanishes and the bias is exactly 0.
     """
-    if d is None:
-        d = scores.d
+    d = scores.d if d is None else _count("d", d, scores.d)
     idx = top_ranked(scores, u, d)
     miss = np.ones(d)
     miss[idx] = 0.0
-    return _filter_report(svd, truth, d, idx, np.ones(idx.size), miss, "NIECE")
+    return _filter_report(svd, truth, idx, np.ones(idx.size), miss, "NIECE")
 
 
 def lambda_guarantee_threshold(
@@ -255,7 +253,7 @@ def empirical_risk_terms(beta_hats, truth: TruthSpec) -> np.ndarray:
         raise ParameterError("at least one replication is required")
     diffs = np.empty((len(mats), *truth.beta_star.shape))
     for i, b in enumerate(mats):
-        b = np.asarray(b, dtype=float)
+        b = _real_array(b, f"beta_hats[{i}]")
         if b.shape != truth.beta_star.shape:
             raise DimensionError(
                 f"replication {i} has shape {b.shape}, expected {truth.beta_star.shape}"

@@ -42,8 +42,6 @@ import numpy as np
 from .envscore import _score_order, envelope_scores
 from .estimators import (
     _check_params,
-    _integer,
-    _real,
     _shrink,
     _simpls_lockstep,
     egreg_coefficients,
@@ -53,7 +51,8 @@ from .estimators import (
     simpls_coefficients,
 )
 from .exceptions import ConfigError, ContractError, ParameterError
-from .matrixcore import Dataset, _as_matrix, _recenter, _truncated, thin_svd
+from .matrixcore import (Dataset, _as_matrix, _integer, _real, _real_array, _recenter,
+                         _truncated, thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -77,7 +76,9 @@ class EnvelopeSimConfig:
     the |P|-by-q reduced coefficient matrix.  Eigenvalues follow
     ``10 * exp(-decay_gamma * (i - 1))`` unless an explicit ``eigenvalues``
     vector (positive, nonincreasing) overrides the decay -- the flat-spectrum
-    study uses that override.
+    study uses that override.  ``n`` (>= 2), ``p``, ``q``, the indices in
+    ``P`` (>= 1) and ``seed`` (>= 0) are integers; a bad field raises
+    ``ConfigError``.
     """
 
     n: int
@@ -91,17 +92,16 @@ class EnvelopeSimConfig:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 2 or self.p < 1 or self.q < 1:
-            raise ConfigError(f"need n >= 2, p >= 1, q >= 1, got ({self.n}, {self.p}, {self.q})")
-        P = tuple(int(i) for i in self.P)
+        for key, low in (("n", 2), ("p", 1), ("q", 1), ("seed", 0)):
+            object.__setattr__(self, key, _integer(key, getattr(self, key), low, ConfigError))
+        P = tuple(_integer("P index", i, 1, ConfigError) for i in self.P)
         object.__setattr__(self, "P", P)
         if not P:
             raise ConfigError("P must be a non-empty index set")
         if any(b <= a for a, b in zip(P, P[1:])):
             raise ConfigError("P must be strictly increasing")
-        if P[0] < 1 or P[-1] > self.p:
-            raise ConfigError(f"P contains index {P[-1] if P[-1] > self.p else P[0]} "
-                              f"outside 1..p = 1..{self.p}")
+        if P[-1] > self.p:
+            raise ConfigError(f"P contains index {P[-1]} outside 1..p = 1..{self.p}")
         alpha = _as_matrix(self.alpha, "alpha")
         object.__setattr__(self, "alpha", alpha)
         if alpha.shape != (len(P), self.q):
@@ -117,11 +117,11 @@ class EnvelopeSimConfig:
         except np.linalg.LinAlgError:
             raise ConfigError(f"Sigma_eps must be positive definite, got {Se.tolist()}") from None
         if self.eigenvalues is not None:
-            ev = np.asarray(self.eigenvalues, dtype=float)
+            ev = _real_array(self.eigenvalues, "eigenvalues")
             if ev.shape != (self.p,) or np.any(ev <= 0) or np.any(np.diff(ev) > 0):
                 raise ConfigError("eigenvalues must be p positive nonincreasing values")
             object.__setattr__(self, "eigenvalues", ev)
-        elif not self.decay_gamma > 0:
+        elif not _real("decay_gamma", self.decay_gamma, ConfigError) > 0:
             raise ConfigError("decay_gamma must be positive")
 
     @property
@@ -178,7 +178,9 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
     The design depends only on ``(seed, stream)``; ``rep`` indexes the noise
     draw so replications share X and beta*.  The studies draw the same way,
     so ``stream=g`` gives replication ``rep`` of a study's grid point g.
+    ``rep`` and ``stream`` are integers >= 0.
     """
+    rep, stream = _integer("rep", rep, 0), _integer("stream", stream, 0)
     X, truth, Gamma = _model_frame(cfg, stream)
     Y = _responses(X, truth, cfg.seed, stream, [rep])[0]
     return Dataset(_recenter(X), _recenter(Y), centered=True), truth, Gamma
@@ -187,14 +189,32 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
 _BASELINE_BETA = (2.0, -2.0, 1.0, -1.0, 0.5, -0.5)
 
 
+def _baseline_inputs(kind, rho, sigma_eps_sq, error):
+    """A CS/AR1 design's ``(KIND, rho, sigma_eps_sq)``: kind CS or AR1 in any
+    case, 0 <= rho < 1 and a noise variance > 0; a bad one raises ``error``."""
+    upper = str(kind).upper()
+    if upper not in ("CS", "AR1"):
+        raise error(f"kind must be 'CS' or 'AR1', got {kind!r}")
+    rho = _real("rho", rho, error)
+    if not 0.0 <= rho < 1.0:
+        raise error(f"rho must lie in [0, 1), got {rho}")
+    return upper, rho, _noise_variance(sigma_eps_sq, error)
+
+
+def _noise_variance(sigma_eps_sq, error):
+    """A finite noise variance > 0 (the noise draws take its Cholesky factor), else ``error``."""
+    sigma_eps_sq = _real("sigma_eps_sq", sigma_eps_sq, error)
+    if not sigma_eps_sq > 0:
+        raise error(f"sigma_eps_sq must be positive, got {sigma_eps_sq}")
+    return sigma_eps_sq
+
+
 def _baseline_sigma(kind: str, p: int, rho: float):
-    kind = str(kind).upper()
+    """Sigma_x of a checked (upper-case) kind: compound symmetry or AR(1)."""
     if kind == "CS":
         return rho * np.ones((p, p)) + (1.0 - rho) * np.eye(p)
-    if kind == "AR1":
-        idx = np.arange(p)
-        return rho ** np.abs(idx[:, None] - idx[None, :])
-    raise ParameterError(f"kind must be 'CS' or 'AR1', got {kind!r}")
+    idx = np.arange(p)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def _reals(name, values):
@@ -238,14 +258,13 @@ def gen_baseline(
     0, ..., 0); shorter vectors are zero-padded to length p.  As in
     :func:`gen_envelope_model`, the design is fixed per ``(seed, stream)``,
     ``rep`` indexes the noise draw, and ``stream=g`` gives replication
-    ``rep`` of the baseline study's grid point g.
+    ``rep`` of the baseline study's grid point g.  ``n`` (>= 2), ``p`` (>= 1),
+    ``seed``, ``rep`` and ``stream`` (>= 0) are integers; a bad input raises
+    ``ParameterError``.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
-    if n < 2 or p < 1:
-        raise ParameterError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-    if not sigma_eps_sq > 0:
-        raise ParameterError("sigma_eps_sq must be positive")
+    kind, rho, sigma_eps_sq = _baseline_inputs(kind, rho, sigma_eps_sq, ParameterError)
+    n, p, seed, rep, stream = (_integer(key, v, low) for key, v, low in (
+        ("n", n, 2), ("p", p, 1), ("seed", seed, 0), ("rep", rep, 0), ("stream", stream, 0)))
     X, truth, _ = _baseline_frame(kind, n, _baseline_beta(p, beta_star), rho, sigma_eps_sq,
                                   seed, stream)
     Y = _responses(X, truth, seed, stream, [rep])[0]
@@ -694,18 +713,12 @@ def _alternating(k):
 def _point_frame(study, cfg, n, seed, ratio):
     """Check one grid point and return its frame, ``stream -> (X, truth, planted basis)``."""
     p = int(round(ratio * n))
-    # A zero noise variance would fail the Cholesky factor of the noise draws.
-    sigma_eps_sq = _real("sigma_eps_sq", cfg.get("sigma_eps_sq", 10.0), ConfigError)
-    if not sigma_eps_sq > 0:
-        raise ConfigError(f"sigma_eps_sq must be positive, got {sigma_eps_sq}")
     if study == "baseline":
-        rho = _real("rho", cfg["rho"], ConfigError)
-        if not 0.0 <= rho < 1.0:
-            raise ConfigError(f"rho must lie in [0, 1), got {rho}")
-        if str(cfg["kind"]).upper() not in ("CS", "AR1"):
-            raise ConfigError(f"kind must be 'CS' or 'AR1', got {cfg['kind']!r}")
-        return partial(_baseline_frame, cfg["kind"], n, _baseline_beta(p, cfg["beta_star"]),
+        kind, rho, sigma_eps_sq = _baseline_inputs(cfg["kind"], cfg["rho"], cfg["sigma_eps_sq"],
+                                                   ConfigError)
+        return partial(_baseline_frame, kind, n, _baseline_beta(p, cfg["beta_star"]),
                        rho, sigma_eps_sq, seed)
+    sigma_eps_sq = _noise_variance(cfg.get("sigma_eps_sq", 10.0), ConfigError)
     if study == "P1":
         p1 = _integer("p1", cfg["p1"], 1, ConfigError)
         P, alpha = tuple(range(p1, p1 + 10)), _alternating(10)[:, None]

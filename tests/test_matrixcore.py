@@ -1,5 +1,9 @@
-"""Tests for centering/standardization, thin SVD, cross-covariances, and
-subspace distance."""
+"""Tests for centering/standardization, thin SVD, cross-covariances, subspace
+distance, and the input rules every module shares."""
+
+import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +14,31 @@ from egreg import (
     Dataset,
     DegenerateColumnError,
     DimensionError,
+    EgregError,
+    EnvelopeSimConfig,
+    FittedModel,
+    LimitConfig,
     RankZeroError,
+    TruthSpec,
     center_standardize,
     cross_cov,
+    empirical_risk_terms,
+    envelope_scores,
+    fit_simpls,
+    gen_baseline,
+    gen_envelope_model,
+    irreducible_risk,
+    limiting_risk_egreg,
+    population_niece,
+    reducible_risk_egreg,
+    reducible_risk_niece,
+    risk_curve,
     subspace_distance,
     thin_svd,
+    top_ranked,
 )
+from egreg.estimators import (egreg_coefficients, niece_coefficients, pcr_coefficients,
+                              ridge_coefficients, simpls_coefficients)
 from egreg.matrixcore import numerical_rank
 
 
@@ -201,3 +224,90 @@ def test_subspace_distance_orthogonal_lines():
 def test_subspace_distance_rejects_nonorthonormal():
     with pytest.raises(ContractError):
         subspace_distance(np.ones((4, 2)), np.eye(4)[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# Input rules shared by every module
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rule_inputs():
+    rng = np.random.default_rng(8)
+    data = center_standardize(Dataset(rng.standard_normal((30, 6)), rng.standard_normal((30, 2))))
+    svd = thin_svd(data.X)
+    Sxy = cross_cov(data).Sxy
+    sim = dict(n=20, p=10, q=1, decay_gamma=1.0, P=(1, 2), alpha=np.ones((2, 1)),
+               Sigma_eps=[[1.0]], seed=0)
+    return SimpleNamespace(
+        data=data, svd=svd, Sxy=Sxy, Y=data.Y, scores=envelope_scores(svd, Sxy, svd.r),
+        truth=TruthSpec(np.ones((6, 2)), np.eye(6), np.eye(2)), sim=sim,
+        cfg=EnvelopeSimConfig(**sim), limit=LimitConfig(0.5, 1.0, 1.0))
+
+
+# (input, call on the inputs above, argument the error must name)
+_BAD_INPUTS = [
+    # counts
+    ("scores-d-float", lambda f: envelope_scores(f.svd, f.Sxy, 2.5), "d"),
+    ("scores-d-bool", lambda f: envelope_scores(f.svd, f.Sxy, True), "d"),
+    ("irreducible-d-float", lambda f: irreducible_risk(f.svd, f.truth, 2.5), "d"),
+    ("top-ranked-u-float", lambda f: top_ranked(f.scores, 2.5), "u"),
+    ("top-ranked-d-float", lambda f: top_ranked(f.scores, 2, 2.5), "d"),
+    ("niece-d-float", lambda f: niece_coefficients(f.svd, f.scores, f.Y, 2, 2.5), "d"),
+    ("niece-risk-u-float", lambda f: reducible_risk_niece(f.svd, f.scores, f.truth, 1.5), "u"),
+    ("egreg-d-float", lambda f: egreg_coefficients(f.svd, f.scores, f.Y, 2.5, 1.0), "d"),
+    ("population-d-float", lambda f: population_niece(np.diag([3.0, 2.0, 1.0]), np.eye(3), 2.5, 1),
+     "d"),
+    ("population-u-zero", lambda f: population_niece(np.diag([3.0, 2.0, 1.0]), np.eye(3), 2, 0),
+     "u_star"),
+    ("pcr-d-zero", lambda f: pcr_coefficients(f.svd, f.Y, 0), "d"),
+    ("simpls-d-zero", lambda f: simpls_coefficients(f.data.X, f.Y, 0), "d"),
+    ("fit-simpls-d-float", lambda f: fit_simpls(f.data, 2.5), "d"),
+    # arrays
+    ("ridge-complex-Y", lambda f: ridge_coefficients(f.svd, f.Y * (1 + 2j), 1.0), "Y"),
+    ("pcr-string-Y", lambda f: pcr_coefficients(f.svd, [["a", "b"]] * 30, 2), "Y"),
+    ("simpls-complex-X", lambda f: simpls_coefficients(f.data.X * 1j, f.Y, 2), "X"),
+    ("simpls-ragged-Y", lambda f: simpls_coefficients(f.data.X, [[1.0], [1.0, 2.0]], 2), "Y"),
+    ("model-complex-beta", lambda f: FittedModel(beta=[[1j]], method="PCR"), "beta"),
+    ("risk-complex-replication",
+     lambda f: empirical_risk_terms([np.ones((6, 2)) * (1 + 1j)], f.truth), "beta_hats"),
+    ("curve-string-grid", lambda f: risk_curve(f.limit, ["a", 1.0]), "gamma_grid"),
+    ("sim-string-eigenvalues",
+     lambda f: EnvelopeSimConfig(**{**f.sim, "eigenvalues": ["a"] * 10}), "eigenvalues"),
+    # generators
+    ("sim-P-float", lambda f: EnvelopeSimConfig(**{**f.sim, "P": (1.7, 2)}), "P"),
+    ("sim-P-zero", lambda f: EnvelopeSimConfig(**{**f.sim, "P": (0, 2)}), "P"),
+    ("sim-n-float", lambda f: EnvelopeSimConfig(**{**f.sim, "n": 20.5}), "n"),
+    ("sim-q-bool", lambda f: EnvelopeSimConfig(**{**f.sim, "q": True}), "q"),
+    ("sim-seed-negative", lambda f: EnvelopeSimConfig(**{**f.sim, "seed": -3}), "seed"),
+    ("sim-decay-string", lambda f: EnvelopeSimConfig(**{**f.sim, "decay_gamma": "a"}),
+     "decay_gamma"),
+    ("model-rep-float", lambda f: gen_envelope_model(f.cfg, rep=1.5), "rep"),
+    ("model-stream-negative", lambda f: gen_envelope_model(f.cfg, stream=-1), "stream"),
+    ("baseline-p-float", lambda f: gen_baseline("CS", 60, 8.5, 0.3), "p"),
+    ("baseline-n-float", lambda f: gen_baseline("CS", 20.5, 8, 0.3), "n"),
+    ("baseline-rep-bool", lambda f: gen_baseline("CS", 60, 8, 0.3, rep=True), "rep"),
+    ("baseline-stream-float", lambda f: gen_baseline("AR1", 60, 8, 0.3, stream=0.5), "stream"),
+    ("baseline-seed-negative", lambda f: gen_baseline("AR1", 60, 8, 0.3, seed=-3), "seed"),
+    ("baseline-kind", lambda f: gen_baseline("XX", 60, 8, 0.3), "kind"),
+    ("baseline-rho-string", lambda f: gen_baseline("CS", 60, 8, "0.3"), "rho"),
+    # theory scalars
+    ("limit-gamma-string", lambda f: LimitConfig("a", 1.0, 1.0), "gamma"),
+    ("limit-gamma-bool", lambda f: LimitConfig(True, 1.0, 1.0), "gamma"),
+    ("egreg-risk-lambda-string",
+     lambda f: reducible_risk_egreg(f.svd, f.scores, f.truth, 3, "a"), "lambda"),
+    ("limit-lambda-string", lambda f: limiting_risk_egreg(f.limit, "a"), "lambda"),
+    ("limit-lambda-inf", lambda f: limiting_risk_egreg(f.limit, np.inf), "lambda"),
+]
+
+
+@pytest.mark.parametrize("call,named", [c[1:] for c in _BAD_INPUTS],
+                         ids=[c[0] for c in _BAD_INPUTS])
+def test_bad_count_scalar_or_array_raises_a_typed_error_naming_it(rule_inputs, call, named):
+    # Counts, scalars and arrays go through matrixcore's _count, _integer,
+    # _real and _real_array in every module: never a raw TypeError or
+    # ValueError, a ComplexWarning, or a silent truncation or coercion.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EgregError) as err:
+            call(rule_inputs)
+    assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", str(err.value)), err.value

@@ -112,6 +112,16 @@ def test_egreg_risk_is_continuous_at_lambda_zero():
     assert_allclose(rep.reducible, rep0.reducible, rtol=1e-6)
 
 
+def test_risk_reports_take_an_integral_float_count_as_an_integer():
+    # Counts follow matrixcore._count, so d = 6.0 is d = 6, as in fits and CV grids.
+    svd, scores, truth = _instance(seed=4)
+    assert reducible_risk_egreg(svd, scores, truth, d=6.0, lam=0.5) \
+        == reducible_risk_egreg(svd, scores, truth, d=6, lam=0.5)
+    assert reducible_risk_niece(svd, scores, truth, u=3.0, d=6.0) \
+        == reducible_risk_niece(svd, scores, truth, u=3, d=6)
+    assert irreducible_risk(svd, truth, 6.0) == irreducible_risk(svd, truth, 6)
+
+
 def test_egreg_risk_rejects_nonpositive_lambda():
     svd, scores, truth = _instance(seed=5)
     with pytest.raises(ParameterError):
