@@ -42,11 +42,6 @@ _EXPORTS = {
     "top_ranked": ".envscore",
     # estimators
     "FittedModel": ".estimators",
-    "fit_pcr": ".estimators",
-    "fit_ridge": ".estimators",
-    "fit_niece": ".estimators",
-    "fit_egreg": ".estimators",
-    "fit_simpls": ".estimators",
     "fit_method": ".estimators",
     "predict": ".estimators",
     # riskanalytics

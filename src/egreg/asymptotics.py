@@ -56,10 +56,13 @@ class RiskCurve:
 
 
 def _check_domain(z, gamma):
+    """``z`` and ``gamma`` as floats, finite and with z < 0 < gamma, else :class:`DomainError`."""
+    z, gamma = _real("z", z, DomainError), _real("gamma", gamma, DomainError)
     if not z < 0:
         raise DomainError(f"z must be negative, got {z}")
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
+    return z, gamma
 
 
 def _sqrt_disc(z, gamma):
@@ -80,7 +83,7 @@ def stieltjes_m(z: float, gamma: float) -> float:
     evaluated in the cancellation-free form ``2 / (1 - gamma - z + sqrt(disc))``
     with ``disc = (1 - gamma - z)^2 - 4 gamma z``.  Positive for every z < 0.
     """
-    _check_domain(z, gamma)
+    z, gamma = _check_domain(z, gamma)
     a, s = _sqrt_disc(z, gamma)
     return 2.0 / (a + s)
 
@@ -91,7 +94,7 @@ def stieltjes_m_prime(z: float, gamma: float) -> float:
     Implicit differentiation gives ``m' = m (gamma m + 1) / sqrt(disc)``;
     strictly positive for z < 0 (m is increasing toward the bulk).
     """
-    _check_domain(z, gamma)
+    z, gamma = _check_domain(z, gamma)
     a, s = _sqrt_disc(z, gamma)
     m = 2.0 / (a + s)
     return m * (gamma * m + 1.0) / s

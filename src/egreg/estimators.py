@@ -6,9 +6,11 @@ normal equations), so all methods behave identically whether n < p, n = p,
 or n > p.  PCR, ridge, NIECE and EgReg are one diagonal filter on that SVD
 (:func:`_filtered`), which the exact risks and CV use too.  The
 ``*_coefficients`` functions are the raw building blocks operating on
-precomputed factors; the ``fit_*`` wrappers validate a centered
-:class:`Dataset`, attach the ingestion transform, and return a
-:class:`FittedModel`.  Fits and CV grids share one parameter rule, :data:`_PARAMS`.
+precomputed factors, and :func:`_coefficients` picks one by method name for
+both :func:`fit_method` and the study refits.  :func:`fit_method`, the one
+fit entry point, validates a centered :class:`Dataset`, attaches the
+ingestion transform, and returns a :class:`FittedModel`.  Fits and CV grids
+share one parameter rule, :data:`_PARAMS`.
 
 Penalty convention: ridge and EgReg minimize ``||Y - X b||_F^2 + lambda * pen``
 with the penalty unscaled by n.  The asymptotic risk formulas in
@@ -31,6 +33,7 @@ from .matrixcore import (Dataset, SvdFactors, Transform, _as_matrix, _check_fini
 SIMPLS_TOL = 1e-12
 
 METHODS = ("PCR", "Ridge", "NIECE", "EgReg", "SIMPLS")
+_TAGS = {m.lower(): m for m in METHODS}
 
 #: Per method: the parameter a fit or CV grid entry needs, the ones it may
 #: add, and whether lambda must be > 0 (ridge) or >= 0 (EgReg; 0 is NIECE
@@ -88,7 +91,7 @@ class FittedModel:
 
 def _require_centered(data: Dataset):
     if not isinstance(data, Dataset):
-        raise ContractError("expected a Dataset")
+        raise ContractError(f"data must be a Dataset, got {type(data).__name__}")
     if not data.centered:
         raise ContractError(
             "estimators require centered data; run center_standardize first"
@@ -164,17 +167,16 @@ def niece_coefficients(
 
 def egreg_coefficients(
     svd: SvdFactors, scores: EnvelopeScores, Y, d: int, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """EgReg coefficients and the PC indices whose scores are exactly zero.
+) -> np.ndarray:
+    """EgReg coefficients on the first d PCs.
 
     Spectral form: the coordinate along the j-th retained PC is scaled by
     ``phi_j / (phi_j + lambda)`` and divided by the singular value.  At
     lambda = 0 a zero-score direction is a 0/0 limit, resolved to 0 by
-    continuity from lambda > 0; the affected PC indices are returned so
-    callers can flag them.
+    continuity from lambda > 0.
     """
-    idx, phi, f = _egreg_filter(svd, scores, d, lam)
-    return _filtered(svd, Y, idx, f), idx[phi == 0.0]
+    idx, _, f = _egreg_filter(svd, scores, d, lam)
+    return _filtered(svd, Y, idx, f)
 
 
 def _lane_norms(M):
@@ -260,118 +262,70 @@ def simpls_coefficients(X, Y, d: int) -> tuple[np.ndarray, int]:
     return R @ (T.T @ Y), len(steps)
 
 
-# ---------------------------------------------------------------------------
-# Fit wrappers
-# ---------------------------------------------------------------------------
+def _coefficients(method, svd, scores, X, Y, d, u, lam):
+    """beta-hat of the lower-case ``method`` at (d, u, lambda), with its flags.
 
-def fit_pcr(data: Dataset, d: int) -> FittedModel:
-    """Principal-components regression on the d highest-variance PCs.
-
-    Fitted values are the projection of Y onto the span of the first d left
-    singular vectors of X.
+    The one dispatch from a method to its builder, shared by
+    :func:`fit_method` and the study refits.  ``svd`` is the thin SVD of the
+    centered design ``X`` (unused by SIMPLS) and ``scores`` its envelope
+    scores (read by NIECE and EgReg only).  The flags record a SIMPLS early
+    stop: ``achieved_components``, and ``early_stop`` when fewer than d.
     """
-    _require_centered(data)
-    svd = thin_svd(data.X)
-    beta = pcr_coefficients(svd, data.Y, d)
-    return FittedModel(beta=beta, method="PCR", d=int(d), transform=data.transform)
-
-
-def fit_ridge(data: Dataset, lam: float) -> FittedModel:
-    """Ridge regression minimizing ``||Y - X b||_F^2 + lambda ||b||_F^2``."""
-    _require_centered(data)
-    lam = _lambda("ridge", lam)
-    beta = ridge_coefficients(thin_svd(data.X), data.Y, lam)
-    return FittedModel(beta=beta, method="Ridge", lam=lam, transform=data.transform)
-
-
-def fit_niece(data: Dataset, u: int, d: int | None = None) -> FittedModel:
-    """NIECE: keep the u PCs with the largest envelope scores among the first d.
-
-    ``d`` defaults to the numerical rank of X (the full candidate pool).
-    Ranking ties are broken toward the larger singular value, then the
-    smaller PC index.
-    """
-    _require_centered(data)
-    svd = thin_svd(data.X)
-    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
-    beta = niece_coefficients(svd, scores, data.Y, u)
-    return FittedModel(
-        beta=beta, method="NIECE", d=scores.d, u=int(u), transform=data.transform
-    )
-
-
-def fit_egreg(data: Dataset, d: int | None, lam: float) -> FittedModel:
-    """Envelope-guided regularization: score-proportional shrinkage of d PCs.
-
-    The reduction matrix ``Gamma_hat`` rescales the first d PCs by
-    ``sqrt(phi_j)/sigma_j``; ridge regression of Y on the reduced predictors
-    ``X Gamma_hat`` with penalty lambda then yields coefficients whose PC
-    coordinates are shrunk by ``phi_j/(phi_j + lambda)``.  ``d=None`` uses
-    the full rank of X (the "EgReg(r)" variant).  ``lam = 0`` reproduces
-    NIECE with u = d; zero-score directions are then resolved to zero and
-    flagged.
-    """
-    _require_centered(data)
-    lam = _lambda("egreg", lam)
-    svd = thin_svd(data.X)
-    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
-    idx, phi, f = _egreg_filter(svd, scores, scores.d, lam)
-    gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
-    zero = idx[phi == 0.0]
-    flags = {}
-    if lam == 0 and zero.size:
-        flags["zero_score_directions"] = [int(j) for j in zero]
-    return FittedModel(
-        beta=_filtered(svd, data.Y, idx, f),
-        method="EgReg",
-        d=scores.d,
-        lam=lam,
-        gamma_hat=gamma_hat,
-        transform=data.transform,
-        flags=flags,
-    )
-
-
-def fit_simpls(data: Dataset, d: int) -> FittedModel:
-    """SIMPLS partial least squares with up to d components.
-
-    Stops early if the deflated cross-product collapses (e.g. Y = 0); the
-    achieved component count is reported in ``flags``.
-    """
-    _require_centered(data)
-    d = _count("d", d, numerical_rank(data.X), "r")
-    beta, achieved = simpls_coefficients(data.X, data.Y, d)
+    if method == "pcr":
+        return pcr_coefficients(svd, Y, d), {}
+    if method == "ridge":
+        return ridge_coefficients(svd, Y, lam), {}
+    if method == "niece":
+        return niece_coefficients(svd, scores, Y, u, d), {}
+    if method == "egreg":
+        return egreg_coefficients(svd, scores, Y, d, lam), {}
+    beta, achieved = simpls_coefficients(X, Y, d)
     flags = {"achieved_components": achieved}
     if achieved < d:
         flags["early_stop"] = True
-    return FittedModel(
-        beta=beta, method="SIMPLS", d=d, transform=data.transform, flags=flags
-    )
+    return beta, flags
 
 
 def fit_method(data: Dataset, method: str, params: dict) -> FittedModel:
-    """Dispatch a fit by method name with a {"d", "u", "lambda"} params dict.
+    """Fit ``method`` (any case of a :data:`METHODS` name) on a centered
+    :class:`Dataset` with a {"d", "u", "lambda"} params dict.
 
-    ``params`` follows the rule CV grids follow, so a ``kfold_cv`` pick fits as it is.
-    A ``d`` above the rank of X, or a ``u`` above ``d``, is a bad parameter
-    here: it raises :class:`ParameterError` with the message of the
-    :class:`DimensionError` that the ``fit_*`` functions raise.
+    ``params`` follows the rule CV grids follow, so a ``kfold_cv`` pick fits
+    as it is.  NIECE and EgReg without ``d`` use the full rank of X (the
+    "EgReg(r)" variant).  SIMPLS reads the rank from the singular values
+    alone and forms no U or V.  EgReg also returns its reduction matrix
+    ``Gamma_hat`` (the first d PCs rescaled by ``sqrt(phi_j)/sigma_j``), and
+    at lambda = 0 flags its zero-score directions, which are resolved to 0.
+    A ``d`` above the rank of X, or a ``u`` above ``d``, is a bad parameter:
+    it raises :class:`ParameterError` with the message of the builders'
+    :class:`DimensionError`.
     """
     key = str(method).lower()
     params = _check_params(key, params)
+    _require_centered(data)
+    d, u, lam = params.get("d"), params.get("u"), params.get("lambda")
+    svd = scores = None
     try:
-        if key == "pcr":
-            return fit_pcr(data, params["d"])
-        if key == "ridge":
-            return fit_ridge(data, params["lambda"])
-        if key == "niece":
-            return fit_niece(data, params["u"], params.get("d"))
-        if key == "egreg":
-            return fit_egreg(data, params.get("d"), params["lambda"])
-        return fit_simpls(data, params["d"])
+        if key == "simpls":
+            d = _count("d", d, numerical_rank(data.X), "r")
+        else:
+            svd = thin_svd(data.X)
+        if key in ("niece", "egreg"):
+            scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
+            d = scores.d
+        beta, flags = _coefficients(key, svd, scores, data.X, data.Y, d, u, lam)
     except DimensionError as exc:
         # data is a valid Dataset, so only d or u can be out of range here.
         raise ParameterError(str(exc)) from None
+    gamma_hat = None
+    if key == "egreg":
+        idx, phi, _ = _egreg_filter(svd, scores, d, lam)
+        gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
+        zero = idx[phi == 0.0]
+        if lam == 0 and zero.size:
+            flags["zero_score_directions"] = [int(j) for j in zero]
+    return FittedModel(beta=beta, method=_TAGS[key], d=d, u=u, lam=lam,
+                       gamma_hat=gamma_hat, transform=data.transform, flags=flags)
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:

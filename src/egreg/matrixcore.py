@@ -27,7 +27,7 @@ from .exceptions import (
 # Column means of a "centered" matrix must sit within this band of zero.
 CENTER_TOL = 1e-10
 
-#: Default relative cutoff for the numerical rank of a design matrix.
+#: Relative cutoff for the numerical rank of a design matrix.
 DEFAULT_RANK_RTOL = 1e-10
 
 
@@ -266,33 +266,26 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     return Dataset(Xt, Yt, centered=True, standardized=(mode == "standardize"), transform=tr)
 
 
-def _checked_design(X, rel_tol):
-    X = _as_matrix(X, "X")
-    if rel_tol <= 0:
-        raise ParameterError(f"rel_tol must be positive, got {rel_tol}")
-    return X
-
-
-def _rank_of(s, rel_tol):
-    """Count the singular values (descending) above ``rel_tol * sigma_1``."""
+def _rank_of(s):
+    """Count the singular values (descending) above ``DEFAULT_RANK_RTOL * sigma_1``."""
     if not s[0] > 0:
         raise RankZeroError("X is identically zero")
-    r = int(np.count_nonzero(s > rel_tol * s[0]))
-    if r == 0:
-        raise RankZeroError(f"no singular value exceeds rel_tol*sigma_1 = {rel_tol * s[0]:.3e}")
+    r = int(np.count_nonzero(s > DEFAULT_RANK_RTOL * s[0]))
+    if r == 0:    # sigma_1 overflowed to inf
+        raise RankZeroError(f"no singular value exceeds DEFAULT_RANK_RTOL * sigma_1 = "
+                            f"{DEFAULT_RANK_RTOL * s[0]:.3e}")
     return r
 
 
-def numerical_rank(X, rel_tol: float = DEFAULT_RANK_RTOL) -> int:
+def numerical_rank(X) -> int:
     """The rank :func:`thin_svd` would truncate at, from the singular values alone."""
-    X = _checked_design(X, rel_tol)
-    return _rank_of(np.linalg.svd(X, compute_uv=False), rel_tol)
+    return _rank_of(np.linalg.svd(_as_matrix(X, "X"), compute_uv=False))
 
 
-def thin_svd(X, rel_tol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
+def thin_svd(X) -> SvdFactors:
     """Thin SVD truncated at the numerical rank, with deterministic signs.
 
-    The rank r counts singular values above ``rel_tol * sigma_1``.  Each
+    The rank r counts singular values above ``DEFAULT_RANK_RTOL * sigma_1``.  Each
     column of V is flipped (together with its U column) so its
     largest-magnitude entry is positive, making downstream score rankings
     reproducible across LAPACK builds.
@@ -302,18 +295,17 @@ def thin_svd(X, rel_tol: float = DEFAULT_RANK_RTOL) -> SvdFactors:
     RankZeroError
         If X is identically zero (or no singular value clears the cutoff).
     """
-    X = _checked_design(X, rel_tol)
-    return _truncated(*np.linalg.svd(X, full_matrices=False), rel_tol)
+    return _truncated(*np.linalg.svd(_as_matrix(X, "X"), full_matrices=False))
 
 
-def _truncated(U, s, Vt, rel_tol=DEFAULT_RANK_RTOL) -> SvdFactors:
+def _truncated(U, s, Vt) -> SvdFactors:
     """Cut one LAPACK SVD ``(U, s, Vt)`` at its numerical rank and fix its signs.
 
     :func:`thin_svd` and the batched fold factors of
     :func:`egreg.simharness._fold_caches` both end here, so a stacked
     ``np.linalg.svd`` call yields the factors ``thin_svd`` gives each matrix.
     """
-    r = _rank_of(s, rel_tol)
+    r = _rank_of(s)
     U = U[:, :r].copy()
     D = s[:r].copy()
     V = Vt[:r].T.copy()

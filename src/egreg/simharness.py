@@ -34,23 +34,16 @@ score and pick ``_LANE_BLOCK`` lanes at a time, which keeps CV memory flat in R.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .envscore import _score_order, envelope_scores
-from .estimators import (
-    _check_params,
-    _shrink,
-    _simpls_lockstep,
-    egreg_coefficients,
-    niece_coefficients,
-    pcr_coefficients,
-    ridge_coefficients,
-    simpls_coefficients,
-)
-from .exceptions import ConfigError, ContractError, ParameterError
+from .estimators import (_check_params, _coefficients, _require_centered, _shrink, _simpls_lockstep,
+                         pcr_coefficients)
+from .exceptions import ConfigError, ParameterError
 from .matrixcore import (Dataset, _as_matrix, _integer, _real, _real_array, _recenter,
                          _truncated, thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
@@ -94,6 +87,8 @@ class EnvelopeSimConfig:
     def __post_init__(self):
         for key, low in (("n", 2), ("p", 1), ("q", 1), ("seed", 0)):
             object.__setattr__(self, key, _integer(key, getattr(self, key), low, ConfigError))
+        if not isinstance(self.P, (Sequence, np.ndarray)):
+            raise ConfigError(f"P must be a sequence of indices, got {self.P!r}")
         P = tuple(_integer("P index", i, 1, ConfigError) for i in self.P)
         object.__setattr__(self, "P", P)
         if not P:
@@ -512,24 +507,28 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     over response columns, pooled over folds).  Ties break toward the smaller
     d/u and then the larger lambda.
 
-    ``param_grid`` is a sequence of dicts with keys among {"d", "u",
+    ``param_grid`` is a list or tuple of dicts with keys among {"d", "u",
     "lambda"}, e.g. ``[{"d": 2}, {"d": 3}]`` for PCR or ``[{"d": 3,
     "lambda": 0.1}, ...]`` for EgReg (omit "d" for the full-rank EgReg
     variant).  Grid entries follow the rule fits follow, so ``best_params``
     can be passed to :func:`~egreg.estimators.fit_method` as it is: ``d``
     and ``u`` are integers >= 1 (integral floats included), ``lambda`` is
     finite, > 0 for ridge and >= 0 for EgReg, and a key the method does not
-    use is an error; ``k`` is an integer with 2 <= k <= n.  Returns
+    use is an error; ``k`` is an integer with 2 <= k <= n, and ``seed`` an
+    integer >= 0.  ``data`` is a centered :class:`Dataset`, as fits need.  Returns
     ``(best_params, cv_table)`` where the table carries a "cv_score" per
     entry.
     """
-    if not data.centered:
-        raise ContractError("kfold_cv requires centered data")
+    _require_centered(data)
+    if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)
+                                                             for e in param_grid):
+        raise ParameterError(f"param_grid must be a list of dicts, got {param_grid!r}")
     entries = [dict(e) for e in param_grid]
     grid = _parse_grid(str(method).lower(), entries)
     n = data.n
     if _integer("k", k, 2) > n:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+    seed = _integer("seed", seed, 0)
     svd = thin_svd(data.X)
     caches = _fold_caches(svd, _fold_indices(n, k, seed))
     scores = _cv_sse(svd, caches, data.Y[:, None], grid)[:, 0] / n
@@ -627,20 +626,6 @@ def _lambda_grid(sigma1_sq):
     return np.geomspace(1e-4 * sigma1_sq, 1e2 * sigma1_sq, LAMBDA_GRID_SIZE)
 
 
-def _final_fit(grid: _Grid, i, svd_full, scores_full, Xc, Yc):
-    """Refit on the whole sample at grid entry i; a missing d is the full rank."""
-    d, u, lam = int(grid.d[i]) or svd_full.r, int(grid.u[i]), float(grid.lam[i])
-    if grid.method == "pcr":
-        return pcr_coefficients(svd_full, Yc, d)
-    if grid.method == "ridge":
-        return ridge_coefficients(svd_full, Yc, lam)
-    if grid.method == "niece":
-        return niece_coefficients(svd_full, scores_full, Yc, u, svd_full.r)
-    if grid.method == "simpls":
-        return simpls_coefficients(Xc, Yc, d)[0]
-    return egreg_coefficients(svd_full, scores_full, Yc, d, lam)[0]
-
-
 def _sample_fits(X, svd, Y, folds, methods):
     """CV-tune and refit each method on every replication's response.
 
@@ -670,7 +655,10 @@ def _sample_fits(X, svd, Y, folds, methods):
         Yc = np.ascontiguousarray(Y[:, rep])    # BLAS rounds a strided operand differently
         scores = envelope_scores(svd, X.T @ Yc / n, svd.r) if scored else None
         for label in methods:
-            fits[label].append(_final_fit(grids[label], best[label][rep], svd, scores, X, Yc))
+            grid, i = grids[label], best[label][rep]
+            d = int(grid.d[i]) or svd.r    # a missing d is the full rank
+            fits[label].append(_coefficients(grid.method, svd, scores, X, Yc, d, int(grid.u[i]),
+                                             float(grid.lam[i]))[0])
     return fits
 
 

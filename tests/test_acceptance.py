@@ -28,12 +28,7 @@ from egreg import (
     thin_svd,
 )
 from egreg.dataio import write_table
-from egreg.estimators import (
-    egreg_coefficients,
-    fit_egreg,
-    fit_niece,
-    niece_coefficients,
-)
+from egreg.estimators import egreg_coefficients, fit_method, niece_coefficients
 from egreg.matrixcore import _recenter
 from egreg.simharness import _haar_orthogonal
 
@@ -68,8 +63,8 @@ def test_c01_zero_lambda_egreg_equals_niece():
         data = Dataset(X, Y, centered=True)
         r = thin_svd(X).r
         d = int(rng.integers(1, r + 1))
-        fe = X @ fit_egreg(data, d, 0.0).beta
-        fn = X @ fit_niece(data, u=d, d=d).beta
+        fe = X @ fit_method(data, "egreg", {"d": d, "lambda": 0.0}).beta
+        fn = X @ fit_method(data, "niece", {"u": d, "d": d}).beta
         worst = max(worst, float(np.linalg.norm(fe - fn)))
     print(f"criterion 1: max fitted-value gap {worst:.3e} (bound 1e-8)")
     assert worst <= 1e-8
@@ -86,7 +81,7 @@ def test_c02_spectral_form_equals_reduced_ridge_solve():
         r = thin_svd(X).r
         d = int(rng.integers(1, r + 1))
         for lam in (0.1, 1.0, 10.0):
-            model = fit_egreg(data, d, lam)
+            model = fit_method(data, "egreg", {"d": d, "lambda": lam})
             G = model.gamma_hat
             Z = X @ G
             eta = np.linalg.solve(Z.T @ Z + lam * np.eye(d), Z.T @ Y)
@@ -121,7 +116,7 @@ def _mc_case(seed, n, p, q, R=20000):
     for r_i in range(R):
         E = np.random.default_rng([seed, 1, r_i]).standard_normal((n, q)) @ Le.T
         Y = X @ beta + E
-        be = egreg_coefficients(svd, scores, Y, d, lam)[0]
+        be = egreg_coefficients(svd, scores, Y, d, lam)
         bn = niece_coefficients(svd, scores, Y, u, d)
         for k, b in enumerate((be, bn)):
             delta = b - target

@@ -17,15 +17,11 @@ from egreg import (
     FittedModel,
     ParameterError,
     center_standardize,
-    fit_egreg,
     fit_method,
-    fit_niece,
-    fit_pcr,
-    fit_ridge,
-    fit_simpls,
     predict,
     thin_svd,
 )
+from egreg.estimators import pcr_coefficients, ridge_coefficients
 
 
 def _centered(seed, n, p, q=1, signal=True):
@@ -49,7 +45,7 @@ def _centered(seed, n, p, q=1, signal=True):
 def test_ridge_matches_normal_equations(n, p):
     data = _centered(seed=n + p, n=n, p=p, q=2)
     for lam in (0.1, 1.0, 10.0):
-        model = fit_ridge(data, lam)
+        model = fit_method(data, "ridge", {"lambda": lam})
         oracle = np.linalg.solve(
             data.X.T @ data.X + lam * np.eye(p), data.X.T @ data.Y
         )
@@ -59,7 +55,7 @@ def test_ridge_matches_normal_equations(n, p):
 def test_pcr_full_rank_equals_least_squares():
     data = _centered(seed=4, n=60, p=8)
     r = thin_svd(data.X).r
-    model = fit_pcr(data, r)
+    model = fit_method(data, "pcr", {"d": r})
     ols = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
     assert_allclose(model.beta, ols, atol=1e-10)
 
@@ -73,7 +69,7 @@ _SHAPES = st.sampled_from([(30, 8), (16, 16), (12, 25)])
 def test_pcr_full_rank_is_the_minimum_norm_least_squares_fit(shape, q, seed):
     data = _centered(seed=seed, n=shape[0], p=shape[1], q=q)
     ols = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
-    beta = fit_pcr(data, thin_svd(data.X).r).beta
+    beta = fit_method(data, "pcr", {"d": thin_svd(data.X).r}).beta
     assert_allclose(beta, ols, rtol=1e-7, atol=1e-9 * np.abs(ols).max())
 
 
@@ -98,22 +94,25 @@ def test_fits_are_invariant_to_rotating_the_predictors(shape, q, seed):
 
 def test_pcr_d_out_of_range():
     data = _centered(seed=5, n=30, p=6)
-    with pytest.raises(DimensionError):
-        fit_pcr(data, 7)
-    with pytest.raises(DimensionError):
-        fit_pcr(data, 0)
+    with pytest.raises(ParameterError, match="d must satisfy"):
+        fit_method(data, "pcr", {"d": 7})
+    with pytest.raises(ParameterError):
+        fit_method(data, "pcr", {"d": 0})
+    # The builder itself reports a bad dimension; fit_method turns it into a bad parameter.
+    with pytest.raises(DimensionError, match="d must satisfy"):
+        pcr_coefficients(thin_svd(data.X), data.Y, 7)
 
 
 def test_ridge_rejects_nonpositive_lambda():
     data = _centered(seed=6, n=30, p=6)
     with pytest.raises(ParameterError):
-        fit_ridge(data, 0.0)
+        fit_method(data, "ridge", {"lambda": 0.0})
 
 
 def test_ridge_rejects_infinite_lambda():
     data = _centered(seed=6, n=30, p=6)
     with pytest.raises(ParameterError):
-        fit_ridge(data, float("inf"))
+        fit_method(data, "ridge", {"lambda": float("inf")})
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,8 @@ def test_ridge_rejects_infinite_lambda():
 def test_egreg_lambda_zero_equals_niece(n, p):
     data = _centered(seed=n * 3 + p, n=n, p=p, q=2)
     d = thin_svd(data.X).r
-    egreg = fit_egreg(data, d, 0.0)
-    niece = fit_niece(data, u=d, d=d)
+    egreg = fit_method(data, "egreg", {"d": d, "lambda": 0.0})
+    niece = fit_method(data, "niece", {"u": d, "d": d})
     assert_allclose(egreg.beta, niece.beta, atol=1e-12)
 
 
@@ -134,7 +133,7 @@ def test_egreg_matches_reduced_ridge_solve():
     # via the normal equations, then mapped back through Gamma_hat.
     data = _centered(seed=7, n=45, p=9, q=2)
     for lam in (0.1, 1.0, 10.0):
-        model = fit_egreg(data, 6, lam)
+        model = fit_method(data, "egreg", {"d": 6, "lambda": lam})
         G = model.gamma_hat
         XG = data.X @ G
         eta = np.linalg.solve(XG.T @ XG + lam * np.eye(G.shape[1]),
@@ -146,7 +145,8 @@ def test_egreg_shrinks_toward_zero_in_lambda():
     data = _centered(seed=8, n=50, p=10)
     norms = []
     for lam in (0.0, 0.5, 5.0, 50.0, 5e3):
-        norms.append(float(np.linalg.norm(fit_egreg(data, 8, lam).beta)))
+        beta = fit_method(data, "egreg", {"d": 8, "lambda": lam}).beta
+        norms.append(float(np.linalg.norm(beta)))
     assert np.all(np.diff(norms) < 0)
     assert norms[-1] < 1e-2 * norms[0]
 
@@ -157,27 +157,27 @@ def test_egreg_zero_response_flags_zero_scores():
     X = rng.standard_normal((n, p))
     X -= X.mean(axis=0)
     data = Dataset(X, np.zeros((n, 1)), centered=True)
-    model = fit_egreg(data, 4, 0.0)
+    model = fit_method(data, "egreg", {"d": 4, "lambda": 0.0})
     assert_allclose(model.beta, 0.0)
     assert sorted(model.flags["zero_score_directions"]) == [0, 1, 2, 3]
 
 
 def test_egreg_default_d_is_full_rank():
     data = _centered(seed=10, n=30, p=8)
-    model = fit_egreg(data, None, 1.0)
+    model = fit_method(data, "egreg", {"lambda": 1.0})
     assert model.d == thin_svd(data.X).r
 
 
 def test_egreg_rejects_negative_lambda():
     data = _centered(seed=11, n=30, p=8)
     with pytest.raises(ParameterError):
-        fit_egreg(data, 4, -0.5)
+        fit_method(data, "egreg", {"d": 4, "lambda": -0.5})
 
 
 def test_egreg_rejects_nan_lambda():
     data = _centered(seed=11, n=30, p=8)
     with pytest.raises(ParameterError):
-        fit_egreg(data, None, float("nan"))
+        fit_method(data, "egreg", {"lambda": float("nan")})
 
 
 def test_niece_equals_pcr_when_rankings_agree():
@@ -193,14 +193,14 @@ def test_niece_equals_pcr_when_rankings_agree():
     Y -= Y.mean(axis=0)
     data = Dataset(X, Y, centered=True)
     for u in (1, 2):
-        assert_allclose(fit_niece(data, u).beta, fit_pcr(data, u).beta,
-                        atol=1e-10)
+        assert_allclose(fit_method(data, "niece", {"u": u}).beta,
+                        fit_method(data, "pcr", {"d": u}).beta, atol=1e-10)
 
 
 def test_niece_default_pool_is_full_rank():
     data = _centered(seed=13, n=40, p=10)
-    a = fit_niece(data, u=3)
-    b = fit_niece(data, u=3, d=thin_svd(data.X).r)
+    a = fit_method(data, "niece", {"u": 3})
+    b = fit_method(data, "niece", {"u": 3, "d": thin_svd(data.X).r})
     assert_allclose(a.beta, b.beta)
 
 
@@ -209,7 +209,7 @@ def test_niece_unsquared_singular_values():
     # enters linearly, not squared.
     data = _centered(seed=14, n=30, p=5)
     svd = thin_svd(data.X)
-    model = fit_niece(data, u=1)
+    model = fit_method(data, "niece", {"u": 1})
     from egreg import envelope_scores, cross_cov
 
     scores = envelope_scores(svd, cross_cov(data).Sxy, svd.r)
@@ -224,7 +224,7 @@ def test_niece_unsquared_singular_values():
 
 def test_simpls_first_weight_is_cross_covariance_direction():
     data = _centered(seed=15, n=50, p=7)
-    model = fit_simpls(data, 1)
+    model = fit_method(data, "simpls", {"d": 1})
     s = data.X.T @ data.Y
     # one-component coefficients are proportional to X'Y
     cos = float(
@@ -236,7 +236,7 @@ def test_simpls_first_weight_is_cross_covariance_direction():
 
 def test_simpls_full_components_equal_least_squares():
     data = _centered(seed=16, n=60, p=6)
-    model = fit_simpls(data, 6)
+    model = fit_method(data, "simpls", {"d": 6})
     ols = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
     assert model.flags["achieved_components"] == 6
     assert_allclose(model.beta, ols, atol=1e-8)
@@ -244,7 +244,7 @@ def test_simpls_full_components_equal_least_squares():
 
 def test_simpls_multiresponse_runs_and_shapes():
     data = _centered(seed=17, n=40, p=9, q=3)
-    model = fit_simpls(data, 4)
+    model = fit_method(data, "simpls", {"d": 4})
     assert model.beta.shape == (9, 3)
     assert model.flags["achieved_components"] == 4
 
@@ -254,7 +254,7 @@ def test_simpls_zero_response_stops_early():
     X = rng.standard_normal((20, 5))
     X -= X.mean(axis=0)
     data = Dataset(X, np.zeros((20, 1)), centered=True)
-    model = fit_simpls(data, 3)
+    model = fit_method(data, "simpls", {"d": 3})
     assert model.flags["achieved_components"] == 0
     assert model.flags["early_stop"] is True
     assert_allclose(model.beta, 0.0)
@@ -271,24 +271,24 @@ def test_simpls_scores_are_orthonormal():
 
 def test_simpls_d_out_of_range():
     data = _centered(seed=20, n=30, p=5)
-    with pytest.raises(DimensionError):
-        fit_simpls(data, 6)
+    with pytest.raises(ParameterError, match="d must satisfy"):
+        fit_method(data, "simpls", {"d": 6})
 
 
 def test_fit_simpls_reads_the_rank_without_thin_svd(monkeypatch):
     from egreg import estimators
 
     def no_thin_svd(*args, **kwargs):
-        raise AssertionError("fit_simpls called thin_svd")
+        raise AssertionError("the SIMPLS fit called thin_svd")
 
     monkeypatch.setattr(estimators, "thin_svd", no_thin_svd)
     data = _centered(seed=20, n=30, p=5)
-    assert fit_simpls(data, 5).flags["achieved_components"] == 5
-    with pytest.raises(DimensionError, match=r"r = 5, got 6"):
-        fit_simpls(data, 6)
+    assert fit_method(data, "simpls", {"d": 5}).flags["achieved_components"] == 5
+    with pytest.raises(ParameterError, match=r"r = 5, got 6"):
+        fit_method(data, "simpls", {"d": 6})
     wide = _centered(seed=21, n=8, p=12)     # centered rows: rank n - 1 = 7
-    with pytest.raises(DimensionError, match=r"r = 7, got 8"):
-        fit_simpls(wide, 8)
+    with pytest.raises(ParameterError, match=r"r = 7, got 8"):
+        fit_method(wide, "simpls", {"d": 8})
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +299,16 @@ def test_fit_method_dispatch_and_missing_params():
     data = _centered(seed=21, n=30, p=6)
     m = fit_method(data, "Ridge", {"lambda": 2.0})
     assert m.method == "Ridge"
-    assert_allclose(m.beta, fit_ridge(data, 2.0).beta)
+    assert_allclose(m.beta, ridge_coefficients(thin_svd(data.X), data.Y, 2.0))
     with pytest.raises(ParameterError, match="lambda"):
         fit_method(data, "egreg", {"d": 3})
     with pytest.raises(ParameterError, match="lambda"):       # a key PCR does not use
         fit_method(data, "pcr", {"d": 2, "lambda": 1.0})
     with pytest.raises(ParameterError):
         fit_method(data, "huber", {})
-    # Above the rank, fit_method reports a bad parameter; fit_pcr a bad dimension.
+    # Above the rank, fit_method reports a bad parameter; the builder a bad dimension.
     with pytest.raises(DimensionError, match="d must satisfy"):
-        fit_pcr(data, 99)
+        pcr_coefficients(thin_svd(data.X), data.Y, 99)
     with pytest.raises(ParameterError, match="d must satisfy"):
         fit_method(data, "pcr", {"d": 99})
     with pytest.raises(ParameterError, match="u must satisfy"):
@@ -319,7 +319,7 @@ def test_fit_requires_centered_dataset():
     rng = np.random.default_rng(22)
     raw = Dataset(5 + rng.standard_normal((25, 4)), rng.standard_normal(25))
     with pytest.raises(ContractError):
-        fit_pcr(raw, 2)
+        fit_method(raw, "pcr", {"d": 2})
 
 
 def test_predict_reproduces_fitted_values():
@@ -328,7 +328,7 @@ def test_predict_reproduces_fitted_values():
         np.random.default_rng(24).normal(-1.0, 1.0, (40, 2)),
     )
     data = center_standardize(raw)
-    model = fit_ridge(data, 1.0)
+    model = fit_method(data, "ridge", {"lambda": 1.0})
     fitted = data.X @ model.beta + data.transform.y_mean
     assert_allclose(predict(model, raw.X), fitted, atol=1e-10)
 
@@ -338,7 +338,7 @@ def test_predict_standardized_chain_round_trip():
     raw = Dataset(10 + 4 * rng.standard_normal((50, 6)),
                   rng.standard_normal((50, 1)))
     data = center_standardize(raw, mode="standardize")
-    model = fit_egreg(data, 4, 0.7)
+    model = fit_method(data, "egreg", {"d": 4, "lambda": 0.7})
     tr = data.transform
     manual = (raw.X - tr.x_mean) / tr.x_scale @ model.beta
     manual = manual * tr.y_scale + tr.y_mean
@@ -360,7 +360,7 @@ def test_bad_array_input_raises_contract_error_naming_the_array(bad, why, name):
     # Each bad input fails coercion to a real float array, as Dataset's X or
     # Y or as predict's Xnew; the error is typed and names the array, and
     # complex values are never silently truncated.
-    model = fit_pcr(_centered(seed=27, n=20, p=3), 2)
+    model = fit_method(_centered(seed=27, n=20, p=3), "pcr", {"d": 2})
     call = {"X": lambda: Dataset(bad, np.ones((len(bad), 1))),
             "Y": lambda: Dataset(np.ones((len(bad), 2)), bad),
             "Xnew": lambda: predict(model, bad)}[name]
@@ -374,7 +374,7 @@ def test_bad_array_input_raises_contract_error_naming_the_array(bad, why, name):
 
 def test_predict_single_row_and_dim_check():
     data = _centered(seed=26, n=30, p=4)
-    model = fit_pcr(data, 2)
+    model = fit_method(data, "pcr", {"d": 2})
     row = predict(model, np.zeros(4))
     assert row.shape == (1, 1)
     with pytest.raises(DimensionError):
@@ -388,5 +388,5 @@ def test_fitted_model_rejects_nonfinite_beta():
 
 def test_fitted_model_params_view():
     data = _centered(seed=27, n=30, p=5)
-    model = fit_egreg(data, 3, 0.5)
+    model = fit_method(data, "egreg", {"d": 3, "lambda": 0.5})
     assert model.params == {"d": 3, "lambda": 0.5}

@@ -24,15 +24,19 @@ from egreg import (
     cross_cov,
     empirical_risk_terms,
     envelope_scores,
-    fit_simpls,
+    fit_method,
     gen_baseline,
     gen_envelope_model,
     irreducible_risk,
+    kfold_cv,
     limiting_risk_egreg,
+    mp_residual,
     population_niece,
     reducible_risk_egreg,
     reducible_risk_niece,
     risk_curve,
+    stieltjes_m,
+    stieltjes_m_prime,
     subspace_distance,
     thin_svd,
     top_ranked,
@@ -171,14 +175,12 @@ def test_thin_svd_zero_matrix_raises():
 
 def test_thin_svd_relative_cutoff():
     # A direction at 1e-12 of the top singular value falls below the
-    # default relative tolerance and is dropped.
+    # relative tolerance and is dropped.
     U0 = np.linalg.qr(np.random.default_rng(13).standard_normal((12, 2)))[0]
     X = np.outer(U0[:, 0], [1.0, 0, 0]) + 1e-12 * np.outer(U0[:, 1], [0, 1.0, 0])
     assert thin_svd(X).r == 1
-    assert thin_svd(X, rel_tol=1e-14).r == 2
     # numerical_rank applies the same rule without computing U and V
     assert numerical_rank(X) == 1
-    assert numerical_rank(X, rel_tol=1e-14) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ _BAD_INPUTS = [
      "u_star"),
     ("pcr-d-zero", lambda f: pcr_coefficients(f.svd, f.Y, 0), "d"),
     ("simpls-d-zero", lambda f: simpls_coefficients(f.data.X, f.Y, 0), "d"),
-    ("fit-simpls-d-float", lambda f: fit_simpls(f.data, 2.5), "d"),
+    ("fit-simpls-d-float", lambda f: fit_method(f.data, "simpls", {"d": 2.5}), "d"),
     # arrays
     ("ridge-complex-Y", lambda f: ridge_coefficients(f.svd, f.Y * (1 + 2j), 1.0), "Y"),
     ("pcr-string-Y", lambda f: pcr_coefficients(f.svd, [["a", "b"]] * 30, 2), "Y"),
@@ -276,6 +278,7 @@ _BAD_INPUTS = [
     # generators
     ("sim-P-float", lambda f: EnvelopeSimConfig(**{**f.sim, "P": (1.7, 2)}), "P"),
     ("sim-P-zero", lambda f: EnvelopeSimConfig(**{**f.sim, "P": (0, 2)}), "P"),
+    ("sim-P-int", lambda f: EnvelopeSimConfig(**{**f.sim, "P": 3}), "P"),
     ("sim-n-float", lambda f: EnvelopeSimConfig(**{**f.sim, "n": 20.5}), "n"),
     ("sim-q-bool", lambda f: EnvelopeSimConfig(**{**f.sim, "q": True}), "q"),
     ("sim-seed-negative", lambda f: EnvelopeSimConfig(**{**f.sim, "seed": -3}), "seed"),
@@ -297,6 +300,16 @@ _BAD_INPUTS = [
      lambda f: reducible_risk_egreg(f.svd, f.scores, f.truth, 3, "a"), "lambda"),
     ("limit-lambda-string", lambda f: limiting_risk_egreg(f.limit, "a"), "lambda"),
     ("limit-lambda-inf", lambda f: limiting_risk_egreg(f.limit, np.inf), "lambda"),
+    ("stieltjes-z-string", lambda f: stieltjes_m("a", 1.0), "z"),
+    ("stieltjes-gamma-inf", lambda f: stieltjes_m(-1.0, np.inf), "gamma"),
+    ("stieltjes-prime-gamma-string", lambda f: stieltjes_m_prime(-1.0, "a"), "gamma"),
+    ("mp-residual-z-string", lambda f: mp_residual("a", 1.0), "z"),
+    # CV inputs, by the rules fits follow
+    ("cv-data-array", lambda f: kfold_cv(np.zeros((10, 3)), "pcr", [{"d": 1}], k=2), "data"),
+    ("cv-seed-negative", lambda f: kfold_cv(f.data, "pcr", [{"d": 1}], k=3, seed=-1), "seed"),
+    ("cv-seed-float", lambda f: kfold_cv(f.data, "pcr", [{"d": 1}], k=3, seed=1.5), "seed"),
+    ("cv-grid-string", lambda f: kfold_cv(f.data, "pcr", "abc", k=3), "param_grid"),
+    ("cv-grid-entry-int", lambda f: kfold_cv(f.data, "pcr", [1], k=3), "param_grid"),
 ]
 
 

@@ -409,7 +409,7 @@ def _brute_force_cv(data, method, grid, k, seed):
             elif method == "egreg":
                 d = e.get("d", svd.r)
                 scores = envelope_scores(svd, Xt.T @ Yt / len(tr), svd.r)
-                beta = egreg_coefficients(svd, scores, Yt, d, e["lambda"])[0]
+                beta = egreg_coefficients(svd, scores, Yt, d, e["lambda"])
             else:
                 beta = simpls_coefficients(Xt, Yt, e["d"])[0]
             out[i] += float(np.sum((Xv @ beta - Yv) ** 2))
@@ -482,7 +482,7 @@ def test_cv_validation_errors():
         ("niece", [{"u": True}]),
         ("niece", [{"u": 4, "d": 2}]),             # u exceeds its candidate pool
         ("ridge", [{"lambda": float("nan")}]),     # lambda is finite and >= 0
-        ("ridge", [{"lambda": 0.0}]),              # ... and > 0 for ridge, as in fit_ridge
+        ("ridge", [{"lambda": 0.0}]),              # ... and > 0 for ridge, as in fit_method
         ("egreg", [{"lambda": float("inf")}]),
         ("egreg", [{"d": 2, "lambda": -1.0}]),
         ("egreg", [{"lambda": "0.1"}]),
