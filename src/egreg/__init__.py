@@ -28,17 +28,14 @@ _EXPORTS = {
     "Dataset": ".matrixcore",
     "Transform": ".matrixcore",
     "SvdFactors": ".matrixcore",
-    "CovPair": ".matrixcore",
     "center_standardize": ".matrixcore",
     "thin_svd": ".matrixcore",
-    "cross_cov": ".matrixcore",
     "subspace_distance": ".matrixcore",
     # envscore
     "EnvelopeScores": ".envscore",
     "EnvelopeBasis": ".envscore",
     "envelope_scores": ".envscore",
     "population_niece": ".envscore",
-    "sample_niece_basis": ".envscore",
     "top_ranked": ".envscore",
     # estimators
     "FittedModel": ".estimators",
@@ -50,7 +47,6 @@ _EXPORTS = {
     "reducible_risk_egreg": ".riskanalytics",
     "reducible_risk_niece": ".riskanalytics",
     "lambda_guarantee_threshold": ".riskanalytics",
-    "empirical_risk": ".riskanalytics",
     "empirical_risk_terms": ".riskanalytics",
     "irreducible_risk": ".riskanalytics",
     # asymptotics
@@ -71,6 +67,8 @@ _EXPORTS = {
     "kfold_cv": ".simharness",
     "run_study": ".simharness",
 }
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name):

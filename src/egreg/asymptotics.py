@@ -7,9 +7,11 @@ the interpolation threshold; the EgReg limit is finite for every gamma and is
 expressed through the Stieltjes transform m(z) of the Marchenko-Pastur law
 evaluated on the negative real axis.
 
-Lambda convention: here lambda multiplies an n-scaled penalty (it lives on
-the scale of the spectrum of X'X/n), unlike the raw-objective convention of
-:mod:`egreg.estimators`.
+Lambda convention: here lambda lives on the scale of the spectrum of
+X'X/n.  :mod:`egreg.estimators` and ``egreg fit --lambda`` penalize
+``||Y - Xb||^2`` unscaled by n, so their ridge lambda is on the scale of X'X:
+ridge on the known material basis X Gamma fits the limit's lambda* with
+``lambda = n * lambda*``.
 """
 
 from __future__ import annotations
@@ -153,9 +155,10 @@ def risk_curve(cfg_base: LimitConfig, gamma_grid) -> RiskCurve:
     """Evaluate both limits along a gamma grid (NIECE NaN in the gamma=1 band).
 
     ``cfg_base`` supplies c^2 and tr{Sigma_eps}; its gamma is ignored in
-    favor of the grid values.  The grid must be finite, positive and
-    strictly ascending.  A gamma whose lambda* or EgReg risk overflows the
-    float range raises ``DomainError`` naming it.
+    favor of the grid values.  ``lambda_star`` is on the X'X/n scale (a
+    ridge fit with n samples takes ``n * lambda_star``).  The grid must be
+    finite, positive and strictly ascending.  A gamma whose lambda* or EgReg
+    risk overflows the float range raises ``DomainError`` naming it.
     """
     grid = _real_array(gamma_grid, "gamma_grid")
     if grid.ndim != 1 or grid.size == 0:

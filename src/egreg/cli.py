@@ -76,7 +76,8 @@ def build_parser():
     fit.add_argument("--d", type=int, default=None, help="retained components")
     fit.add_argument("--u", type=int, default=None, help="selected components (niece)")
     fit.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="penalty (ridge, egreg)")
+                     help="penalty: ridge on the scale of X'X (sigma_j^2), egreg on "
+                          "that of phi_j = ||v_j'X'Y/n||^2")
     fit.add_argument("--standardize", action="store_true",
                      help="scale columns to unit variance before fitting")
     common(fit)

@@ -39,16 +39,13 @@ class EnvelopeScores:
 
 @dataclass(frozen=True)
 class EnvelopeBasis:
-    """Orthonormal basis of a selected envelope subspace.
+    """Orthonormal basis of a population envelope subspace.
 
-    ``source`` records whether the columns are population eigenvectors or
-    sample singular vectors; ``non_unique`` flags repeated eigenvalues in the
-    population construction (the span is then not identified).
+    ``non_unique`` flags repeated eigenvalues of M (the span is then not
+    identified).
     """
 
     basis: np.ndarray
-    u: int
-    source: str
     non_unique: bool = False
 
 
@@ -154,19 +151,4 @@ def population_niece(M, B, d: int, u_star: int) -> EnvelopeBasis:
     Vd = V[:, :d]
     phi = np.maximum(np.einsum("ij,ij->j", Vd, B @ Vd), 0.0)
     order, _ = _rank_scores(phi, w[:d])
-    return EnvelopeBasis(
-        basis=V[:, order[:u_star]].copy(),
-        u=u_star,
-        source="population",
-        non_unique=non_unique,
-    )
-
-
-def sample_niece_basis(svd: SvdFactors, scores: EnvelopeScores, u: int) -> EnvelopeBasis:
-    """Span of the u singular vectors with the largest envelope scores."""
-    if scores.d > svd.r:
-        raise DimensionError(
-            f"scores cover {scores.d} PCs but the SVD has rank {svd.r}"
-        )
-    idx = top_ranked(scores, u)
-    return EnvelopeBasis(basis=svd.V[:, idx].copy(), u=int(u), source="sample")
+    return EnvelopeBasis(basis=V[:, order[:u_star]].copy(), non_unique=non_unique)

@@ -20,6 +20,7 @@ document and test their own convention.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,9 @@ def _check_params(method, params) -> dict:
     """
     if method not in _PARAMS:
         raise ParameterError(f"unknown method {method!r}; expected one of {', '.join(_PARAMS)}")
+    if not isinstance(params, Mapping):
+        raise ParameterError(f"params must be a mapping of parameter names to values, "
+                             f"got {params!r}")
     need, optional, _ = _PARAMS[method]
     given = {k: v for k, v in params.items() if v is not None}
     if need not in given or not given.keys() <= {need, *optional}:

@@ -1,12 +1,12 @@
 """Dense-matrix foundation used by every estimator and risk formula.
 
 Centering/standardization with replayable transforms, a thin SVD with a
-deterministic sign convention, sample cross-covariances, and a Frobenius
-subspace distance.  All operations are pure functions of their inputs and
-safe to share read-only across threads.  The sign convention
-(:func:`_fix_signs`), the symmetry check (:func:`_check_symmetric`) and the
-input rules live here for every module: :func:`_integer`, :func:`_real` and
-:func:`_count` for scalars, :func:`_real_array` for arrays.
+deterministic sign convention, and a Frobenius subspace distance.  All
+operations are pure functions of their inputs and safe to share read-only
+across threads.  The sign convention (:func:`_fix_signs`), the symmetry
+check (:func:`_check_symmetric`) and the input rules live here for every
+module: :func:`_integer`, :func:`_real` and :func:`_count` for scalars,
+:func:`_real_array` for arrays.
 """
 
 from __future__ import annotations
@@ -114,8 +114,6 @@ class Dataset:
     centered : bool
         If set, every column mean of X and Y must be within 1e-10 of zero
         (verified at construction).
-    standardized : bool
-        If set, the data were scaled to unit sample standard deviation.
     transform : Transform or None
         The ingestion transform, retained for prediction-time reuse.
     """
@@ -123,7 +121,6 @@ class Dataset:
     X: np.ndarray
     Y: np.ndarray
     centered: bool = False
-    standardized: bool = False
     transform: Transform | None = None
 
     def __post_init__(self):
@@ -177,17 +174,6 @@ class SvdFactors:
             raise DimensionError("rank/D mismatch in SvdFactors")
         if np.any(self.D <= 0) or np.any(np.diff(self.D) > 0):
             raise ContractError("singular values must be positive and descending")
-
-
-@dataclass(frozen=True)
-class CovPair:
-    """Sample second moments of a centered dataset: Sx = X'X/n, Sxy = X'Y/n."""
-
-    Sx: np.ndarray
-    Sxy: np.ndarray
-
-    def __post_init__(self):
-        _check_symmetric(self.Sx, "Sx", 1e-12)
 
 
 def _check_symmetric(S, name, rtol):
@@ -263,7 +249,7 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     Xt = _recenter(X / x_scale if mode == "standardize" else X)
     Yt = _recenter(Y / y_scale if mode == "standardize" else Y)
     tr = Transform(mode=mode, x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
-    return Dataset(Xt, Yt, centered=True, standardized=(mode == "standardize"), transform=tr)
+    return Dataset(Xt, Yt, centered=True, transform=tr)
 
 
 def _rank_of(s):
@@ -311,18 +297,6 @@ def _truncated(U, s, Vt) -> SvdFactors:
     V = Vt[:r].T.copy()
     _fix_signs(V, U)
     return SvdFactors(U=U, D=D, V=V, r=r)
-
-
-def cross_cov(data: Dataset) -> CovPair:
-    """Sample covariances Sx = X'X/n and Sxy = X'Y/n of a centered dataset."""
-    if not data.centered:
-        raise ContractError("cross_cov requires centered data; run center_standardize first")
-    n = data.n
-    G = data.X.T @ data.X / n
-    # BLAS matmul is not exactly symmetric; fold the round-off away.
-    Sx = (G + G.T) / 2.0
-    Sxy = data.X.T @ data.Y / n
-    return CovPair(Sx=Sx, Sxy=Sxy)
 
 
 def _check_orthonormal(M, name):

@@ -260,8 +260,3 @@ def empirical_risk_terms(beta_hats, truth: TruthSpec) -> np.ndarray:
             )
         diffs[i] = b - truth.beta_star
     return _sigma_trace(diffs, truth)
-
-
-def empirical_risk(beta_hats, truth: TruthSpec) -> float:
-    """Replication-averaged prediction risk against the true coefficients."""
-    return float(np.mean(empirical_risk_terms(beta_hats, truth)))

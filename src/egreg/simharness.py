@@ -759,6 +759,8 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
         raise ConfigError(
             f"unknown study {study!r}; expected one of {sorted(_STUDY_DEFAULTS)}"
         )
+    if config is not None and not isinstance(config, Mapping):
+        raise ConfigError(f"config must be a mapping of keys to values, got {config!r}")
     cfg = dict(_STUDY_DEFAULTS[study])
     if config:
         unknown = sorted(set(config) - set(cfg))

@@ -767,6 +767,12 @@ def test_cli_simulate_accepts_kind_in_any_case(tmp_path):
     assert out == _study_csv(tmp_path / "upper.csv", "baseline", {**config, "kind": "CS"})
 
 
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from egreg import *", namespace)
+    assert set(egreg._EXPORTS) <= namespace.keys()
+
+
 def test_cli_simulate_runs_without_jsonschema(tmp_path):
     # A sitecustomize on the path makes jsonschema unimportable in the child
     # processes; the CLI must still run and match the library's CSV.

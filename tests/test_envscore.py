@@ -1,5 +1,5 @@
 """Tests for envelope scores: definition, ranking, tie-breaks, and the
-population/sample basis constructions.
+population basis construction.
 
 The defining property under test: a PC carrying the response association
 outranks every higher-variance PC, no matter how small its variance.
@@ -14,10 +14,8 @@ from egreg import (
     Dataset,
     DegeneracyWarning,
     DimensionError,
-    cross_cov,
     envelope_scores,
     population_niece,
-    sample_niece_basis,
     subspace_distance,
     thin_svd,
     top_ranked,
@@ -136,7 +134,6 @@ def _population(seed, p=12, picks=(2, 5, 9), decay=0.3, q=2):
 def test_population_niece_recovers_planted_span():
     Sigma_x, Sxy, Gamma = _population(seed=8)
     basis = population_niece(Sigma_x, Sxy @ Sxy.T, d=12, u_star=3)
-    assert basis.source == "population"
     assert not basis.non_unique
     assert subspace_distance(basis.basis, Gamma) < 1e-8
 
@@ -171,13 +168,3 @@ def test_population_niece_rejects_indefinite_m():
     M = np.diag([1.0, -0.5, 0.2, 0.1])
     with pytest.raises(ContractError):
         population_niece(M, np.eye(4), d=4, u_star=1)
-
-
-def test_sample_niece_basis_is_orthonormal_and_ranked():
-    data = _designed_data(seed=10)
-    svd = thin_svd(data.X)
-    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r)
-    basis = sample_niece_basis(svd, scores, u=3)
-    assert basis.basis.shape == (10, 3)
-    assert_allclose(basis.basis.T @ basis.basis, np.eye(3), atol=1e-12)
-    assert_allclose(basis.basis[:, 0], svd.V[:, scores.order[0]])

@@ -103,6 +103,18 @@ def test_pcr_d_out_of_range():
         pcr_coefficients(thin_svd(data.X), data.Y, 7)
 
 
+def test_ridge_lambda_is_on_the_unscaled_gram_scale():
+    # Ridge penalizes ||Y - Xb||^2, not ||Y - Xb||^2 / n, so its lambda is on
+    # the X'X scale: a fit at n * lam_star is the ridge at lam_star on the
+    # X'X/n scale of `egreg theory`'s lambda_star.
+    data = _centered(seed=40, n=40, p=60, q=2)
+    n, lam_star = data.n, 0.7
+    oracle = np.linalg.solve(data.X.T @ data.X / n + lam_star * np.eye(data.p),
+                             data.X.T @ data.Y / n)
+    assert_allclose(ridge_coefficients(thin_svd(data.X), data.Y, n * lam_star), oracle,
+                    rtol=1e-10)
+
+
 def test_ridge_rejects_nonpositive_lambda():
     data = _centered(seed=6, n=30, p=6)
     with pytest.raises(ParameterError):
@@ -210,9 +222,9 @@ def test_niece_unsquared_singular_values():
     data = _centered(seed=14, n=30, p=5)
     svd = thin_svd(data.X)
     model = fit_method(data, "niece", {"u": 1})
-    from egreg import envelope_scores, cross_cov
+    from egreg import envelope_scores
 
-    scores = envelope_scores(svd, cross_cov(data).Sxy, svd.r)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r)
     j = scores.order[0]
     manual = svd.V[:, [j]] @ (svd.U[:, [j]].T @ data.Y) / svd.D[j]
     assert_allclose(model.beta, manual, atol=1e-12)

@@ -1,5 +1,5 @@
-"""Tests for centering/standardization, thin SVD, cross-covariances, subspace
-distance, and the input rules every module shares."""
+"""Tests for centering/standardization, thin SVD, subspace distance, and the
+input rules every module shares."""
 
 import re
 import warnings
@@ -21,7 +21,6 @@ from egreg import (
     RankZeroError,
     TruthSpec,
     center_standardize,
-    cross_cov,
     empirical_risk_terms,
     envelope_scores,
     fit_method,
@@ -35,6 +34,7 @@ from egreg import (
     reducible_risk_egreg,
     reducible_risk_niece,
     risk_curve,
+    run_study,
     stieltjes_m,
     stieltjes_m_prime,
     subspace_distance,
@@ -59,14 +59,14 @@ def _raw(seed=0, n=40, p=6, q=2, x_shift=5.0, y_shift=-3.0):
 
 def test_center_zeroes_column_means():
     data = center_standardize(_raw())
-    assert data.centered and not data.standardized
+    assert data.centered and data.transform.mode == "center"
     assert np.max(np.abs(data.X.mean(axis=0))) <= 1e-10
     assert np.max(np.abs(data.Y.mean(axis=0))) <= 1e-10
 
 
 def test_standardize_gives_unit_sample_variance():
     data = center_standardize(_raw(), mode="standardize")
-    assert data.standardized
+    assert data.transform.mode == "standardize"
     assert_allclose(data.X.std(axis=0, ddof=1), 1.0, atol=1e-12)
     assert_allclose(data.Y.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
@@ -184,24 +184,6 @@ def test_thin_svd_relative_cutoff():
 
 
 # ---------------------------------------------------------------------------
-# cross_cov
-# ---------------------------------------------------------------------------
-
-def test_cross_cov_matches_definitions():
-    data = center_standardize(_raw(seed=4))
-    cov = cross_cov(data)
-    n = data.n
-    assert_allclose(cov.Sx, data.X.T @ data.X / n, atol=1e-12)
-    assert_allclose(cov.Sxy, data.X.T @ data.Y / n, atol=1e-12)
-    assert_allclose(cov.Sx, cov.Sx.T, atol=0)
-
-
-def test_cross_cov_requires_centered_data():
-    with pytest.raises(ContractError):
-        cross_cov(_raw(seed=5))
-
-
-# ---------------------------------------------------------------------------
 # subspace_distance
 # ---------------------------------------------------------------------------
 
@@ -237,7 +219,7 @@ def rule_inputs():
     rng = np.random.default_rng(8)
     data = center_standardize(Dataset(rng.standard_normal((30, 6)), rng.standard_normal((30, 2))))
     svd = thin_svd(data.X)
-    Sxy = cross_cov(data).Sxy
+    Sxy = data.X.T @ data.Y / data.n
     sim = dict(n=20, p=10, q=1, decay_gamma=1.0, P=(1, 2), alpha=np.ones((2, 1)),
                Sigma_eps=[[1.0]], seed=0)
     return SimpleNamespace(
@@ -264,6 +246,13 @@ _BAD_INPUTS = [
     ("pcr-d-zero", lambda f: pcr_coefficients(f.svd, f.Y, 0), "d"),
     ("simpls-d-zero", lambda f: simpls_coefficients(f.data.X, f.Y, 0), "d"),
     ("fit-simpls-d-float", lambda f: fit_method(f.data, "simpls", {"d": 2.5}), "d"),
+    # containers
+    ("fit-params-none", lambda f: fit_method(f.data, "pcr", None), "params"),
+    ("fit-params-pairs", lambda f: fit_method(f.data, "pcr", [("d", 2)]), "params"),
+    ("study-config-int", lambda f: run_study("P1", 5), "config"),
+    ("study-config-list", lambda f: run_study("P1", [1, 2]), "config"),
+    ("study-config-string", lambda f: run_study("P1", "abc"), "config"),
+    ("study-config-empty-list", lambda f: run_study("P1", []), "config"),
     # arrays
     ("ridge-complex-Y", lambda f: ridge_coefficients(f.svd, f.Y * (1 + 2j), 1.0), "Y"),
     ("pcr-string-Y", lambda f: pcr_coefficients(f.svd, [["a", "b"]] * 30, 2), "Y"),
