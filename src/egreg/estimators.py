@@ -337,10 +337,12 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
 
     Applies the stored centering/standardization to ``Xnew``, multiplies by
     the coefficients, and maps the result back to the original response
-    scale.  A 1-D input is treated as a single observation row.  Ragged,
-    non-numeric or complex input raises :class:`ContractError`, and so does
-    a row with a NaN or infinite cell, naming it.
+    scale.  A 1-D input is treated as a single observation row.  A model
+    that is not a :class:`FittedModel`, ragged, non-numeric or complex input,
+    and a row with a NaN or infinite cell (named) raise :class:`ContractError`.
     """
+    if not isinstance(model, FittedModel):
+        raise ContractError(f"model must be a FittedModel, got {type(model).__name__}")
     X = _real_array(Xnew, "Xnew")
     if X.ndim == 1:
         X = X[None, :]

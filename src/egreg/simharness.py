@@ -130,30 +130,26 @@ class EnvelopeSimConfig:
         return 10.0 * np.exp(-self.decay_gamma * np.arange(self.p))
 
 
-def _haar_orthogonal(p, rng):
-    """Uniform random orthogonal matrix: QR of a Gaussian with sign correction."""
-    Z = rng.standard_normal((p, p))
-    Q, R = np.linalg.qr(Z)
-    return Q * np.where(np.diag(R) < 0, -1.0, 1.0)
-
-
 def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     """Design-side draws (fixed across replications): X, truth, planted basis.
 
-    The truth is built from the factor ``root = V sqrt(sig)`` alone, scaled
-    in place in the Haar factor V.  ``Sigma_x = root root'`` is formed only
-    if a caller reads ``truth.Sigma_x``; the studies never do, so a grid
-    point costs no p x p x p product.
+    Drawn in Sigma_x's eigenbasis: ``X = Z sqrt(sig)``, Gamma the columns e_j
+    for j in P, and the factor ``diag(sqrt(sig))``.  The study methods see X
+    only through its thin SVD, X'Y or SIMPLS, and a risk is ``||L'(b -
+    beta*)||^2``, so in exact arithmetic the risks equal those of the frame
+    rotated by any orthogonal Q (``X Q'``, ``Q beta*``, ``Q Gamma``).  The
+    normals of the Haar Q this frame once applied are still drawn, in row
+    blocks, and dropped, so Z keeps its stream.
     """
     sig = cfg.spectrum()
     rng = np.random.default_rng([cfg.seed, stream, _TAG_MODEL])
-    V = _haar_orthogonal(cfg.p, rng)
-    Z = rng.standard_normal((cfg.n, cfg.p))
-    X = (Z * np.sqrt(sig)) @ V.T
-    P0 = np.asarray(cfg.P, dtype=int) - 1
-    Gamma = V[:, P0].copy()
-    V *= np.sqrt(sig)
-    return X, TruthSpec(Gamma @ cfg.alpha, None, cfg.Sigma_eps, V), Gamma
+    skip = np.empty((min(cfg.p, 64), cfg.p))
+    for i in range(0, cfg.p, skip.shape[0]):
+        rng.standard_normal(out=skip[:cfg.p - i])
+    X = rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(sig)
+    Gamma = np.zeros((cfg.p, len(cfg.P)))
+    Gamma[np.asarray(cfg.P) - 1, np.arange(len(cfg.P))] = 1.0
+    return X, TruthSpec(Gamma @ cfg.alpha, None, cfg.Sigma_eps, np.diag(np.sqrt(sig))), Gamma
 
 
 def _responses(X, truth: TruthSpec, seed, stream, reps):
@@ -169,7 +165,9 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
 
     Returns ``(data, truth, planted_basis)``: a centered :class:`Dataset`,
     the generating :class:`TruthSpec` (beta* = Gamma alpha, Sigma_x, Sigma_eps),
-    and the p-by-u* planted basis (the selected eigenvectors of Sigma_x).
+    and the p-by-u* planted basis.  The design is drawn in Sigma_x's
+    eigenbasis, so the basis is the columns e_j, j in P; for a generic basis,
+    rotate X, beta* and Gamma by any orthogonal Q (see :func:`_model_frame`).
     The design depends only on ``(seed, stream)``; ``rep`` indexes the noise
     draw so replications share X and beta*.  The studies draw the same way,
     so ``stream=g`` gives replication ``rep`` of a study's grid point g.

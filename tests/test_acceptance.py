@@ -30,7 +30,13 @@ from egreg import (
 from egreg.dataio import write_table
 from egreg.estimators import egreg_coefficients, fit_method, niece_coefficients
 from egreg.matrixcore import _recenter
-from egreg.simharness import _haar_orthogonal
+
+
+def _haar_orthogonal(p, rng):
+    """Uniform random orthogonal matrix: QR of a Gaussian with sign correction."""
+    Z = rng.standard_normal((p, p))
+    Q, R = np.linalg.qr(Z)
+    return Q * np.where(np.diag(R) < 0, -1.0, 1.0)
 
 
 def _shapes(seed):

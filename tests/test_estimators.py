@@ -393,6 +393,14 @@ def test_predict_single_row_and_dim_check():
         predict(model, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("model", ["model", None, {"beta": [[1.0]]}],
+                         ids=["string", "none", "dict"])
+def test_predict_rejects_a_model_that_is_not_a_fitted_model(model):
+    # Without the check these raised a raw AttributeError on model.beta.
+    with pytest.raises(ContractError, match=r"^model must be a FittedModel"):
+        predict(model, np.zeros((2, 1)))
+
+
 def test_fitted_model_rejects_nonfinite_beta():
     with pytest.raises(ContractError):
         FittedModel(beta=np.array([[np.nan]]), method="PCR")

@@ -43,15 +43,16 @@ from egreg.simharness import (
     _fold_caches,
     _fold_indices,
     _Grid,
-    _haar_orthogonal,
     _known_basis_fits,
     _model_frame,
     _pick_best,
     _point_frame,
     _responses,
+    _sample_fits,
     _tune,
 )
 from egreg.matrixcore import SvdFactors
+from egreg.riskanalytics import empirical_risk_terms
 
 
 def _cfg(seed=0, n=80, p=8, q=1, decay=1.0, picks=(1, 2), amp=2.0, sig=4.0):
@@ -105,6 +106,13 @@ def test_spectrum_decay_values():
                              alpha=np.ones((1, 1)), Sigma_eps=[[1.0]], seed=0,
                              eigenvalues=np.ones(4))
     assert_allclose(flat.spectrum(), 1.0)
+
+
+def _haar_orthogonal(p, rng):
+    """Uniform random orthogonal matrix: QR of a Gaussian with sign correction."""
+    Z = rng.standard_normal((p, p))
+    Q, R = np.linalg.qr(Z)
+    return Q * np.where(np.diag(R) < 0, -1.0, 1.0)
 
 
 def test_haar_matrix_is_orthogonal():
@@ -165,6 +173,67 @@ def test_sample_covariance_matches_sigma_x():
         (np.outer(np.diag(Sigma_x), np.diag(Sigma_x)) + Sigma_x**2) / cfg.n
     )
     assert np.all(np.abs(S - Sigma_x) <= 3.0 * se)
+
+
+@pytest.mark.parametrize("stream", [0, 3])
+@pytest.mark.parametrize("study,ratio", [("P1", 2.0), ("double_descent", 1.0)])
+def test_model_frame_is_the_haar_frame_drawn_in_its_eigenbasis(study, ratio, stream):
+    # The frame still draws the p x p normals of a Haar rotation V (in row
+    # blocks; p > 64 here) and discards them, so Z is the draw a rotated frame
+    # makes from the same stream: X V' is that frame's design and V beta* its
+    # truth, and the planted basis is the coordinate columns.
+    sim = _point_frame(study, dict(simharness._STUDY_DEFAULTS[study]), 100, 4, ratio).args[0]
+    X, truth, Gamma = _model_frame(sim, stream)
+    rng = np.random.default_rng([sim.seed, stream, 0])
+    V = _haar_orthogonal(sim.p, rng)
+    root = V * np.sqrt(sim.spectrum())
+    X_rotated = rng.standard_normal((sim.n, sim.p)) @ root.T
+    P0 = np.array(sim.P) - 1
+    assert sim.p > 64
+    assert_allclose(X @ V.T, X_rotated, rtol=0, atol=1e-12 * np.abs(X_rotated).max())
+    assert_allclose(V @ truth.beta_star, V[:, P0] @ sim.alpha, rtol=0, atol=1e-12)
+    assert_allclose(V @ truth.Sigma_x_root, root, rtol=0, atol=1e-12)
+    assert np.array_equal(Gamma, np.eye(sim.p)[:, P0])
+
+
+@pytest.mark.parametrize("n,p", [(60, 8), (40, 60)], ids=["tall", "wide"])
+def test_sample_fits_are_invariant_to_rotating_the_predictors(monkeypatch, n, p):
+    # The eigenbasis frame rests on this: on X Q' every study method makes the
+    # same CV picks, its beta-hat is Q beta-hat, and the risk under (Q beta*,
+    # Q L) is unchanged.  The designs are well conditioned and the signal sits
+    # in a few directions, so every SIMPLS pick lies far below the numerical
+    # rank; near it, SIMPLS CV scores are rounding noise and picks there could
+    # move with the basis.
+    rng = np.random.default_rng([17, n, p])
+    scale = np.sqrt(np.linspace(4.0, 1.0, p))
+    Xc = rng.standard_normal((n, p)) * scale
+    Xc -= Xc.mean(axis=0)
+    beta = np.zeros((p, 1))
+    beta[:3, 0] = (1.0, -1.0, 0.5)
+    Y = Xc[:, None] @ beta + rng.standard_normal((n, 3, 1))
+    Y -= Y.mean(axis=0)
+    Q = _haar_orthogonal(p, rng)
+    folds = _fold_indices(n, 5, 3)
+    picks, tune = [], simharness._tune
+
+    def spy(svd, caches, Yl, grid):
+        picks.append(tune(svd, caches, Yl, grid))
+        return picks[-1]
+
+    monkeypatch.setattr(simharness, "_tune", spy)
+    methods = list(simharness._SAMPLE_METHODS)
+    fits = _sample_fits(Xc, thin_svd(Xc), Y, folds, methods)
+    Xr = Xc @ Q.T
+    fits_r = _sample_fits(Xr, thin_svd(Xr), Y, folds, methods)
+    half = len(methods)
+    assert [a.tolist() for a in picks[:half]] == [a.tolist() for a in picks[half:]]
+    truth = TruthSpec(beta, None, [[1.0]], np.diag(scale))
+    truth_r = TruthSpec(Q @ beta, None, [[1.0]], Q * scale)
+    for m in methods:
+        for b, b_r in zip(fits[m], fits_r[m]):
+            assert_allclose(b_r, Q @ b, rtol=0, atol=1e-9 * np.abs(b).max())
+        assert_allclose(empirical_risk_terms(fits_r[m], truth_r),
+                        empirical_risk_terms(fits[m], truth), rtol=1e-9)
 
 
 def test_gen_baseline_covariances_and_beta():
