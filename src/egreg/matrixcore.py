@@ -281,22 +281,12 @@ def thin_svd(X) -> SvdFactors:
     RankZeroError
         If X is identically zero (or no singular value clears the cutoff).
     """
-    return _truncated(*np.linalg.svd(_as_matrix(X, "X"), full_matrices=False))
-
-
-def _truncated(U, s, Vt) -> SvdFactors:
-    """Cut one LAPACK SVD ``(U, s, Vt)`` at its numerical rank and fix its signs.
-
-    :func:`thin_svd` and the batched fold factors of
-    :func:`egreg.simharness._fold_caches` both end here, so a stacked
-    ``np.linalg.svd`` call yields the factors ``thin_svd`` gives each matrix.
-    """
+    U, s, Vt = np.linalg.svd(_as_matrix(X, "X"), full_matrices=False)
     r = _rank_of(s)
     U = U[:, :r].copy()
-    D = s[:r].copy()
     V = Vt[:r].T.copy()
     _fix_signs(V, U)
-    return SvdFactors(U=U, D=D, V=V, r=r)
+    return SvdFactors(U=U, D=s[:r].copy(), V=V, r=r)
 
 
 def _check_orthonormal(M, name):

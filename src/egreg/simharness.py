@@ -23,12 +23,17 @@ held-out SSE and its own pick.  A study stacks the R noise draws of a grid
 point as R lanes, so each method's CV runs once per grid point, not once per
 replication; :func:`kfold_cv` is the one-lane case.  Each training fold is
 factored once, from its rows of the design's PC coordinates ``U D`` (n_tr x
-rank, not n_tr x p).  PCR, ridge, NIECE and EgReg are stacks of diagonal
-filters on its PCs (NIECE in each lane's score order), and one kernel,
-:func:`_filtered_sse`, scores every filter, term count and lane in a single
-cumulative sum.  SIMPLS runs all folds x lanes as the lanes of one lockstep
-recurrence on ``U D``, with a 0/1 training-row mask per fold.  The drivers
-score and pick ``_LANE_BLOCK`` lanes at a time, which keeps CV memory flat in R.
+rank, not n_tr x p), and the folds are kept as one zero-padded stack,
+:class:`_FoldStack`.  PCR, ridge, NIECE and EgReg are diagonal filters on the
+fold PCs (NIECE in each lane's score order), and one call of :func:`_cv_sse`
+scores every fold, filter, term count and lane of a method.  A grid that
+reads one term count (ridge, full-rank EgReg) is scored in residual form;
+the others in a Gram form whose increments are summed over folds before
+one cumulative sum over the terms.  The Gram form's error is absolute, about
+eps k ||y_va||^2, so its scores are clamped at 0.  SIMPLS runs all folds x
+lanes as the lanes of one lockstep recurrence on ``U D``, with a 0/1
+training-row mask per fold.  The drivers score and pick ``_LANE_BLOCK`` lanes
+at a time, which keeps CV memory flat in R.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,8 +49,8 @@ from .envscore import _score_order, envelope_scores
 from .estimators import (_check_params, _coefficients, _require_centered, _shrink, _simpls_lockstep,
                          pcr_coefficients)
 from .exceptions import ConfigError, ParameterError
-from .matrixcore import (Dataset, _as_matrix, _integer, _real, _real_array, _recenter,
-                         _truncated, thin_svd)
+from .matrixcore import (Dataset, _as_matrix, _integer, _rank_of, _real, _real_array, _recenter,
+                         thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -268,50 +273,84 @@ def gen_baseline(
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Fold:
-    tr: np.ndarray
-    va: np.ndarray
-    svd: object        # thin SVD of the training rows of U D, the design's PC coordinates
-    A: np.ndarray      # Z_va @ V / D: held-out rows in whitened fold-PC coordinates
-
-
 def _fold_indices(n, k, seed):
     rng = np.random.default_rng(seed)
     return np.array_split(rng.permutation(n), k)
 
 
-def _fold_caches(svd, folds):
+@dataclass
+class _FoldStack:
+    """Every training fold of one design, factored and zero-padded to one shape.
+
+    Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of the
+    design's PC coordinates ``Z = U D``.  Its training rows have the thin SVD
+    ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and ``A[f] = Z[va[f]] V_f /
+    D[f]`` holds its held-out rows in whitened fold-PC coordinates.  Folds are
+    padded to the largest training fold, held-out fold and rank: a padded
+    index is n (one row past the data), and padded rows and columns of U, D
+    and A are zero, so they add exact zeros to every score.  A fold PC keeps
+    the sign LAPACK gave it: flipping it flips its U and A columns together,
+    which cancels in every CV score.
+    """
+
+    tr: np.ndarray      # folds x n_tr row indices
+    va: np.ndarray      # folds x m row indices
+    n_tr: np.ndarray    # training rows per fold
+    r: np.ndarray       # rank per fold
+    U: np.ndarray       # folds x n_tr x k
+    D: np.ndarray       # folds x k
+    A: np.ndarray       # folds x m x k
+
+    @cached_property
+    def M(self):
+        """``2 tril(A'A, -1) + diag(A'A)`` per fold, the Gram form's matrix.
+
+        Formed on the first call of a grid that reads partial sums, then kept
+        for the design's other grids and lane blocks.
+        """
+        k = self.D.shape[1]
+        return (self.A.transpose(0, 2, 1) @ self.A) * (2.0 * np.tri(k, k, -1) + np.eye(k))
+
+
+def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
     The training folds of one size are stacked and factored by one
-    ``np.linalg.svd`` call; each fold's factors are then cut and signed as
-    :func:`~egreg.matrixcore.thin_svd` does, so they equal ``thin_svd(Z[tr])``
-    bit for bit.
+    ``np.linalg.svd`` call.  Each fold's factors are cut at its numerical
+    rank, as :func:`~egreg.matrixcore.thin_svd` cuts, straight into the
+    padded :class:`_FoldStack`.
     """
     Z = svd.U * svd.D
-    trs = []
-    for va in folds:
-        train = np.ones(Z.shape[0], bool)
-        train[va] = False
-        trs.append(np.flatnonzero(train))
-    factors = [None] * len(folds)
-    for size in {tr.size for tr in trs}:
-        at = [i for i, tr in enumerate(trs) if tr.size == size]
-        U, s, Vt = np.linalg.svd(Z[np.stack([trs[i] for i in at])], full_matrices=False)
-        for j, i in enumerate(at):
-            factors[i] = _truncated(U[j], s[j], Vt[j])
-    return [_Fold(tr=tr, va=va, svd=f, A=(Z[va] @ f.V) / f.D)
-            for tr, va, f in zip(trs, folds, factors)]
+    n = Z.shape[0]
+    trs = [np.setdiff1d(np.arange(n), va) for va in folds]
+    n_tr = np.array([tr.size for tr in trs])
+    tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
+    for f, (t, v) in enumerate(zip(trs, folds)):
+        tr[f, :t.size], va[f, :v.size] = t, v
+    cuts = [None] * len(folds)
+    for size in dict.fromkeys(n_tr.tolist()):
+        at = np.flatnonzero(n_tr == size)
+        U, s, Vt = np.linalg.svd(Z[tr[at, :size]], full_matrices=False)
+        for j, f in enumerate(at):
+            cuts[f] = U[j], s[j], Vt[j], _rank_of(s[j])
+    r = np.array([cut[3] for cut in cuts])
+    k = int(r.max())
+    stack = _FoldStack(tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
+                       np.zeros((len(folds), k)), np.zeros((len(folds), va.shape[1], k)))
+    for f, (U, s, Vt, rf) in enumerate(cuts):
+        stack.U[f, :n_tr[f], :rf] = U[:, :rf]
+        stack.D[f, :rf] = s[:rf]
+        stack.A[f, :folds[f].size, :rf] = (Z[folds[f]] @ Vt[:rf].T) / s[:rf]
+    return stack
 
 
-def _fold_phi(fold, B):
-    """Envelope scores of the training fold, one column per lane.
+def _fold_phi(folds: _FoldStack, B):
+    """Envelope scores of every training fold, one row per lane: folds x lanes x k.
 
-    With B = U'Y_tr (r x lanes x q), the score of PC j is (sigma_j ||B_j|| / n_tr)^2.
+    With B = U'Y_tr (folds x lanes x q x k), the score of PC j is (sigma_j ||B_j|| / n_tr)^2.
     """
-    n_tr = fold.tr.shape[0]
-    return (fold.svd.D**2)[:, None] * np.einsum("jlq,jlq->jl", B, B) / float(n_tr) ** 2
+    n_tr = folds.n_tr.astype(float)[:, None, None]
+    return (folds.D**2)[:, None] * np.einsum("flqj,flqj->flj", B, B) / n_tr**2
 
 
 @dataclass
@@ -342,37 +381,6 @@ def _parse_grid(method, entries) -> _Grid:
     return _Grid(method, d, u, lam)
 
 
-def _filtered_sse(A, B, Yva, F, terms):
-    """Held-out SSE of every filter and lane after its first c terms, c in ``terms``.
-
-    ``A`` (m x k x lanes) holds the held-out rows and ``B`` (k x lanes x q)
-    the training response in the same k coordinates; under filter l (row of
-    the L x k x lanes ``F``) coordinate j adds ``A[:, j] F[l, j] B[j]`` to a
-    lane's prediction.  A lane axis of length 1 in ``A`` or ``F`` is shared
-    by all lanes.  ``terms`` is ascending (c = 0 predicts zero).  Returns an
-    L x terms.size x lanes array.
-    """
-    k = int(terms[-1])
-    L, lanes, q, m = F.shape[0], B.shape[1], B.shape[2], A.shape[0]
-    H = (F[:, :k, :, None] * B[:k]).transpose(0, 2, 3, 1)    # L x lanes x q x k
-    if terms.size == 1 and A.shape[2] == 1:
-        # Only full sums are read (ridge, full-rank EgReg): one matrix product
-        # instead of building every partial prediction.  The cumulative sum
-        # would give the same cells; this path makes the p1 and
-        # double_descent benchmarks 1.22x and 1.38x faster end to end.
-        R = (H.reshape(-1, k) @ A[:, :k, 0].T).reshape(L, lanes, q, m)
-        R -= Yva.transpose(1, 2, 0)
-        return np.einsum("lrqm,lrqm->lr", R, R)[:, None]
-    # Residuals of the cumulative predictions, term axis last so the cumsum
-    # runs over contiguous memory; column 0 predicts zero.
-    T = np.empty((L, lanes, q, m, k + 1))
-    T[..., 0] = -Yva.transpose(1, 2, 0)
-    np.multiply(A[:, :k].transpose(2, 0, 1)[None, :, None], H[:, :, :, None], out=T[..., 1:])
-    np.cumsum(T, axis=-1, out=T)
-    T *= T
-    return T.sum(axis=(2, 3))[..., terms].transpose(0, 2, 1)
-
-
 def _entry_sizes(grid: _Grid, r_f):
     """Each entry's d on a training fold of rank r_f (a missing d is r_f), checked."""
     d = np.where(grid.d > 0, grid.d, r_f)
@@ -384,7 +392,7 @@ def _entry_sizes(grid: _Grid, r_f):
     return d
 
 
-def _simpls_cv_sse(Z, caches, Y, d):
+def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
     """Held-out SSE after 0..d SIMPLS components, pooled over folds: (d+1) x lanes.
 
     Every fold x lane pair is one lane of :func:`_simpls_lockstep` on the
@@ -393,11 +401,11 @@ def _simpls_cv_sse(Z, caches, Y, d):
     a lane that stops early keeps its last fit.
     """
     n, lanes, _ = Y.shape
-    train = np.ones((len(caches), n))
-    for f, fold in enumerate(caches):
-        train[f, fold.va] = 0.0
-    train = np.repeat(train, lanes, axis=0)      # pair (fold f, lane l) is f * lanes + l
-    Yp = np.tile(Y.transpose(1, 0, 2), (len(caches), 1, 1))
+    n_folds = folds.va.shape[0]
+    train = np.ones((n_folds, n + 1))            # column n takes the padded indices
+    train[np.arange(n_folds)[:, None], folds.va] = 0.0
+    train = np.repeat(train[:, :n], lanes, axis=0)    # pair (fold f, lane l) is f * lanes + l
+    Yp = np.tile(Y.transpose(1, 0, 2), (n_folds, 1, 1))
     held = 1.0 - train
     fit = np.zeros_like(Yp)
     sse = np.empty((d + 1, Yp.shape[0]))
@@ -407,66 +415,106 @@ def _simpls_cv_sse(Z, caches, Y, d):
         fit[live] += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yl)[:, None]
         resid = Yl - fit[live]
         sse[c:, live] = np.einsum("ln,lnq,lnq->l", held[live], resid, resid)
-    return sse.reshape(d + 1, len(caches), lanes).sum(axis=1)
+    return sse.reshape(d + 1, n_folds, lanes).sum(axis=1)
 
 
-def _gather(rows, cols, lanes):
-    """Term counts to score and the flat position of every (entry, lane) cell
-    in :func:`_filtered_sse`'s L x terms x lanes output; entry i reads filter
-    ``rows[i]`` after ``cols[i]`` terms (``cols`` is entries x 1 or x lanes)."""
-    terms, at = np.unique(cols, return_inverse=True)
-    return terms, (rows * terms.size + at.reshape(cols.shape)) * lanes + np.arange(lanes)
+#: Floats in the largest working array of one chunk of folds in
+#: :func:`_cv_sse` (128 KiB).  Arrays of every fold at once run to megabytes:
+#: they spill the CPU caches, and with glibc's mmap threshold pinned (as the
+#: benchmark pins it) their pages go back to the kernel on every free.  At
+#: P1's shapes (4 lanes, fold rank 50 and 90, one BLAS thread) this chunk
+#: scored the EgReg grids up to 2x faster than all folds at once.
+_CHUNK_FLOATS = 2**14
 
 
-def _cv_sse(svd, caches, Y, grid: _Grid) -> np.ndarray:
+def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
     """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
 
     ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
-    replications are its lanes).  ``caches`` factor each fold from ``U D``
-    of ``svd``, the whole design's thin SVD, on which SIMPLS runs all folds
-    x lanes in lockstep.  Like the fold SVDs, it leaves out directions below
+    replications are its lanes).  ``folds`` factor each fold from ``U D`` of
+    ``svd``, the whole design's thin SVD, on which SIMPLS runs all folds x
+    lanes in lockstep.  Like the fold SVDs, it leaves out directions below
     the numerical rank: they carry only rounding noise, which late
-    components would fit.  Every other method is a stack of filters per fold, one kernel call
-    (:func:`_filtered_sse`) scoring all lanes, and every entry reads one
-    (filter, term count) cell per lane.  What depends only on the grid and a
-    fold's rank is planned once per rank, not once per fold.
+    components would fit.
+
+    Every other method predicts a held-out row ``a`` as ``sum_j a_j h_j``
+    with ``h = f B`` a filter on the fold's PCs, ``B = U'Y_tr``, and an entry
+    reads the SSE after its first c terms (NIECE: its pool's members in each
+    lane's score order).  Folds are scored a chunk at a time, every filter
+    and lane of a chunk at once.  A grid whose entries all read one c
+    (ridge, full-rank EgReg) takes the residual form, one batched matrix
+    product per chunk.  Other grids take the Gram form ``SSE(c) =
+    ||y_va||^2 + sum_{j<c} h_j ((M h)_j - 2 g_j)`` with M of
+    :attr:`_FoldStack.M` and ``g = A'y_va``: the increments are summed over
+    folds, then one cumulative sum over the terms gives every c.  Its
+    absolute error is about eps k ||y_va||^2, so a score that should be 0
+    can round below it; it is clamped at 0.
     """
-    # Ranks in fold order, so the first fold too small for the grid raises.
-    sizes = {r: _entry_sizes(grid, r) for r in dict.fromkeys(fold.svd.r for fold in caches)}
+    for r in dict.fromkeys(folds.r.tolist()):    # fold order: the first fold too small raises
+        _entry_sizes(grid, r)
     if grid.method == "simpls":
-        return _simpls_cv_sse(svd.U * svd.D, caches, Y, int(grid.d.max()))[grid.d]
-    lanes = Y.shape[1]
+        return _simpls_cv_sse(svd.U * svd.D, folds, Y, int(grid.d.max()))[grid.d]
+    n, lanes, q = Y.shape
+    n_folds, m, k = folds.A.shape
+    Yp = np.concatenate([Y.reshape(n, -1), np.zeros((1, lanes * q))])    # row n: the padding
+    B = (folds.U.transpose(0, 2, 1) @ Yp[folds.tr]).reshape(n_folds, k, lanes, q)
+    B = np.ascontiguousarray(B.transpose(0, 2, 3, 1))          # folds x lanes x q x k
+    Yva = Yp[folds.va].transpose(0, 2, 1)                      # folds x lanes q x m
     lam, rows = np.unique(grid.lam, return_inverse=True)
-    # Per fold rank, NIECE plans its candidate pools and each entry's pool
-    # (its cells follow each lane's score order, so it places them per fold);
-    # every other method plans its term counts and cell positions.
-    plans = {r: np.unique(d, return_inverse=True) if grid.method == "niece"
-             else _gather(rows[:, None], d[:, None], lanes) for r, d in sizes.items()}
-    sse = np.zeros((grid.d.size, lanes))
-    for fold in caches:
-        svd = fold.svd
-        Ytr = Y[fold.tr]
-        B = (svd.U.T @ Ytr.reshape(Ytr.shape[0], -1)).reshape(svd.r, *Y.shape[1:])
-        A = fold.A[:, :, None]
-        if grid.method == "pcr":
-            F = np.ones((1, svd.r, 1))
-        elif grid.method in ("ridge", "egreg"):
-            # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
-            s = (svd.D**2)[:, None] if grid.method == "ridge" else _fold_phi(fold, B)
-            F = _shrink(s, lam[:, None, None])
+    cols = np.where(grid.d > 0, grid.d, k)
+    if grid.method == "niece":
+        # Each lane's PCs in score order, each candidate pool's members
+        # first: an entry reads its pool's first u terms.
+        order = _score_order(_fold_phi(folds, B), folds.D[:, None])      # folds x lanes x k
+        pools, rows = np.unique(grid.d, return_inverse=True)
+        size = np.where(pools > 0, pools, folds.r[:, None])[:, :, None, None]   # 0: full rank
+        order = np.take_along_axis(order[:, None], np.argsort(order[:, None] >= size, axis=-1,
+                                                              kind="stable"), axis=-1)
+        cols, width = grid.u, pools.size * lanes * k * k
+    else:
+        # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
+        s = (folds.D**2)[:, None] if grid.method == "ridge" else _fold_phi(folds, B)
+        width = lam.size * lanes * q * k
+    gram = grid.method == "niece" or np.any(cols != cols[0])
+    c = k if gram else cols[0]
+    step = max(1, _CHUNK_FLOATS // width)
+    total = 0.0    # summed fold by fold, so no score depends on the chunking
+    for at in (slice(i, i + step) for i in range(0, n_folds, step)):
+        A = folds.A[at, :, :c]
+        if grid.method == "niece":
+            # M follows each lane's order: 2 A'A permuted, then its strict
+            # lower triangle and half its diagonal.
+            H = np.take_along_axis(B[at, None], order[at, :, :, None], axis=-1)
+            S = folds.M[at] + folds.M[at].transpose(0, 2, 1)
+            M = S[np.arange(S.shape[0])[:, None, None, None, None], order[at, ..., None],
+                  order[at, ..., None, :]]
+            M *= np.tri(k, k, -1) + 0.5 * np.eye(k)
+            Mh = H @ M.transpose(0, 1, 2, 4, 3)
+            g = np.take_along_axis((Yva[at] @ A).reshape(-1, 1, lanes, q, k),
+                                   order[at, :, :, None], axis=-1)
         else:
-            # NIECE: PCs in each lane's score order; each candidate pool is a
-            # 0/1 filter and u counts the pool members kept.
-            order = _score_order(_fold_phi(fold, B).T, svd.D).T
-            A, B = fold.A[:, order], B[order, np.arange(lanes)]
-            pools, pool = plans[svd.r]
-            F = (order < pools[:, None, None]).astype(float)
-            kept = np.cumsum(F, axis=1)[pool]
-            cols = 1 + np.count_nonzero(kept < grid.u[:, None, None], axis=1)
-        terms, flat = _gather(pool[:, None], cols, lanes) if grid.method == "niece" \
-            else plans[svd.r]
-        sse += _filtered_sse(A, B, Y[fold.va], F, terms).reshape(-1).take(flat)
-    return sse
+            f = np.ones((1, 1, 1, k)) if grid.method == "pcr" else _shrink(s[at, None],
+                                                                          lam[:, None, None])
+            H = f[:, :, :, None, :c] * B[at, None, ..., :c]     # chunk x L x lanes x q x c
+            if not gram:
+                R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
+                R = R.reshape(H.shape[0], -1, lanes * q, m)
+                R -= Yva[at, None]
+                R = R.reshape(*R.shape[:2], lanes, q * m)
+                for sse in np.einsum("flrm,flrm->flr", R, R):
+                    total += sse
+                continue
+            Mh = (H.reshape(H.shape[0], -1, k) @ folds.M[at].transpose(0, 2, 1)).reshape(H.shape)
+            g = (Yva[at] @ A).reshape(-1, 1, lanes, q, k)
+        Mh -= 2.0 * g
+        H *= Mh
+        for inc in H.sum(axis=3):
+            total += inc
+    if not gram:
+        return total[rows]
+    sse = np.cumsum(total, axis=-1)[rows, :, cols - 1]
+    sse += np.einsum("nlq,nlq->l", Y, Y)
+    return np.maximum(sse, 0.0, out=sse)
 
 
 def _pick_best(grid: _Grid, scores):
@@ -482,18 +530,18 @@ def _pick_best(grid: _Grid, scores):
 
 #: Lanes scored and picked together.  It bounds CV working memory whatever
 #: the number of replications: SIMPLS holds a deflation basis of folds x
-#: lanes x d x rank(X) floats, and NIECE one filter per candidate pool and
-#: lane.  At R = 100 (one BLAS thread on a 2-core VM, glibc mmap threshold
-#: 1 MiB) the baseline study peaks at 48.2 MB RSS in blocks of 4 (7.9 s) and
-#: at 54.3 MB in blocks of 8 (6.9 s).
+#: lanes x d x rank(X) floats, and NIECE a k x k Gram-form matrix per fold
+#: of a chunk, candidate pool and lane.  At R = 100 (one BLAS thread on a
+#: 2-core VM, glibc mmap threshold 1 MiB) the baseline study peaks at 49.1 MB
+#: RSS in blocks of 4 (5.5 s) and at 54.1 MB in blocks of 8 (4.9 s).
 _LANE_BLOCK = 4
 
 
-def _tune(svd, caches, Y, grid: _Grid):
+def _tune(svd, stack, Y, grid: _Grid):
     """CV pick per lane of ``Y`` (n x lanes x q), scored ``_LANE_BLOCK`` lanes
     at a time so no block's scores outlive its picks."""
     n = Y.shape[0]
-    return np.concatenate([_pick_best(grid, _cv_sse(svd, caches, Y[:, i:i + _LANE_BLOCK], grid) / n)
+    return np.concatenate([_pick_best(grid, _cv_sse(svd, stack, Y[:, i:i + _LANE_BLOCK], grid) / n)
                            for i in range(0, Y.shape[1], _LANE_BLOCK)])
 
 
@@ -516,6 +564,12 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     integer >= 0.  ``data`` is a centered :class:`Dataset`, as fits need.  Returns
     ``(best_params, cv_table)`` where the table carries a "cv_score" per
     entry.
+
+    A grid whose entries read different numbers of PCs (PCR, NIECE, EgReg
+    with d) is scored in the Gram form of :func:`_cv_sse`: each score is
+    within about eps k ||Y||^2 / n of the exact one (k the training-fold
+    rank), not within a relative eps, and never below 0.  Ridge and
+    full-rank EgReg grids are scored from the residuals themselves.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)
@@ -528,8 +582,8 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
     seed = _integer("seed", seed, 0)
     svd = thin_svd(data.X)
-    caches = _fold_caches(svd, _fold_indices(n, k, seed))
-    scores = _cv_sse(svd, caches, data.Y[:, None], grid)[:, 0] / n
+    stack = _fold_caches(svd, _fold_indices(n, k, seed))
+    scores = _cv_sse(svd, stack, data.Y[:, None], grid)[:, 0] / n
     best = _pick_best(grid, scores[:, None])[0]
     table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
     return dict(entries[best]), table
@@ -634,8 +688,8 @@ def _sample_fits(X, svd, Y, folds, methods):
     replication]}``.
     """
     n = X.shape[0]
-    caches = _fold_caches(svd, folds)
-    r_cap = min(svd.r, min(c.svd.r for c in caches))
+    stack = _fold_caches(svd, folds)
+    r_cap = min(svd.r, int(stack.r.min()))
     ds = np.arange(1, r_cap + 1)
     lam = _lambda_grid(svd.D[0] ** 2)
     grids = {
@@ -646,7 +700,7 @@ def _sample_fits(X, svd, Y, folds, methods):
         "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
         "EgReg(r)": _Grid("egreg", lam=lam),
     }
-    best = {label: _tune(svd, caches, Y, grids[label]) for label in methods}
+    best = {label: _tune(svd, stack, Y, grids[label]) for label in methods}
     scored = not {"NIECE", "EgReg", "EgReg(r)"}.isdisjoint(methods)
     fits = {m: [] for m in methods}
     for rep in range(Y.shape[1]):

@@ -1,9 +1,12 @@
 """Tests for the data generators, cross-validation, and study drivers.
 
-The CV fast paths (per-fold SVD reuse, cumulative-sum parameter sweeps) are
-validated against a brute-force oracle that refits each fold from scratch
-through the public coefficient functions.
+The CV fast paths (fold factors cut from the design's SVD, the stacked
+residual- and Gram-form kernels) are validated against a brute-force oracle
+that refits each fold from scratch through the public coefficient functions,
+and against the per-fold residual-form kernel kept here as a reference.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -39,7 +42,6 @@ from egreg.estimators import (
 )
 from egreg.simharness import (
     _cv_sse,
-    _filtered_sse,
     _fold_caches,
     _fold_indices,
     _Grid,
@@ -338,20 +340,19 @@ def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
     X[:, dup:2 * dup] = X[:, :dup]
     X -= X.mean(axis=0)
     folds = _fold_indices(n, k, 1)
-    for fold, va in zip(_fold_caches(thin_svd(X), folds), folds):
+    stack = _fold_caches(thin_svd(X), folds)
+    for f, va in enumerate(folds):
         tr = np.setdiff1d(np.arange(n), va)
-        assert np.array_equal(fold.tr, tr) and np.array_equal(fold.va, va)
+        n_tr, r = stack.n_tr[f], stack.r[f]
+        assert np.array_equal(stack.tr[f, :n_tr], tr) and np.array_equal(stack.va[f, :va.size], va)
         fresh = thin_svd(X[tr])
-        assert fold.svd.r == fresh.r
-        assert_allclose(fold.svd.D, fresh.D, rtol=1e-10)
-        sign = np.sign(np.sum(fold.svd.U * fresh.U, axis=0))    # one per column pair
-        assert_allclose(fold.svd.U * sign, fresh.U, rtol=0, atol=1e-9)
-        assert_allclose(fold.A * sign, X[va] @ fresh.V / fresh.D, rtol=0, atol=1e-9)
-
-
-def _same_bits(a, b):
-    return (a.r == b.r and a.U.tobytes() == b.U.tobytes()
-            and a.D.tobytes() == b.D.tobytes() and a.V.tobytes() == b.V.tobytes())
+        assert r == fresh.r
+        assert_allclose(stack.D[f, :r], fresh.D, rtol=1e-10)
+        U = stack.U[f, :n_tr, :r]
+        sign = np.sign(np.sum(U * fresh.U, axis=0))    # one per column pair
+        assert_allclose(U * sign, fresh.U, rtol=0, atol=1e-9)
+        assert_allclose(stack.A[f, :va.size, :r] * sign, X[va] @ fresh.V / fresh.D,
+                        rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n,p,k,dup_fold", [
@@ -363,7 +364,9 @@ def _same_bits(a, b):
 ])
 def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
     # Folds of one training size are factored by one stacked LAPACK call;
-    # each must carry exactly the bits of its own thin_svd call.
+    # each must carry exactly the rank, D and U of its own thin_svd call, U
+    # up to the sign of each column (a fold PC's sign cancels in every CV
+    # score, so the stack keeps LAPACK's), and zeros in all its padding.
     rng = np.random.default_rng(n + p)
     X = rng.standard_normal((n, p))
     folds = _fold_indices(n, k, 3)
@@ -374,13 +377,21 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
     X -= X.mean(axis=0)
     svd = thin_svd(X)
     Z = svd.U * svd.D
-    caches = _fold_caches(svd, folds)
-    for fold in caches:
-        assert _same_bits(fold.svd, thin_svd(Z[fold.tr]))
-    sizes = {c.tr.size for c in caches}
+    stack = _fold_caches(svd, folds)
+    for f, va in enumerate(folds):
+        n_tr, r = stack.n_tr[f], stack.r[f]
+        fresh = thin_svd(Z[stack.tr[f, :n_tr]])
+        U = stack.U[f, :n_tr, :r]
+        sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
+        assert r == fresh.r and stack.D[f, :r].tobytes() == fresh.D.tobytes()
+        assert (U * sign).tobytes() == fresh.U.tobytes()
+        assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
+                    or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
+        assert np.all(stack.tr[f, n_tr:] == n) and np.all(stack.va[f, va.size:] == n)
+    sizes = set(stack.n_tr.tolist())
     assert len(sizes) == (1 if n % k == 0 else 2)
     if dup_fold is not None:
-        assert len({c.svd.r for c in caches}) == 2 and len(sizes) == 1
+        assert len(set(stack.r.tolist())) == 2 and len(sizes) == 1
 
 
 def test_batched_fold_factors_raise_thin_svds_error_on_a_zero_fold():
@@ -633,37 +644,81 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
             assert np.all(both[:, 0] == 0.0)
 
 
-def _per_fold_cv_sse(caches, Y, grid):
-    """The filter methods' CV scores with every grid lookup redone per fold
-    and each cell gathered by index arrays: the reference that planning the
-    grid once per fold rank must match bit for bit."""
-    sizes = [simharness._entry_sizes(grid, fold.svd.r) for fold in caches]
+def _filtered_sse(A, B, Yva, F, terms):
+    """Held-out SSE of every filter and lane after its first c terms, c in
+    ``terms``, in residual form: the reference for the CV kernel.
+
+    ``A`` (m x k x lanes) holds the held-out rows and ``B`` (k x lanes x q)
+    the training response in the same k coordinates; under filter l (row of
+    the L x k x lanes ``F``) coordinate j adds ``A[:, j] F[l, j] B[j]`` to a
+    lane's prediction.  A lane axis of length 1 in ``A`` or ``F`` is shared
+    by all lanes.  ``terms`` is ascending (c = 0 predicts zero).  Returns an
+    L x terms.size x lanes array.
+    """
+    k = int(terms[-1])
+    L, lanes, q, m = F.shape[0], B.shape[1], B.shape[2], A.shape[0]
+    H = (F[:, :k, :, None] * B[:k]).transpose(0, 2, 3, 1)    # L x lanes x q x k
+    if terms.size == 1 and A.shape[2] == 1:
+        # Only full sums are read: one matrix product instead of building
+        # every partial prediction.
+        R = (H.reshape(-1, k) @ A[:, :k, 0].T).reshape(L, lanes, q, m)
+        R -= Yva.transpose(1, 2, 0)
+        return np.einsum("lrqm,lrqm->lr", R, R)[:, None]
+    # Residuals of the cumulative predictions, term axis last; column 0
+    # predicts zero.
+    T = np.empty((L, lanes, q, m, k + 1))
+    T[..., 0] = -Yva.transpose(1, 2, 0)
+    np.multiply(A[:, :k].transpose(2, 0, 1)[None, :, None], H[:, :, :, None], out=T[..., 1:])
+    np.cumsum(T, axis=-1, out=T)
+    T *= T
+    return T.sum(axis=(2, 3))[..., terms].transpose(0, 2, 1)
+
+
+def _per_fold_cv_sse(stack, Y, grid):
+    """The filter methods' CV scores fold by fold, each fold cut from the
+    stack's padding, in residual form with every cell gathered by index
+    arrays: the reference the stacked kernel must match."""
+    n = Y.shape[0]
     lane = np.arange(Y.shape[1])
     sse = np.zeros((grid.d.size, lane.size))
-    for fold, d in zip(caches, sizes):
-        svd = fold.svd
-        Ytr = Y[fold.tr]
-        B = (svd.U.T @ Ytr.reshape(Ytr.shape[0], -1)).reshape(svd.r, *Y.shape[1:])
-        A, rows, cols = fold.A[:, :, None], 0, d[:, None]
+    for f in range(stack.r.size):
+        n_tr, r, m = stack.n_tr[f], stack.r[f], np.count_nonzero(stack.va[f] < n)
+        d = simharness._entry_sizes(grid, r)
+        D, A = stack.D[f, :r], stack.A[f, :m, :r]
+        Ytr = Y[stack.tr[f, :n_tr]]
+        B = (stack.U[f, :n_tr, :r].T @ Ytr.reshape(n_tr, -1)).reshape(r, *Y.shape[1:])
+        phi = (D**2)[:, None] * np.einsum("jlq,jlq->jl", B, B) / float(n_tr) ** 2
+        A3, rows, cols = A[:, :, None], 0, d[:, None]
         if grid.method == "pcr":
-            F = np.ones((1, svd.r, 1))
+            F = np.ones((1, r, 1))
         elif grid.method in ("ridge", "egreg"):
-            s = (svd.D**2)[:, None] if grid.method == "ridge" else simharness._fold_phi(fold, B)
+            s = (D**2)[:, None] if grid.method == "ridge" else phi
             lam, rows = np.unique(grid.lam, return_inverse=True)
             denom = s + lam[:, None, None]
             F = np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
             rows = rows[:, None]
         else:
-            order = simharness._score_order(simharness._fold_phi(fold, B).T, svd.D).T
-            A, B = fold.A[:, order], B[order, lane]
+            order = simharness._score_order(phi.T, D).T
+            A3, B = A[:, order], B[order, lane]
             pools, rows = np.unique(d, return_inverse=True)
             F = (order < pools[:, None, None]).astype(float)
             kept = np.cumsum(F, axis=1)[rows]
             cols = 1 + np.count_nonzero(kept < grid.u[:, None, None], axis=1)
             rows = rows[:, None]
         terms, at = np.unique(cols, return_inverse=True)
-        sse += _filtered_sse(A, B, Y[fold.va], F, terms)[rows, at.reshape(cols.shape), lane]
+        sse += _filtered_sse(A3, B, Y[stack.va[f, :m]], F, terms)[rows, at.reshape(cols.shape),
+                                                                   lane]
     return sse
+
+
+def _lane_data(n, p, lanes, q, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    X -= X.mean(axis=0)
+    Y = np.einsum("np,plq->nlq", X, rng.standard_normal((p, lanes, q)))
+    Y += rng.standard_normal(Y.shape)
+    Y -= Y.mean(axis=0)
+    return X, Y
 
 
 @pytest.mark.parametrize("n,p,k", [
@@ -672,15 +727,13 @@ def _per_fold_cv_sse(caches, Y, grid):
 ])
 @pytest.mark.parametrize("lanes,q", [(1, 1), (3, 1), (1, 2), (3, 2)])
 def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes, q):
-    rng = np.random.default_rng(n * lanes + q)
-    X = rng.standard_normal((n, p))
-    X -= X.mean(axis=0)
-    Y = np.einsum("np,plq->nlq", X, rng.standard_normal((p, lanes, q)))
-    Y += rng.standard_normal(Y.shape)
-    Y -= Y.mean(axis=0)
+    # The stacked kernel scores every fold at once, and grids that read
+    # partial sums take the Gram form, so its rounding differs from the
+    # per-fold residual form: the two agree to rtol 1e-12.
+    X, Y = _lane_data(n, p, lanes, q, n * lanes + q)
     svd = thin_svd(X)
-    caches = _fold_caches(svd, _fold_indices(n, k, 5))
-    ranks = {fold.svd.r for fold in caches}
+    stack = _fold_caches(svd, _fold_indices(n, k, 5))
+    ranks = set(stack.r.tolist())
     assert len(ranks) == (2 if p > n else 1)
     ds = np.arange(1, min(ranks) + 1)
     lam = np.array([0.0, 0.02, 0.3, 0.3, 5.0, 80.0])
@@ -691,13 +744,16 @@ def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes,
         _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, ds.size)),
         _Grid("egreg", lam=lam[::-1]),
     ):
-        got = _cv_sse(svd, caches, Y, grid)
-        assert got.tobytes() == _per_fold_cv_sse(caches, Y, grid).tobytes(), grid.method
+        got = _cv_sse(svd, stack, Y, grid)
+        assert_allclose(got, _per_fold_cv_sse(stack, Y, grid), rtol=1e-12, err_msg=grid.method)
 
 
 def test_full_sum_path_matches_the_cumulative_sum():
     # Grids that read only the full sum take a one-GEMM path; asking for one
-    # more term count sends the same cell through the cumulative sum.
+    # more term count sends the same cell through the cumulative sum.  This
+    # holds for the reference kernel and for the stacked one, whose full-rank
+    # EgReg grid takes the residual form until an entry with a d sends it
+    # through the Gram form.
     rng = np.random.default_rng(4)
     m, k, lanes, q, L = 7, 9, 3, 2, 5
     A = rng.standard_normal((m, k, 1))
@@ -707,6 +763,73 @@ def test_full_sum_path_matches_the_cumulative_sum():
     full = _filtered_sse(A, B, Yva, F, np.array([k]))
     both = _filtered_sse(A, B, Yva, F, np.array([k - 1, k]))
     assert_allclose(full[:, 0], both[:, 1], rtol=1e-12)
+    X, Y = _lane_data(14, 20, lanes, q, 4)
+    svd = thin_svd(X)
+    stack = _fold_caches(svd, _fold_indices(14, 4, 5))
+    lam = np.array([0.0, 0.1, 2.0, 30.0])
+    full = _cv_sse(svd, stack, Y, _Grid("egreg", lam=lam))
+    both = _cv_sse(svd, stack, Y, _Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0]))
+    assert_allclose(full, both[:4], rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [6, 20], ids=["tall", "wide"])
+def test_cv_scores_are_bit_identical_under_fold_pc_sign_flips(p):
+    # A fold PC keeps the sign LAPACK gave it.  Flipping it flips its U
+    # column, so B_j = U_j'Y, together with its A column; the sign cancels
+    # in every score of every method (SIMPLS reads only the fold masks).
+    X, Y = _lane_data(14, p, 3, 2, 8)
+    svd = thin_svd(X)
+    stack = _fold_caches(svd, _fold_indices(14, 4, 5))
+    flip = np.where(np.random.default_rng(p).random(stack.D.shape) < 0.5, -1.0, 1.0)
+    assert (flip < 0).any()
+    flipped = dataclasses.replace(stack, U=stack.U * flip[:, None], A=stack.A * flip[:, None])
+    for grid in (*_LANE_GRIDS, _Grid("egreg", lam=[0.0, 0.5, 3.0])):
+        got = _cv_sse(svd, flipped, Y, grid)
+        assert got.tobytes() == _cv_sse(svd, stack, Y, grid).tobytes(), grid.method
+
+
+def _accuracy_grids(r):
+    """Grids of every filter method on training folds of rank r, each with
+    an entry that uses all r PCs (a zero held-out error at sigma = 0 on a
+    tall design)."""
+    mid = r // 2
+    return [
+        ("pcr", [{"d": d} for d in (1, 2, mid, r)]),
+        ("ridge", [{"lambda": lam} for lam in (1e-3, 0.5, 3.0)]),
+        ("niece", [{"u": 2, "d": 3}, {"u": 3, "d": 3}, {"u": 2, "d": mid}, {"u": mid}, {"u": r}]),
+        ("egreg", [{"d": d, "lambda": lam} for d in (2, mid, r) for lam in (0.0, 0.1, 2.0)]),
+        ("egreg", [{"lambda": 0.0}, {"lambda": 0.1}, {"lambda": 2.0}]),
+    ]
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e-3, 1e-6, 0.0])
+@pytest.mark.parametrize("p", [6, 60], ids=["tall", "wide"])
+def test_cv_scores_stay_accurate_and_nonnegative_as_the_noise_vanishes(p, sigma):
+    # The Gram form expands the held-out sum of squares, so its error is
+    # absolute, about eps k ||y_va||^2, rather than relative to the score.
+    # Every score must stay within 1e-12 of the pooled ||y_va||^2 / n of a
+    # fresh refit per fold, never fall below 0 (at sigma = 0 the full-rank
+    # fits on the tall design predict the held-out rows exactly), and pick as
+    # the refits do wherever their best two scores are further apart.  Where
+    # an exact zero rounds to depends on the draw, so there are six.
+    n, k = 48, 6
+    for draw in range(6):
+        rng = np.random.default_rng([31, p, draw])
+        X = rng.standard_normal((n, p))
+        X -= X.mean(axis=0)
+        Y = X @ rng.standard_normal((p, 2)) + sigma * rng.standard_normal((n, 2))
+        Y -= Y.mean(axis=0)
+        data = Dataset(X, Y, centered=True)
+        tol = 1e-12 * np.sum(Y**2) / n
+        for method, grid in _accuracy_grids(min(p, n - n // k)):
+            best, table = kfold_cv(data, method, grid, k=k, seed=13)
+            got = np.array([row["cv_score"] for row in table])
+            oracle = _brute_force_cv(data, method, grid, k=k, seed=13)
+            assert np.all(got >= 0.0), (method, draw, got.min())
+            assert_allclose(got, oracle, rtol=0, atol=tol, err_msg=f"{method}, draw {draw}")
+            first, second = np.sort(oracle)[:2]
+            if second - first > tol:
+                assert best == grid[int(np.argmin(oracle))], (method, draw)
 
 
 def test_cv_is_seed_deterministic():
