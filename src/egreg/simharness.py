@@ -471,6 +471,7 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
         order = np.take_along_axis(order[:, None], np.argsort(order[:, None] >= size, axis=-1,
                                                               kind="stable"), axis=-1)
         cols, width = grid.u, pools.size * lanes * k * k
+        half = np.tri(k, k, -1) + 0.5 * np.eye(k)
     else:
         # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
         s = (folds.D**2)[:, None] if grid.method == "ridge" else _fold_phi(folds, B)
@@ -488,7 +489,7 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
             S = folds.M[at] + folds.M[at].transpose(0, 2, 1)
             M = S[np.arange(S.shape[0])[:, None, None, None, None], order[at, ..., None],
                   order[at, ..., None, :]]
-            M *= np.tri(k, k, -1) + 0.5 * np.eye(k)
+            M *= half
             Mh = H @ M.transpose(0, 1, 2, 4, 3)
             g = np.take_along_axis((Yva[at] @ A).reshape(-1, 1, lanes, q, k),
                                    order[at, :, :, None], axis=-1)
