@@ -322,7 +322,11 @@ def _fold_caches(svd, folds) -> _FoldStack:
     """
     Z = svd.U * svd.D
     n = Z.shape[0]
-    trs = [np.setdiff1d(np.arange(n), va) for va in folds]
+    trs = []
+    for va in folds:    # not np.setdiff1d, whose first call imports numpy.ma (1 MB RSS)
+        train = np.ones(n, bool)
+        train[va] = False
+        trs.append(np.flatnonzero(train))
     n_tr = np.array([tr.size for tr in trs])
     tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
     for f, (t, v) in enumerate(zip(trs, folds)):
