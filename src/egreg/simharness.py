@@ -422,8 +422,9 @@ def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
     return sse.reshape(d + 1, n_folds, lanes).sum(axis=1)
 
 
-#: Floats in the largest working array of one chunk of folds in
-#: :func:`_cv_sse` (128 KiB).  Arrays of every fold at once run to megabytes:
+#: Target floats in the largest working array of one chunk of folds in
+#: :func:`_cv_sse` (128 KiB); a chunk holds at least one fold, and one only
+#: at most study grid points.  Arrays of every fold at once run to megabytes:
 #: they spill the CPU caches, and with glibc's mmap threshold pinned (as the
 #: benchmark pins it) their pages go back to the kernel on every free.  At
 #: P1's shapes (4 lanes, fold rank 50 and 90, one BLAS thread) this chunk
@@ -477,8 +478,10 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
         cols, width = grid.u, pools.size * lanes * k * k
         half = np.tri(k, k, -1) + 0.5 * np.eye(k)
     else:
-        # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi.
-        s = (folds.D**2)[:, None] if grid.method == "ridge" else _fold_phi(folds, B)
+        # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi;
+        # PCR keeps every term whole.
+        s = (folds.D**2)[:, None] if grid.method == "ridge" else (
+            _fold_phi(folds, B) if grid.method == "egreg" else None)
         width = lam.size * lanes * q * k
     gram = grid.method == "niece" or np.any(cols != cols[0])
     c = k if gram else cols[0]
@@ -537,8 +540,8 @@ def _pick_best(grid: _Grid, scores):
 #: the number of replications: SIMPLS holds a deflation basis of folds x
 #: lanes x d x rank(X) floats, and NIECE a k x k Gram-form matrix per fold
 #: of a chunk, candidate pool and lane.  At R = 100 (one BLAS thread on a
-#: 2-core VM, glibc mmap threshold 1 MiB) the baseline study peaks at 49.1 MB
-#: RSS in blocks of 4 (5.5 s) and at 54.1 MB in blocks of 8 (4.9 s).
+#: 2-core VM, glibc mmap threshold 1 MiB) the baseline study peaks at 49.3 MB
+#: RSS in blocks of 4 (4.2 s) and at 54.0 MB in blocks of 8 (4.2 s).
 _LANE_BLOCK = 4
 
 
