@@ -79,10 +79,11 @@ def load_table(path):
     width differs from the header's, is scanned again row by row with
     Python's ``float()``, which also accepts spellings such as ``1_000``.
     Both round correctly, so a cell reads to the same bits either way.
-    Blank lines are skipped; ``#`` is not a comment.  Malformed cells raise
-    a :class:`ParseError` naming the file line.
+    Blank lines are skipped; ``#`` is not a comment.  A leading UTF-8
+    byte-order mark, as spreadsheets write one, is not part of the first
+    name.  Malformed cells raise a :class:`ParseError` naming the file line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         names, header_lines = _read_header(path, fh)
         body_start = fh.tell()
         M = _read_body(fh)

@@ -25,15 +25,16 @@ replication; :func:`kfold_cv` is the one-lane case.  Each training fold is
 factored once, from its rows of the design's PC coordinates ``U D`` (n_tr x
 rank, not n_tr x p), and the folds are kept as one zero-padded stack,
 :class:`_FoldStack`.  PCR, ridge, NIECE and EgReg are diagonal filters on the
-fold PCs (NIECE in each lane's score order), and one call of :func:`_cv_sse`
-scores every fold, filter, term count and lane of a method.  A grid that
-reads one term count (ridge, full-rank EgReg) is scored in residual form;
-the others in a Gram form whose increments are summed over folds before
-one cumulative sum over the terms.  The Gram form's error is absolute, about
-eps k ||y_va||^2, so its scores are clamped at 0.  SIMPLS runs all folds x
-lanes as the lanes of one lockstep recurrence on ``U D``, with a 0/1
-training-row mask per fold.  The drivers score and pick ``_LANE_BLOCK`` lanes
-at a time, which keeps CV memory flat in R.
+fold PCs (NIECE's is 0/1, in each lane's score order), and one call of
+:func:`_cv_sse` scores every fold, filter, term count and lane of a method.
+A grid that reads one term count (ridge, NIECE, full-rank EgReg) is scored
+in residual form; the others (PCR, EgReg d x lambda) in a Gram form whose
+increments are summed over folds before one cumulative sum over the terms.
+The Gram form's error is absolute, about eps k ||y_va||^2, so its scores
+are clamped at 0.  SIMPLS runs all folds x lanes as the lanes of one
+lockstep recurrence on ``U D``, with a 0/1 training-row mask per fold.  The
+drivers score and pick ``_LANE_BLOCK`` lanes at a time, which keeps CV
+memory flat in R.
 """
 
 from __future__ import annotations
@@ -305,8 +306,9 @@ class _FoldStack:
     def M(self):
         """``2 tril(A'A, -1) + diag(A'A)`` per fold, the Gram form's matrix.
 
-        Formed on the first call of a grid that reads partial sums, then kept
-        for the design's other grids and lane blocks.
+        Formed on the first call of a grid that reads partial sums (PCR,
+        EgReg d x lambda), then kept for the design's other grids and lane
+        blocks.
         """
         k = self.D.shape[1]
         return (self.A.transpose(0, 2, 1) @ self.A) * (2.0 * np.tri(k, k, -1) + np.eye(k))
@@ -444,16 +446,17 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
 
     Every other method predicts a held-out row ``a`` as ``sum_j a_j h_j``
     with ``h = f B`` a filter on the fold's PCs, ``B = U'Y_tr``, and an entry
-    reads the SSE after its first c terms (NIECE: its pool's members in each
-    lane's score order).  Folds are scored a chunk at a time, every filter
-    and lane of a chunk at once.  A grid whose entries all read one c
-    (ridge, full-rank EgReg) takes the residual form, one batched matrix
-    product per chunk.  Other grids take the Gram form ``SSE(c) =
-    ||y_va||^2 + sum_{j<c} h_j ((M h)_j - 2 g_j)`` with M of
-    :attr:`_FoldStack.M` and ``g = A'y_va``: the increments are summed over
-    folds, then one cumulative sum over the terms gives every c.  Its
-    absolute error is about eps k ||y_va||^2, so a score that should be 0
-    can round below it; it is clamped at 0.
+    reads the SSE after its first c terms.  NIECE's filter is 1 on the first
+    u PCs of each lane's score order, its pool's members first, and 0
+    elsewhere, so its entries read all terms.  Folds are scored a chunk at a
+    time, every filter and lane of a chunk at once.  A grid whose entries all
+    read one c (ridge, NIECE, full-rank EgReg) takes the residual form, one
+    batched matrix product per chunk.  Other grids (PCR, EgReg d x lambda)
+    take the Gram form ``SSE(c) = ||y_va||^2 + sum_{j<c} h_j ((M h)_j -
+    2 g_j)`` with M of :attr:`_FoldStack.M` and ``g = A'y_va``: the
+    increments are summed over folds, then one cumulative sum over the terms
+    gives every c.  Its absolute error is about eps k ||y_va||^2, so a score
+    that should be 0 can round below it; it is clamped at 0.
     """
     for r in dict.fromkeys(folds.r.tolist()):    # fold order: the first fold too small raises
         _entry_sizes(grid, r)
@@ -468,53 +471,44 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
     lam, rows = np.unique(grid.lam, return_inverse=True)
     cols = np.where(grid.d > 0, grid.d, k)
     if grid.method == "niece":
-        # Each lane's PCs in score order, each candidate pool's members
-        # first: an entry reads its pool's first u terms.
+        # NIECE keeps an entry's first u PCs in each lane's score order, its
+        # candidate pool's members first: a 0/1 filter read in full.
         order = _score_order(_fold_phi(folds, B), folds.D[:, None])      # folds x lanes x k
-        pools, rows = np.unique(grid.d, return_inverse=True)
+        pools, pool = np.unique(grid.d, return_inverse=True)
         size = np.where(pools > 0, pools, folds.r[:, None])[:, :, None, None]   # 0: full rank
         order = np.take_along_axis(order[:, None], np.argsort(order[:, None] >= size, axis=-1,
                                                               kind="stable"), axis=-1)
-        cols, width = grid.u, pools.size * lanes * k * k
-        half = np.tri(k, k, -1) + 0.5 * np.eye(k)
+        place = np.argsort(order, axis=-1)                  # each PC's place in that order
+        rows, cols = np.arange(cols.size), np.full_like(cols, k)
+        width = rows.size * lanes * q * k
     else:
         # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi;
         # PCR keeps every term whole.
         s = (folds.D**2)[:, None] if grid.method == "ridge" else (
             _fold_phi(folds, B) if grid.method == "egreg" else None)
         width = lam.size * lanes * q * k
-    gram = grid.method == "niece" or np.any(cols != cols[0])
+    gram = np.any(cols != cols[0])
     c = k if gram else cols[0]
     step = max(1, _CHUNK_FLOATS // width)
     total = 0.0    # summed fold by fold, so no score depends on the chunking
     for at in (slice(i, i + step) for i in range(0, n_folds, step)):
         A = folds.A[at, :, :c]
         if grid.method == "niece":
-            # M follows each lane's order: 2 A'A permuted, then its strict
-            # lower triangle and half its diagonal.
-            H = np.take_along_axis(B[at, None], order[at, :, :, None], axis=-1)
-            S = folds.M[at] + folds.M[at].transpose(0, 2, 1)
-            M = S[np.arange(S.shape[0])[:, None, None, None, None], order[at, ..., None],
-                  order[at, ..., None, :]]
-            M *= half
-            Mh = H @ M.transpose(0, 1, 2, 4, 3)
-            g = np.take_along_axis((Yva[at] @ A).reshape(-1, 1, lanes, q, k),
-                                   order[at, :, :, None], axis=-1)
+            f = place[at, pool] < grid.u[:, None, None]
         else:
             f = np.ones((1, 1, 1, k)) if grid.method == "pcr" else _shrink(s[at, None],
                                                                           lam[:, None, None])
-            H = f[:, :, :, None, :c] * B[at, None, ..., :c]     # chunk x L x lanes x q x c
-            if not gram:
-                R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
-                R = R.reshape(H.shape[0], -1, lanes * q, m)
-                R -= Yva[at, None]
-                R = R.reshape(*R.shape[:2], lanes, q * m)
-                for sse in np.einsum("flrm,flrm->flr", R, R):
-                    total += sse
-                continue
-            Mh = (H.reshape(H.shape[0], -1, k) @ folds.M[at].transpose(0, 2, 1)).reshape(H.shape)
-            g = (Yva[at] @ A).reshape(-1, 1, lanes, q, k)
-        Mh -= 2.0 * g
+        H = f[:, :, :, None, :c] * B[at, None, ..., :c]         # chunk x L x lanes x q x c
+        if not gram:
+            R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
+            R = R.reshape(H.shape[0], -1, lanes * q, m)
+            R -= Yva[at, None]
+            R = R.reshape(*R.shape[:2], lanes, q * m)
+            for sse in np.einsum("flrm,flrm->flr", R, R):
+                total += sse
+            continue
+        Mh = (H.reshape(H.shape[0], -1, k) @ folds.M[at].transpose(0, 2, 1)).reshape(H.shape)
+        Mh -= 2.0 * (Yva[at] @ A).reshape(-1, 1, lanes, q, k)
         H *= Mh
         for inc in H.sum(axis=3):
             total += inc
@@ -538,10 +532,9 @@ def _pick_best(grid: _Grid, scores):
 
 #: Lanes scored and picked together.  It bounds CV working memory whatever
 #: the number of replications: SIMPLS holds a deflation basis of folds x
-#: lanes x d x rank(X) floats, and NIECE a k x k Gram-form matrix per fold
-#: of a chunk, candidate pool and lane.  At R = 100 (one BLAS thread on a
-#: 2-core VM, glibc mmap threshold 1 MiB) the baseline study peaks at 49.3 MB
-#: RSS in blocks of 4 (4.2 s) and at 54.0 MB in blocks of 8 (4.2 s).
+#: lanes x d x rank(X) floats.  At R = 100 (one BLAS thread on a 2-core VM,
+#: glibc mmap threshold 1 MiB) the baseline study peaks at 49.4-49.7 MB RSS
+#: in blocks of 4 (5.1-5.9 s) and at 54.3 MB in blocks of 8 (4.9-5.2 s).
 _LANE_BLOCK = 4
 
 
@@ -573,11 +566,12 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     ``(best_params, cv_table)`` where the table carries a "cv_score" per
     entry.
 
-    A grid whose entries read different numbers of PCs (PCR, NIECE, EgReg
-    with d) is scored in the Gram form of :func:`_cv_sse`: each score is
-    within about eps k ||Y||^2 / n of the exact one (k the training-fold
-    rank), not within a relative eps, and never below 0.  Ridge and
-    full-rank EgReg grids are scored from the residuals themselves.
+    A grid whose entries read different numbers of PCs (PCR, EgReg with d)
+    is scored in the Gram form of :func:`_cv_sse`: each score is within
+    about eps k ||Y||^2 / n of the exact one (k the training-fold rank), not
+    within a relative eps, and never below 0.  Ridge, NIECE and full-rank
+    EgReg grids are scored from the residuals themselves, so their error is
+    relative to the score.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)

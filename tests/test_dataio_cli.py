@@ -106,7 +106,7 @@ def test_load_table_errors_name_the_line(tmp_path):
 def _row_scan_load_table(path):
     """The row-by-row loader that numpy's reader must agree with: csv records,
     Python float() per cell, and the header rules of :func:`load_table`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             names = next(reader)
@@ -203,6 +203,30 @@ def test_load_table_reports_an_oversized_cell_as_a_parse_error(tmp_path, capsys)
     with pytest.raises(ParseError, match="line 5: field larger than field limit"):
         load_table(path)
     assert csv.field_size_limit() == limit
+
+
+def test_load_table_skips_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark, which must not
+    # become part of the first column name, whichever reader takes the body.
+    for body in ("1,2,3\n4.5,-6,7e-3\n", "1_0,2,3\n4,5,6\n"):    # 1_0: the row scan
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(("a,b,y\n" + body).encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        names, M = load_table(bom)
+        assert names == ["a", "b", "y"] == load_table(plain)[0]
+        assert M.tobytes() == load_table(plain)[1].tobytes()
+    bom.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n1_0,3\nx,4\n")
+    with pytest.raises(ParseError, match="line 4"):
+        load_table(bom)
+    X, Y = _toy(seed=6)
+    _write_xy(plain, X, Y)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    model = tmp_path / "m.json"
+    fit = ["fit", str(bom), str(model), "--method", "pcr", "--d", "1"]
+    assert main(fit + ["--response", "x1"]) == 0, capsys.readouterr().err
+    assert main(fit) == 0                   # x1 is a predictor the plain table has
+    assert main(["predict", str(model), str(plain), str(tmp_path / "p.csv")]) == 0, \
+        capsys.readouterr().err
 
 
 def test_load_table_without_data_rows_warns_nothing(tmp_path):

@@ -728,8 +728,10 @@ def _lane_data(n, p, lanes, q, seed):
 @pytest.mark.parametrize("lanes,q", [(1, 1), (3, 1), (1, 2), (3, 2)])
 def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes, q):
     # The stacked kernel scores every fold at once, and grids that read
-    # partial sums take the Gram form, so its rounding differs from the
-    # per-fold residual form: the two agree to rtol 1e-12.
+    # partial sums (PCR, EgReg d x lambda) take the Gram form, so its
+    # rounding differs from the per-fold residual form.  NIECE is a full sum
+    # of a 0/1 filter there and a prefix of its pool-first order here.  The
+    # two agree to rtol 1e-12.
     X, Y = _lane_data(n, p, lanes, q, n * lanes + q)
     svd = thin_svd(X)
     stack = _fold_caches(svd, _fold_indices(n, k, 5))
@@ -753,7 +755,9 @@ def test_full_sum_path_matches_the_cumulative_sum():
     # more term count sends the same cell through the cumulative sum.  This
     # holds for the reference kernel and for the stacked one, whose full-rank
     # EgReg grid takes the residual form until an entry with a d sends it
-    # through the Gram form.
+    # through the Gram form.  The stacked kernel picks its form from the
+    # term counts alone, so NIECE, whose 0/1 filters all read the full sum,
+    # never takes the Gram form.
     rng = np.random.default_rng(4)
     m, k, lanes, q, L = 7, 9, 3, 2, 5
     A = rng.standard_normal((m, k, 1))
@@ -770,6 +774,9 @@ def test_full_sum_path_matches_the_cumulative_sum():
     full = _cv_sse(svd, stack, Y, _Grid("egreg", lam=lam))
     both = _cv_sse(svd, stack, Y, _Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0]))
     assert_allclose(full, both[:4], rtol=1e-12)
+    fresh = _fold_caches(svd, _fold_indices(14, 4, 5))
+    _cv_sse(svd, fresh, Y, _Grid("niece", u=[1, 3, 2, 2], d=[0, 0, 3, 2]))
+    assert "M" not in vars(fresh)           # the Gram form's matrix was never formed
 
 
 @pytest.mark.parametrize("p", [6, 20], ids=["tall", "wide"])
@@ -811,7 +818,10 @@ def test_cv_scores_stay_accurate_and_nonnegative_as_the_noise_vanishes(p, sigma)
     # fresh refit per fold, never fall below 0 (at sigma = 0 the full-rank
     # fits on the tall design predict the held-out rows exactly), and pick as
     # the refits do wherever their best two scores are further apart.  Where
-    # an exact zero rounds to depends on the draw, so there are six.
+    # an exact zero rounds to depends on the draw, so there are six.  Grids
+    # whose entries all read the full sum (ridge, full-rank EgReg, NIECE) take
+    # the residual form, whose error is relative: while the noise keeps the
+    # scores off 0, they match the refits to rtol 1e-6 as well.
     n, k = 48, 6
     for draw in range(6):
         rng = np.random.default_rng([31, p, draw])
@@ -827,6 +837,8 @@ def test_cv_scores_stay_accurate_and_nonnegative_as_the_noise_vanishes(p, sigma)
             oracle = _brute_force_cv(data, method, grid, k=k, seed=13)
             assert np.all(got >= 0.0), (method, draw, got.min())
             assert_allclose(got, oracle, rtol=0, atol=tol, err_msg=f"{method}, draw {draw}")
+            if sigma > 0 and (method == "niece" or not any("d" in e for e in grid)):
+                assert_allclose(got, oracle, rtol=1e-6, err_msg=f"{method}, draw {draw}")
             first, second = np.sort(oracle)[:2]
             if second - first > tol:
                 assert best == grid[int(np.argmin(oracle))], (method, draw)
