@@ -161,6 +161,7 @@ def _cmd_fit(args):
         params["lambda"] = args.lam
     mode = "standardize" if args.standardize else "center"
     data = center_standardize(Dataset(X, Y), mode)
+    del X, Y    # the fit reads only the transformed copy
     model = fit_method(data, args.method, params)
     save_model(args.model_out, model, x_names, y_names)
     digest = {

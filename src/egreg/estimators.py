@@ -354,7 +354,8 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
     _check_finite_rows(X, "predictor")
     tr = model.transform
     if tr is not None:
-        X = (X - tr.x_mean) / tr.x_scale
+        X = X - tr.x_mean
+        X /= tr.x_scale
     Yp = X @ model.beta
     if tr is not None:
         Yp = Yp * tr.y_scale + tr.y_mean

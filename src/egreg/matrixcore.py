@@ -187,9 +187,9 @@ def _fix_signs(V, *paired):
     """Flip each column of V, in place, so its largest-magnitude entry is
     positive; the same columns of every ``paired`` matrix flip with it."""
     lead = np.argmax(np.abs(V), axis=0)
-    flip = V[lead, np.arange(V.shape[1])] < 0
+    sign = np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     for M in (V, *paired):
-        M[:, flip] *= -1.0
+        M *= sign
 
 
 def _check_finite_rows(M, what):
@@ -283,7 +283,7 @@ def thin_svd(X) -> SvdFactors:
     """
     U, s, Vt = np.linalg.svd(_as_matrix(X, "X"), full_matrices=False)
     r = _rank_of(s)
-    U = U[:, :r].copy()
+    U = U if r == U.shape[1] else U[:, :r].copy()    # a view would keep all of U alive
     V = Vt[:r].T.copy()
     _fix_signs(V, U)
     return SvdFactors(U=U, D=s[:r].copy(), V=V, r=r)

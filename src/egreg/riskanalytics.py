@@ -35,19 +35,32 @@ def _check_psd(name, w, S):
         raise ContractError(f"{name} must be positive semidefinite")
 
 
+def _root_product(root):
+    """``root @ root.T``, symmetrized; ``diag(root**2)`` for a vector root."""
+    if root.ndim == 1:
+        return np.diag(root ** 2)
+    S = root @ root.T
+    S += S.T
+    S *= 0.5
+    return S
+
+
 class TruthSpec:
     """Ground truth of the generating model: beta*, Sigma_x, Sigma_eps.
 
     ``Sigma_x_root`` is a p-by-k factor with ``root @ root.T == Sigma_x``
     (e.g. a Cholesky factor, or eigenvectors scaled by the square roots of
-    the eigenvalues).  Risks are sums of squares in it, so they stay
-    nonnegative where ``Sigma_x`` has eigenvalues at rounding level.  Give
-    ``Sigma_x``, its factor, or both:
+    the eigenvalues), or a length-p vector of finite values that stands for
+    the diagonal factor ``diag(root)``, so ``Sigma_x == diag(root**2)`` (a
+    design drawn in Sigma_x's eigenbasis).  Risks are sums of squares in the
+    factor, so they stay nonnegative where ``Sigma_x`` has eigenvalues at
+    rounding level.  Give ``Sigma_x``, its factor, or both:
 
     - ``TruthSpec(beta, None, Sigma_eps, root)`` defines ``Sigma_x`` as the
-      symmetrized ``root @ root.T``.  It is formed on the first read of
-      ``truth.Sigma_x``, so a truth that is only used for risks costs no
-      p-by-p-by-p product.
+      symmetrized ``root @ root.T``, or ``np.diag(root**2)`` for a vector.
+      It is formed on the first read of ``truth.Sigma_x``, so a truth that
+      is only used for risks costs no p-by-p-by-p product, and a vector
+      factor no p-by-p array at all.
     - When both are given, the factor must reproduce ``Sigma_x`` entrywise.
     - When the factor is omitted, it is computed from ``Sigma_x`` by
       ``eigh``, clipping the eigenvalues at 0.
@@ -80,11 +93,18 @@ class TruthSpec:
         else:
             # root @ root.T is positive semidefinite, so matching it in full
             # also checks Sigma_x.
-            root = _as_matrix(root, "Sigma_x_root")
-            if root.shape[0] != p:
-                raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
+            root = _real_array(root, "Sigma_x_root")
+            if root.ndim == 1:
+                if root.shape != (p,) or not np.all(np.isfinite(root)):
+                    raise DimensionError(
+                        f"a vector Sigma_x_root must hold {p} finite values, got {root.size} "
+                        f"with {np.count_nonzero(~np.isfinite(root))} non-finite")
+            else:
+                root = _as_matrix(root, "Sigma_x_root")
+                if root.shape[0] != p:
+                    raise DimensionError(f"Sigma_x_root must have {p} rows, got {root.shape[0]}")
             if Sx is not None:
-                err = float(np.max(np.abs(root @ root.T - Sx)))
+                err = float(np.max(np.abs(_root_product(root) - Sx)))
                 if err > 1e-10 * max(1.0, float(np.max(np.abs(Sx)))):
                     raise ContractError(
                         "Sigma_x_root @ Sigma_x_root.T does not reproduce Sigma_x")
@@ -99,10 +119,7 @@ class TruthSpec:
     def Sigma_x(self) -> np.ndarray:
         """The p-by-p predictor covariance; from the factor on first read if not given."""
         if self._Sigma_x is None:
-            S = self.Sigma_x_root @ self.Sigma_x_root.T
-            S += S.T
-            S *= 0.5
-            object.__setattr__(self, "_Sigma_x", S)
+            object.__setattr__(self, "_Sigma_x", _root_product(self.Sigma_x_root))
         return self._Sigma_x
 
     @property
@@ -138,8 +155,12 @@ class RiskReport:
 
 def _sigma_trace(M, truth: TruthSpec):
     """tr{M' Sigma_x M} over the last two axes of M, as ``||L' M||_F^2``
-    with ``L = truth.Sigma_x_root``, so it is never negative."""
-    W = truth.Sigma_x_root.T @ M
+    with ``L = truth.Sigma_x_root``, so it is never negative.  A vector L
+    scales M's rows: each entry of ``diag(L) M`` is one product, so this
+    is bit-identical to the product with the dense diagonal (W is laid out
+    in C order, as the product is, so the sum runs in the same order)."""
+    L = truth.Sigma_x_root
+    W = np.multiply(L[:, None], M, order="C") if L.ndim == 1 else L.T @ M
     return np.einsum("...kq,...kq->...", W, W)
 
 

@@ -136,16 +136,28 @@ class EnvelopeSimConfig:
         return 10.0 * np.exp(-self.decay_gamma * np.arange(self.p))
 
 
-def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
-    """Design-side draws (fixed across replications): X, truth, planted basis.
+def _lift(planted, B, p):
+    """``Gamma @ B`` for the coordinate basis Gamma = (e_j, j in ``planted``):
+    B's rows scattered into the p-row zero matrix.  Each entry of the
+    product is one term, so this is bit-identical to it."""
+    out = np.zeros((p, B.shape[1]))
+    out[planted] = B
+    return out
 
-    Drawn in Sigma_x's eigenbasis: ``X = Z sqrt(sig)``, Gamma the columns e_j
-    for j in P, and the factor ``diag(sqrt(sig))``.  The study methods see X
-    only through its thin SVD, X'Y or SIMPLS, and a risk is ``||L'(b -
-    beta*)||^2``, so in exact arithmetic the risks equal those of the frame
-    rotated by any orthogonal Q (``X Q'``, ``Q beta*``, ``Q Gamma``).  The
-    normals of the Haar Q this frame once applied are still drawn, in row
-    blocks, and dropped, so Z keeps its stream.
+
+def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
+    """Design-side draws (fixed across replications): X, truth, planted indices.
+
+    Drawn in Sigma_x's eigenbasis: ``X = Z sqrt(sig)``, the planted basis
+    Gamma the columns e_j for j in P, and Sigma_x's factor diagonal.  So the
+    truth's factor is the vector ``sqrt(sig)`` and the basis is returned as
+    its 0-based column indices ``P - 1``: no p-by-p or p-by-u* array is
+    formed, and ``X Gamma`` is the column selection ``X[:, planted]``.  The
+    study methods see X only through its thin SVD, X'Y or SIMPLS, and a risk
+    is ``||L'(b - beta*)||^2``, so in exact arithmetic the risks equal those
+    of the frame rotated by any orthogonal Q (``X Q'``, ``Q beta*``, ``Q
+    Gamma``).  The normals of the Haar Q this frame once applied are still
+    drawn, in row blocks, and dropped, so Z keeps its stream.
     """
     sig = cfg.spectrum()
     rng = np.random.default_rng([cfg.seed, stream, _TAG_MODEL])
@@ -153,9 +165,9 @@ def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     for i in range(0, cfg.p, skip.shape[0]):
         rng.standard_normal(out=skip[:cfg.p - i])
     X = rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(sig)
-    Gamma = np.zeros((cfg.p, len(cfg.P)))
-    Gamma[np.asarray(cfg.P) - 1, np.arange(len(cfg.P))] = 1.0
-    return X, TruthSpec(Gamma @ cfg.alpha, None, cfg.Sigma_eps, np.diag(np.sqrt(sig))), Gamma
+    planted = np.asarray(cfg.P) - 1
+    beta = _lift(planted, cfg.alpha, cfg.p)
+    return X, TruthSpec(beta, None, cfg.Sigma_eps, np.sqrt(sig)), planted
 
 
 def _responses(X, truth: TruthSpec, seed, stream, reps):
@@ -170,18 +182,21 @@ def gen_envelope_model(cfg: EnvelopeSimConfig, rep: int = 0, stream: int = 0):
     """Draw one planted-envelope dataset.
 
     Returns ``(data, truth, planted_basis)``: a centered :class:`Dataset`,
-    the generating :class:`TruthSpec` (beta* = Gamma alpha, Sigma_x, Sigma_eps),
-    and the p-by-u* planted basis.  The design is drawn in Sigma_x's
-    eigenbasis, so the basis is the columns e_j, j in P; for a generic basis,
-    rotate X, beta* and Gamma by any orthogonal Q (see :func:`_model_frame`).
+    the generating :class:`TruthSpec` (beta* = Gamma alpha, Sigma_eps, and
+    Sigma_x's diagonal factor as a vector), and the p-by-u* planted basis
+    Gamma.  The design is drawn in Sigma_x's eigenbasis, so Gamma is the
+    columns e_j, j in P, built here from the frame's indices; for a generic
+    basis, rotate X, beta* and Gamma by any orthogonal Q (see
+    :func:`_model_frame`).
     The design depends only on ``(seed, stream)``; ``rep`` indexes the noise
     draw so replications share X and beta*.  The studies draw the same way,
     so ``stream=g`` gives replication ``rep`` of a study's grid point g.
     ``rep`` and ``stream`` are integers >= 0.
     """
     rep, stream = _integer("rep", rep, 0), _integer("stream", stream, 0)
-    X, truth, Gamma = _model_frame(cfg, stream)
+    X, truth, planted = _model_frame(cfg, stream)
     Y = _responses(X, truth, cfg.seed, stream, [rep])[0]
+    Gamma = _lift(planted, np.eye(planted.size), cfg.p)
     return Dataset(_recenter(X), _recenter(Y), centered=True), truth, Gamma
 
 
@@ -716,10 +731,13 @@ def _sample_fits(X, svd, Y, folds, methods):
     return fits
 
 
-def _known_basis_fits(Xc, Gamma, Y, folds, methods):
+def _known_basis_fits(Xc, planted, Y, folds, methods):
     """double_descent's NIECE and EgReg, which treat the planted basis Gamma as known.
 
-    Both come from one thin SVD of the reduced design X Gamma.  NIECE is
+    Gamma is the coordinate columns e_j, j in ``planted`` (0-based indices,
+    :func:`_model_frame`), so the reduced design X Gamma is the column
+    selection ``Xc[:, planted]`` and a reduced fit b lifts to Gamma b by
+    :func:`_lift`.  Both come from one thin SVD of X Gamma.  NIECE is
     full-rank PCR on it, untuned: ordinary least squares of Y on X Gamma
     when u* <= n-1, and for u* > n the minimum-norm interpolator on all u*
     planted directions (the lambda -> 0 limit of the reduced ridge problem).
@@ -732,19 +750,19 @@ def _known_basis_fits(Xc, Gamma, Y, folds, methods):
     at u*/n = 1 -- its reduced design is X's own singular frame -- which is
     why this study keeps the basis known.
     """
-    n, u_star = Xc.shape[0], Gamma.shape[1]
-    capped = u_star == n
-    XG = Xc @ Gamma
+    n, p = Xc.shape
+    capped = planted.size == n
+    XG = Xc[:, planted]
     svd_g = thin_svd(XG) if "EgReg" in methods or not capped else None
     fits = {}
     if "NIECE" in methods:
-        G_keep = Gamma[:, :n - 1] if capped else Gamma
-        svd_k = thin_svd(Xc @ G_keep) if capped else svd_g
-        fits["NIECE"] = [G_keep @ pcr_coefficients(svd_k, Y[:, rep], svd_k.r)
+        keep = planted[:n - 1] if capped else planted
+        svd_k = thin_svd(Xc[:, keep]) if capped else svd_g
+        fits["NIECE"] = [_lift(keep, pcr_coefficients(svd_k, Y[:, rep], svd_k.r), p)
                          for rep in range(Y.shape[1])]
     if "EgReg" in methods:
         ridge = _sample_fits(XG, svd_g, Y, folds, ["Ridge"])["Ridge"]
-        fits["EgReg"] = [Gamma @ b for b in ridge]
+        fits["EgReg"] = [_lift(planted, b, p) for b in ridge]
     return fits
 
 
@@ -753,7 +771,7 @@ def _alternating(k):
 
 
 def _point_frame(study, cfg, n, seed, ratio):
-    """Check one grid point and return its frame, ``stream -> (X, truth, planted basis)``."""
+    """Check one grid point and return its frame, ``stream -> (X, truth, planted indices)``."""
     p = int(round(ratio * n))
     if study == "baseline":
         kind, rho, sigma_eps_sq = _baseline_inputs(cfg["kind"], cfg["rho"], cfg["sigma_eps_sq"],
@@ -834,11 +852,11 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
     frames = [_point_frame(study, cfg, n, seed, v) for v in grid]
     terms = []
     for g, frame in enumerate(frames):
-        X, truth, Gamma = frame(stream=g)
+        X, truth, planted = frame(stream=g)
         Xc = _recenter(X)
         folds = _fold_indices(n, folds_k, [seed, g, _TAG_FOLDS])
         Y = np.stack([_recenter(Y) for Y in _responses(X, truth, seed, g, range(R))], axis=1)
-        fits = _known_basis_fits(Xc, Gamma, Y, folds, methods) if dd else {}
+        fits = _known_basis_fits(Xc, planted, Y, folds, methods) if dd else {}
         sampled = [m for m in methods if m not in fits]
         if sampled:
             fits.update(_sample_fits(Xc, thin_svd(Xc), Y, folds, sampled))

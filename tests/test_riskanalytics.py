@@ -317,3 +317,55 @@ def test_truth_spec_factors_sigma_x_and_checks_a_given_factor():
         TruthSpec(truth.beta_star, None, truth.Sigma_eps)
     with pytest.raises(AttributeError):
         root_only.Sigma_x_root = chol
+    # A vector factor is the diagonal one: p finite values, and a Sigma_x
+    # given with it must be diag(root**2).
+    root = np.sqrt(np.arange(1.0, truth.p + 1))
+    diagonal = np.diag(root ** 2)
+    assert np.array_equal(TruthSpec(truth.beta_star, diagonal, truth.Sigma_eps, root).Sigma_x,
+                          diagonal)
+    with pytest.raises(ContractError):
+        TruthSpec(truth.beta_star, truth.Sigma_x, truth.Sigma_eps, root)
+    for bad in (root[:-1], np.append(root, 1.0), np.where(root > 2.0, np.nan, root),
+                np.where(root > 2.0, np.inf, root)):
+        with pytest.raises(DimensionError, match="vector Sigma_x_root"):
+            TruthSpec(truth.beta_star, None, truth.Sigma_eps, bad)
+
+
+def test_a_diagonal_factor_gives_the_dense_diagonals_risks_bit_for_bit():
+    # A vector root scales rows where np.diag(root) multiplies by a matrix
+    # whose every product has one nonzero term, so each risk is the same
+    # double.  Spectra span 20 decades, as the studies' decaying ones do.
+    def bits(report):
+        return np.array([report.bias_sq, report.variance, report.reducible,
+                         report.irreducible]).tobytes()
+
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 41])
+        n, p, q, reps = (int(rng.integers(3, 30)), int(rng.integers(1, 40)),
+                         int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+        root = np.exp(-rng.uniform(0.0, 23.0, p))
+        beta = rng.standard_normal((p, q))
+        G = rng.standard_normal((q, q))
+        Sigma_eps = G @ G.T / q + 0.5 * np.eye(q)
+        vec = TruthSpec(beta, None, Sigma_eps, root)
+        dense = TruthSpec(beta, None, Sigma_eps, np.diag(root))
+        assert vec.Sigma_x_root.shape == (p,)
+        assert np.array_equal(vec.Sigma_x, np.diag(root ** 2))
+        hats = beta + rng.standard_normal((reps, p, q))
+        assert (empirical_risk_terms(hats, vec).tobytes()
+                == empirical_risk_terms(hats, dense).tobytes())
+        X = rng.standard_normal((n, p)) * root
+        X -= X.mean(axis=0)
+        Y = X @ beta + rng.standard_normal((n, q))
+        Y -= Y.mean(axis=0)
+        svd = thin_svd(X)
+        scores = envelope_scores(svd, X.T @ Y / n, svd.r)
+        for d in range(1, svd.r + 1):
+            assert (np.float64(irreducible_risk(svd, vec, d)).tobytes()
+                    == np.float64(irreducible_risk(svd, dense, d)).tobytes())
+            u = int(rng.integers(1, d + 1))
+            assert bits(reducible_risk_niece(svd, scores, vec, u, d)) == bits(
+                reducible_risk_niece(svd, scores, dense, u, d))
+            lam = float(rng.uniform(0.01, 10.0)) * svd.D[0] ** 2
+            assert bits(reducible_risk_egreg(svd, scores, vec, d, lam)) == bits(
+                reducible_risk_egreg(svd, scores, dense, d, lam))

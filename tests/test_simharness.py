@@ -7,6 +7,7 @@ and against the per-fold residual-form kernel kept here as a reference.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,9 +184,10 @@ def test_model_frame_is_the_haar_frame_drawn_in_its_eigenbasis(study, ratio, str
     # The frame still draws the p x p normals of a Haar rotation V (in row
     # blocks; p > 64 here) and discards them, so Z is the draw a rotated frame
     # makes from the same stream: X V' is that frame's design and V beta* its
-    # truth, and the planted basis is the coordinate columns.
+    # truth.  The factor is the vector sqrt(sig) (diag(root), so V diag(root)
+    # is V * root), and the planted basis is the coordinate columns P0.
     sim = _point_frame(study, dict(simharness._STUDY_DEFAULTS[study]), 100, 4, ratio).args[0]
-    X, truth, Gamma = _model_frame(sim, stream)
+    X, truth, planted = _model_frame(sim, stream)
     rng = np.random.default_rng([sim.seed, stream, 0])
     V = _haar_orthogonal(sim.p, rng)
     root = V * np.sqrt(sim.spectrum())
@@ -194,8 +196,9 @@ def test_model_frame_is_the_haar_frame_drawn_in_its_eigenbasis(study, ratio, str
     assert sim.p > 64
     assert_allclose(X @ V.T, X_rotated, rtol=0, atol=1e-12 * np.abs(X_rotated).max())
     assert_allclose(V @ truth.beta_star, V[:, P0] @ sim.alpha, rtol=0, atol=1e-12)
-    assert_allclose(V @ truth.Sigma_x_root, root, rtol=0, atol=1e-12)
-    assert np.array_equal(Gamma, np.eye(sim.p)[:, P0])
+    assert truth.Sigma_x_root.shape == (sim.p,)
+    assert_allclose(V * truth.Sigma_x_root, root, rtol=0, atol=1e-12)
+    assert np.array_equal(planted, P0)
 
 
 @pytest.mark.parametrize("n,p", [(60, 8), (40, 60)], ids=["tall", "wide"])
@@ -409,11 +412,11 @@ def test_batched_fold_factors_raise_thin_svds_error_on_a_zero_fold():
 
 def _dd_point(n, ratio, R=3, seed=4):
     frame = _point_frame("double_descent", {}, n, seed, ratio)
-    X, truth, Gamma = frame(stream=0)
+    X, truth, planted = frame(stream=0)
     Xc = simharness._recenter(X)
     Y = np.stack([simharness._recenter(Y) for Y in _responses(X, truth, seed, 0, range(R))],
                  axis=1)
-    return Xc, Gamma, Y, _fold_indices(n, 4, 1)
+    return Xc, planted, Y, _fold_indices(n, 4, 1)
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
@@ -421,8 +424,8 @@ def test_known_basis_niece_is_the_min_norm_least_squares_fit(ratio, monkeypatch)
     # NIECE is full-rank PCR on the reduced design's SVD: the pinv fit on
     # the kept planted directions (the first n-1 at u* = n).
     n = 24
-    Xc, Gamma, Y, folds = _dd_point(n, ratio)
-    u_star = Gamma.shape[1]
+    Xc, planted, Y, folds = _dd_point(n, ratio)
+    u_star = planted.size
     shapes = []
 
     def counted(M, *args, **kwargs):
@@ -430,8 +433,8 @@ def test_known_basis_niece_is_the_min_norm_least_squares_fit(ratio, monkeypatch)
         return thin_svd(M, *args, **kwargs)
 
     monkeypatch.setattr(simharness, "thin_svd", counted)
-    fits = _known_basis_fits(Xc, Gamma, Y, folds, ("NIECE", "EgReg"))
-    G_keep = Gamma[:, :n - 1 if u_star == n else u_star]
+    fits = _known_basis_fits(Xc, planted, Y, folds, ("NIECE", "EgReg"))
+    G_keep = np.eye(Xc.shape[1])[:, planted[:n - 1 if u_star == n else u_star]]
     piv = np.linalg.pinv(Xc @ G_keep)
     for beta, Yc in zip(fits["NIECE"], Y.transpose(1, 0, 2)):
         assert_allclose(beta, G_keep @ (piv @ Yc), rtol=1e-12, atol=0)
@@ -935,6 +938,26 @@ def test_model_frame_studies_never_form_sigma_x(monkeypatch):
     res = run_study("double_descent", {"n": 20, "replications": 2, "folds": 3,
                                        "u_star_over_n": [0.6, 1.0, 1.5]})
     assert np.all(np.isfinite(res.risks))
+
+
+@pytest.mark.parametrize("study,config,p", [
+    ("P1", {"p_over_n": [20], "replications": 2, "methods": ["ridge"]}, 2000),
+    ("double_descent", {"u_star_over_n": [10], "replications": 2}, 1500),
+])
+def test_eigenbasis_study_memory_is_linear_in_n_times_p(study, config, p):
+    # Sigma_x's factor is a vector and the planted basis a set of indices, so
+    # no p x p or p x u* array is formed: a dense factor alone would be
+    # 32 MB at p = 2000, against this bound of 10 n p doubles (16 MB).  The
+    # first run takes any one-time allocations out of the measured one.
+    n = simharness._STUDY_DEFAULTS[study]["n"]
+    run_study(study, config)
+    tracemalloc.start()
+    try:
+        run_study(study, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * p * 8
 
 
 def test_study_result_layout_and_determinism():
