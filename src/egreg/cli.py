@@ -176,12 +176,20 @@ def _cmd_fit(args):
 
 def _predictors(mf, names, M, path):
     """The model's predictor columns of a table: matched by the model's stored
-    names, or taken as they stand when it has none and the width is p."""
+    names, or taken as they stand when it has none and the width is p.
+
+    A selection by names is a column-major copy, and BLAS rounds a product
+    by its operand's layout.  So the table itself is returned, not a copy,
+    only when the copy would equal it in values and layout: the model's
+    columns are all of the table's, in order, and the table is column-major
+    (as :func:`~egreg.dataio.load_csv` returns the predictors)."""
     if mf.x_names:
         missing = [c for c in mf.x_names if c not in names]
         if missing:
             raise ConfigError(f"{path} lacks the model's predictor column(s) "
                               f"{', '.join(missing)}")
+        if list(mf.x_names) == list(names) and M.flags.f_contiguous:
+            return M
         return M[:, [names.index(c) for c in mf.x_names]]
     p = mf.model.beta.shape[0]
     if M.shape[1] != p:
@@ -197,7 +205,9 @@ def _cmd_predict(args):
 
     mf = load_model(args.model_in)
     names, M = load_table(args.csv_in)
-    Yp = predict(mf.model, _predictors(mf, names, M, args.csv_in))
+    X = _predictors(mf, names, M, args.csv_in)
+    del M    # predict makes its own centered copy, so drop the table before it
+    Yp = predict(mf.model, X)
     header = mf.y_names or [f"y{j + 1}" for j in range(Yp.shape[1])]
     write_table(args.csv_out, [header] + [list(row) for row in Yp])
     digest = {"command": "predict", "model_in": args.model_in, "csv_in": args.csv_in}

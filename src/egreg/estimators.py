@@ -195,13 +195,15 @@ def _simpls_lockstep(Z, Y, train, d: int):
     ``Z`` (n x k) holds the predictors in any isometric coordinates (the fit
     is invariant to rotating them), ``Y`` (lanes x n x q) one response per
     lane and ``train`` (lanes x n) a 0/1 mask of the rows each lane fits on.
-    Per component this yields ``(live, r, t, zr)`` for the lanes still
+    Per component this yields ``(keep, r, t, zr)`` for the lanes still
     running, one row per lane: weights ``r`` (k), unit scores
     ``t = train (Z r - mean)`` centered over the training rows (zero
     elsewhere), and ``zr = Z r`` on every row.  Each component is one GEMM
     for all lanes.  A lane stops before d components when its deflated
     cross-product, its score or its orthogonalized loading collapses below
-    :data:`SIMPLS_TOL`.
+    :data:`SIMPLS_TOL`; its rows are dropped then, and ``keep`` is the 0/1
+    mask of the lanes the previous component yielded that are kept (None
+    while all run), so a caller can drop the same rows from its own arrays.
     """
     lanes, n, q = Y.shape
     k = Z.shape[1]
@@ -209,7 +211,6 @@ def _simpls_lockstep(Z, Y, train, d: int):
     S = Z.T @ (train[:, :, None] * Y).transpose(1, 0, 2).reshape(n, -1)
     S = np.ascontiguousarray(S.reshape(k, lanes, q).transpose(1, 0, 2))
     s_tol = SIMPLS_TOL * np.maximum(1.0, _lane_norms(S))
-    live = np.arange(lanes)
     basis = np.empty((lanes, d, k))   # deflation basis, one row per component
     # Per-lane reductions are BLAS dots and stacked matmuls, so a single
     # lane reproduces the unbatched recurrence bit for bit.  A lane failing
@@ -225,9 +226,8 @@ def _simpls_lockstep(Z, Y, train, d: int):
             _fix_signs(w[:, :, 0].T)    # each lane's leading eigenvector is a column
             r = (S @ w)[:, :, 0]
         zr = r @ Z.T
-        mask = train[live]
-        t = zr - (mask * zr).sum(axis=1, keepdims=True) / n_tr[live, None]
-        t *= mask
+        t = zr - (train * zr).sum(axis=1, keepdims=True) / n_tr[:, None]
+        t *= train
         nt = _lane_norms(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             t /= nt[:, None]
@@ -239,14 +239,16 @@ def _simpls_lockstep(Z, Y, train, d: int):
             nv = _lane_norms(v)
             v /= nv[:, None, None]
         keep &= (nt > SIMPLS_TOL) & (nv > SIMPLS_TOL * np.maximum(1.0, _lane_norms(pl)))
-        if not keep.all():
-            live, S, s_tol, basis = live[keep], S[keep], s_tol[keep], basis[keep]
-            r, t, zr, v = r[keep], t[keep], zr[keep], v[keep]
-            if not live.size:
+        if keep.all():
+            keep = None
+        else:
+            if not keep.any():
                 return
-        S = S - v @ (v.transpose(0, 2, 1) @ S)
+            S, s_tol, basis, train, n_tr = (a[keep] for a in (S, s_tol, basis, train, n_tr))
+            r, t, zr, v = r[keep], t[keep], zr[keep], v[keep]
+        S -= v * (v.transpose(0, 2, 1) @ S)    # the rank-one v (v'S): one product per entry
         basis[:, c] = v[:, :, 0]
-        yield live, r, t, zr
+        yield keep, r, t, zr
 
 
 def simpls_coefficients(X, Y, d: int) -> tuple[np.ndarray, int]:

@@ -20,21 +20,25 @@ The cross-validation scorer shares one implementation between
 :func:`kfold_cv` and the study drivers.  Its responses carry a lane axis
 (n x lanes x q): lanes share the design and the folds, and each gets its own
 held-out SSE and its own pick.  A study stacks the R noise draws of a grid
-point as R lanes, so each method's CV runs once per grid point, not once per
-replication; :func:`kfold_cv` is the one-lane case.  Each training fold is
-factored once, from its rows of the design's PC coordinates ``U D`` (n_tr x
-rank, not n_tr x p), and the folds are kept as one zero-padded stack,
-:class:`_FoldStack`.  PCR, ridge, NIECE and EgReg are diagonal filters on the
-fold PCs (NIECE's is 0/1, in each lane's score order), and one call of
-:func:`_cv_sse` scores every fold, filter, term count and lane of a method.
-A grid that reads one term count (ridge, NIECE, full-rank EgReg) is scored
-in residual form; the others (PCR, EgReg d x lambda) in a Gram form whose
+point as R lanes and scores them in *lane blocks* of ``_LANE_BLOCK`` lanes,
+which keeps CV memory flat in R: :func:`_tune` makes one :func:`_cv_sse`
+call per block for all methods' grids, then picks each lane's entry by
+:func:`_pick_best`.  :func:`kfold_cv` is the one-lane, one-grid case.  Each
+training fold is factored once, from its rows of the design's PC
+coordinates ``U D`` (n_tr x rank, not n_tr x p), and the folds are kept as
+one zero-padded stack, :class:`_FoldStack`.  PCR, ridge, NIECE and EgReg are
+diagonal filters on the fold PCs (NIECE's is 0/1, in each lane's score
+order).  A call forms the fold products once (``B = U'Y_tr``, the held-out
+responses, the fold scores and NIECE's score order) and stacks the filters
+of all grids of one kernel form into one pass over the folds.  Grids that
+read one term count (ridge, NIECE, full-rank EgReg) share a residual-form
+pass; the others (PCR, EgReg d x lambda) share a Gram-form pass whose
 increments are summed over folds before one cumulative sum over the terms.
 The Gram form's error is absolute, about eps k ||y_va||^2, so its scores
 are clamped at 0.  SIMPLS runs all folds x lanes as the lanes of one
-lockstep recurrence on ``U D``, with a 0/1 training-row mask per fold.  The
-drivers score and pick ``_LANE_BLOCK`` lanes at a time, which keeps CV
-memory flat in R.
+lockstep recurrence on ``U D``, with a 0/1 training-row mask per fold, and
+drops a lane's rows when it stops.  A pick is each lane's first minimum in
+a tie order formed once per grid, :attr:`_Grid.ties`.
 """
 
 from __future__ import annotations
@@ -392,6 +396,12 @@ class _Grid:
         self.d, self.u, self.lam = np.broadcast_arrays(
             np.asarray(self.d, np.intp), np.asarray(self.u, np.intp), np.asarray(self.lam, float))
 
+    @cached_property
+    def ties(self):
+        """The entries in tie-break order: smaller d/u, then larger lambda, then the first."""
+        size = np.where(self.u > 0, self.u, np.where(self.d > 0, self.d, np.inf))
+        return np.lexsort((-self.lam, size))
+
 
 def _parse_grid(method, entries) -> _Grid:
     """Check a list-of-dicts grid by the rule fits follow and turn it into a :class:`_Grid`."""
@@ -419,7 +429,8 @@ def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
     Every fold x lane pair is one lane of :func:`_simpls_lockstep` on the
     design's coordinates ``Z`` (``X = Z Q'``); a fold is a 0/1 mask of its
     training rows.  Held-out predictions grow one component at a time, and
-    a lane that stops early keeps its last fit.
+    a lane that stops early keeps its last fit: its rows are dropped from
+    the running arrays when it stops.
     """
     n, lanes, _ = Y.shape
     n_folds = folds.va.shape[0]
@@ -429,13 +440,15 @@ def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
     Yp = np.tile(Y.transpose(1, 0, 2), (n_folds, 1, 1))
     held = 1.0 - train
     fit = np.zeros_like(Yp)
-    sse = np.empty((d + 1, Yp.shape[0]))
+    live = np.arange(Yp.shape[0])
+    sse = np.empty((d + 1, live.size))
     sse[:] = np.einsum("ln,lnq,lnq->l", held, Yp, Yp)
-    for c, (live, _, t, zr) in enumerate(_simpls_lockstep(Z, Yp, train, d), start=1):
-        Yl = Yp[live]
-        fit[live] += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yl)[:, None]
-        resid = Yl - fit[live]
-        sse[c:, live] = np.einsum("ln,lnq,lnq->l", held[live], resid, resid)
+    for c, (keep, _, t, zr) in enumerate(_simpls_lockstep(Z, Yp, train, d), start=1):
+        if keep is not None:
+            live, Yp, fit, held = live[keep], Yp[keep], fit[keep], held[keep]
+        fit += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yp)[:, None]
+        resid = Yp - fit
+        sse[c:, live] = np.einsum("ln,lnq,lnq->l", held, resid, resid)
     return sse.reshape(d + 1, n_folds, lanes).sum(axis=1)
 
 
@@ -449,8 +462,34 @@ def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
 _CHUNK_FLOATS = 2**14
 
 
-def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
-    """Pooled held-out SSE for every grid entry and lane: an entries x lanes array.
+def _grid_filters(grid: _Grid, folds: _FoldStack, phi, order):
+    """A filter grid's filters on the fold PCs: ``(rows, size, f)``.
+
+    ``f(at)`` gives the ``size`` filters of the folds in slice ``at`` (chunk
+    or 1 x size x lanes or 1 x k), and entry e reads filter ``rows[e]``.  Ridge
+    and EgReg shrink by s/(s + lambda) per lambda, ridge with s = D^2 and
+    EgReg with the fold scores ``phi``; PCR keeps every term whole.  NIECE
+    keeps an entry's first u PCs in each lane's score ``order``, its
+    candidate pool's members first: a 0/1 filter per entry.
+    """
+    if grid.method == "niece":
+        pools, pool = np.unique(grid.d, return_inverse=True)
+        size = np.where(pools > 0, pools, folds.r[:, None])[:, :, None, None]   # 0: full rank
+        order = np.take_along_axis(order[:, None], np.argsort(order[:, None] >= size, axis=-1,
+                                                              kind="stable"), axis=-1)
+        place = np.argsort(order, axis=-1)                  # each PC's place in that order
+        u = grid.u[:, None, None]
+        return np.arange(u.size), u.size, lambda at: place[at, pool] < u
+    lam, rows = np.unique(grid.lam, return_inverse=True)
+    if grid.method == "pcr":
+        return rows, 1, lambda at: np.ones((1, 1, 1, folds.D.shape[1]))
+    s = (folds.D**2)[:, None] if grid.method == "ridge" else phi
+    return rows, lam.size, lambda at: _shrink(s[at, None], lam[:, None, None])
+
+
+def _cv_sse(svd, folds: _FoldStack, Y, grids) -> list:
+    """Pooled held-out SSE for every entry and lane of each grid in ``grids``:
+    one entries x lanes array per grid, in order.
 
     ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
     replications are its lanes).  ``folds`` factor each fold from ``U D`` of
@@ -460,89 +499,94 @@ def _cv_sse(svd, folds: _FoldStack, Y, grid: _Grid) -> np.ndarray:
     components would fit.
 
     Every other method predicts a held-out row ``a`` as ``sum_j a_j h_j``
-    with ``h = f B`` a filter on the fold's PCs, ``B = U'Y_tr``, and an entry
-    reads the SSE after its first c terms.  NIECE's filter is 1 on the first
-    u PCs of each lane's score order, its pool's members first, and 0
-    elsewhere, so its entries read all terms.  Folds are scored a chunk at a
-    time, every filter and lane of a chunk at once.  A grid whose entries all
-    read one c (ridge, NIECE, full-rank EgReg) takes the residual form, one
-    batched matrix product per chunk.  Other grids (PCR, EgReg d x lambda)
-    take the Gram form ``SSE(c) = ||y_va||^2 + sum_{j<c} h_j ((M h)_j -
-    2 g_j)`` with M of :attr:`_FoldStack.M` and ``g = A'y_va``: the
-    increments are summed over folds, then one cumulative sum over the terms
-    gives every c.  Its absolute error is about eps k ||y_va||^2, so a score
-    that should be 0 can round below it; it is clamped at 0.
+    with ``h = f B`` a filter on the fold's PCs (:func:`_grid_filters`),
+    ``B = U'Y_tr``, and an entry reads the SSE after its first c terms;
+    NIECE's entries read all terms.  ``B``, the held-out responses, the fold
+    scores and NIECE's score order are formed once for all grids.  Grids
+    whose entries all read one c (ridge, NIECE, full-rank EgReg) share one
+    residual-form pass per c; the others (PCR, EgReg d x lambda) share one
+    Gram-form pass.  A pass scores its folds a chunk at a time, the filters
+    of all its grids and every lane of a chunk at once.  The residual form
+    is one batched matrix product per chunk.  The Gram form is ``SSE(c) =
+    ||y_va||^2 + sum_{j<c} h_j ((M h)_j - 2 g_j)`` with M of
+    :attr:`_FoldStack.M` and ``g = A'y_va``: the increments are summed over
+    folds, then one cumulative sum over the terms gives every c.  Its
+    absolute error is about eps k ||y_va||^2, so a score that should be 0
+    can round below it; it is clamped at 0.  Stacking the filters of
+    several grids can move a product's last bit, not more.
     """
-    for r in dict.fromkeys(folds.r.tolist()):    # fold order: the first fold too small raises
-        _entry_sizes(grid, r)
-    if grid.method == "simpls":
-        return _simpls_cv_sse(svd.U * svd.D, folds, Y, int(grid.d.max()))[grid.d]
+    for grid in grids:
+        for r in dict.fromkeys(folds.r.tolist()):    # fold order: the first fold too small raises
+            _entry_sizes(grid, r)
     n, lanes, q = Y.shape
     n_folds, m, k = folds.A.shape
+    out = [None] * len(grids)
+    passes = {}    # (Gram form?, terms read) -> (position, terms of each entry) of its grids
+    for i, grid in enumerate(grids):
+        if grid.method == "simpls":
+            out[i] = _simpls_cv_sse(svd.U * svd.D, folds, Y, int(grid.d.max()))[grid.d]
+            continue
+        cols = np.where(grid.d > 0, grid.d, k) if grid.method != "niece" else np.array([k])
+        gram = bool(np.any(cols != cols[0]))
+        passes.setdefault((gram, k if gram else int(cols[0])), []).append((i, cols))
+    if not passes:
+        return out
     Yp = np.concatenate([Y.reshape(n, -1), np.zeros((1, lanes * q))])    # row n: the padding
     B = (folds.U.transpose(0, 2, 1) @ Yp[folds.tr]).reshape(n_folds, k, lanes, q)
     B = np.ascontiguousarray(B.transpose(0, 2, 3, 1))          # folds x lanes x q x k
     Yva = Yp[folds.va].transpose(0, 2, 1)                      # folds x lanes q x m
-    lam, rows = np.unique(grid.lam, return_inverse=True)
-    cols = np.where(grid.d > 0, grid.d, k)
-    if grid.method == "niece":
-        # NIECE keeps an entry's first u PCs in each lane's score order, its
-        # candidate pool's members first: a 0/1 filter read in full.
-        order = _score_order(_fold_phi(folds, B), folds.D[:, None])      # folds x lanes x k
-        pools, pool = np.unique(grid.d, return_inverse=True)
-        size = np.where(pools > 0, pools, folds.r[:, None])[:, :, None, None]   # 0: full rank
-        order = np.take_along_axis(order[:, None], np.argsort(order[:, None] >= size, axis=-1,
-                                                              kind="stable"), axis=-1)
-        place = np.argsort(order, axis=-1)                  # each PC's place in that order
-        rows, cols = np.arange(cols.size), np.full_like(cols, k)
-        width = rows.size * lanes * q * k
-    else:
-        # s/(s + lambda) per lambda: ridge shrinks by s = D^2, EgReg by s = phi;
-        # PCR keeps every term whole.
-        s = (folds.D**2)[:, None] if grid.method == "ridge" else (
-            _fold_phi(folds, B) if grid.method == "egreg" else None)
-        width = lam.size * lanes * q * k
-    gram = np.any(cols != cols[0])
-    c = k if gram else cols[0]
-    step = max(1, _CHUNK_FLOATS // width)
-    total = 0.0    # summed fold by fold, so no score depends on the chunking
-    for at in (slice(i, i + step) for i in range(0, n_folds, step)):
-        A = folds.A[at, :, :c]
-        if grid.method == "niece":
-            f = place[at, pool] < grid.u[:, None, None]
-        else:
-            f = np.ones((1, 1, 1, k)) if grid.method == "pcr" else _shrink(s[at, None],
-                                                                          lam[:, None, None])
-        H = f[:, :, :, None, :c] * B[at, None, ..., :c]         # chunk x L x lanes x q x c
-        if not gram:
-            R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
-            R = R.reshape(H.shape[0], -1, lanes * q, m)
-            R -= Yva[at, None]
-            R = R.reshape(*R.shape[:2], lanes, q * m)
-            for sse in np.einsum("flrm,flrm->flr", R, R):
-                total += sse
-            continue
-        Mh = (H.reshape(H.shape[0], -1, k) @ folds.M[at].transpose(0, 2, 1)).reshape(H.shape)
-        Mh -= 2.0 * (Yva[at] @ A).reshape(-1, 1, lanes, q, k)
-        H *= Mh
-        for inc in H.sum(axis=3):
-            total += inc
-    if not gram:
-        return total[rows]
-    sse = np.cumsum(total, axis=-1)[rows, :, cols - 1]
-    sse += np.einsum("nlq,nlq->l", Y, Y)
-    return np.maximum(sse, 0.0, out=sse)
+    methods = {grid.method for grid in grids}
+    phi = _fold_phi(folds, B) if methods & {"niece", "egreg"} else None
+    order = _score_order(phi, folds.D[:, None]) if "niece" in methods else None  # folds x lanes x k
+    for (gram, c), members in passes.items():
+        filters = [_grid_filters(grids[i], folds, phi, order) for i, _ in members]
+        starts = np.cumsum([0] + [size for _, size, _ in filters])
+        step = max(1, _CHUNK_FLOATS // (starts[-1] * lanes * q * c))
+        total = 0.0    # summed fold by fold, so no score depends on the chunking
+        for at in (slice(j, j + step) for j in range(0, n_folds, step)):
+            A = folds.A[at, :, :c]
+            H = np.empty((A.shape[0], starts[-1], lanes, q, c))     # chunk x L x lanes x q x c
+            for (_, _, f), a, b in zip(filters, starts, starts[1:]):
+                np.multiply(f(at)[:, :, :, None, :c], B[at, None, ..., :c], out=H[:, a:b])
+            if not gram:
+                R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
+                R = R.reshape(H.shape[0], -1, lanes * q, m)
+                R -= Yva[at, None]
+                R = R.reshape(*R.shape[:2], lanes, q * m)
+                for sse in np.einsum("flrm,flrm->flr", R, R):
+                    total += sse
+                continue
+            Mh = (H.reshape(H.shape[0], -1, k) @ folds.M[at].transpose(0, 2, 1)).reshape(H.shape)
+            Mh -= 2.0 * (Yva[at] @ A).reshape(-1, 1, lanes, q, k)
+            H *= Mh
+            for inc in H.sum(axis=3):
+                total += inc
+        if gram:
+            total = np.cumsum(total, axis=-1)
+            yy = np.einsum("nlq,nlq->l", Y, Y)
+        for (i, cols), (rows, _, _), a in zip(members, filters, starts):
+            if not gram:
+                out[i] = total[a + rows]
+                continue
+            sse = total[a + rows, :, cols - 1]
+            sse += yy
+            out[i] = np.maximum(sse, 0.0, out=sse)
+    return out
 
 
 def _pick_best(grid: _Grid, scores):
     """Best entry per lane (scores: entries x lanes): lowest score, then
-    smaller d/u, then larger lambda.
+    smaller d/u, then larger lambda, then the first entry.
 
-    ``np.lexsort`` is stable, so any tie left goes to the first entry.
+    Each lane's first minimum in the grid's tie order :attr:`_Grid.ties`.
+    A NaN score ranks last, as ``np.lexsort`` ranks it.
     """
-    size = np.where(grid.u > 0, grid.u, np.where(grid.d > 0, grid.d, np.inf))
-    order = np.lexsort(np.broadcast_arrays(-grid.lam, size, scores.T))
-    return order[:, 0].copy()    # a view would keep every lane's full order alive
+    s = scores.T[:, grid.ties]
+    best = np.argmin(s, axis=1)
+    nan = np.isnan(s[np.arange(s.shape[0]), best])    # argmin stops at a lane's first NaN
+    if nan.any():
+        best[nan] = np.argsort(s[nan], axis=1, kind="stable")[:, 0]
+    return grid.ties[best]
 
 
 #: Lanes scored and picked together.  It bounds CV working memory whatever
@@ -553,12 +597,18 @@ def _pick_best(grid: _Grid, scores):
 _LANE_BLOCK = 4
 
 
-def _tune(svd, stack, Y, grid: _Grid):
-    """CV pick per lane of ``Y`` (n x lanes x q), scored ``_LANE_BLOCK`` lanes
-    at a time so no block's scores outlive its picks."""
+def _tune(svd, stack, Y, grids):
+    """CV picks per lane of ``Y`` (n x lanes x q), one array per grid in
+    ``grids``.  Each block of ``_LANE_BLOCK`` lanes is scored for all grids
+    by one :func:`_cv_sse` call and picked before the next, so no block's
+    scores outlive its picks."""
     n = Y.shape[0]
-    return np.concatenate([_pick_best(grid, _cv_sse(svd, stack, Y[:, i:i + _LANE_BLOCK], grid) / n)
-                           for i in range(0, Y.shape[1], _LANE_BLOCK)])
+    picks = [[] for _ in grids]
+    for i in range(0, Y.shape[1], _LANE_BLOCK):
+        for grid, pick, sse in zip(grids, picks,
+                                   _cv_sse(svd, stack, Y[:, i:i + _LANE_BLOCK], grids)):
+            pick.append(_pick_best(grid, sse / n))
+    return [np.concatenate(pick) for pick in picks]
 
 
 def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
@@ -600,7 +650,7 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     seed = _integer("seed", seed, 0)
     svd = thin_svd(data.X)
     stack = _fold_caches(svd, _fold_indices(n, k, seed))
-    scores = _cv_sse(svd, stack, data.Y[:, None], grid)[:, 0] / n
+    scores = _cv_sse(svd, stack, data.Y[:, None], [grid])[0][:, 0] / n
     best = _pick_best(grid, scores[:, None])[0]
     table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
     return dict(entries[best]), table
@@ -717,7 +767,7 @@ def _sample_fits(X, svd, Y, folds, methods):
         "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
         "EgReg(r)": _Grid("egreg", lam=lam),
     }
-    best = {label: _tune(svd, stack, Y, grids[label]) for label in methods}
+    best = dict(zip(methods, _tune(svd, stack, Y, [grids[label] for label in methods])))
     scored = not {"NIECE", "EgReg", "EgReg(r)"}.isdisjoint(methods)
     fits = {m: [] for m in methods}
     for rep in range(Y.shape[1]):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -581,6 +582,33 @@ def test_cli_thread_cap(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("EGREG_THREADS", "lots")
     assert main(["fit", str(train), str(mp), "--method", "pcr", "--d", "1"]) == 2
+
+
+def test_cli_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
+    # predict and evaluate-rpe hold at most two n x p copies at once: the
+    # table (or its predictor columns, after which the table is dropped) and
+    # predict's centered copy.  A third copy would put the peak near 3x the
+    # table's bytes.
+    rng = np.random.default_rng(23)
+    n, p = 2000, 60
+    X = rng.standard_normal((n, p)) * np.linspace(3.0, 1.0, p) + 1.0
+    Y = X[:, :3].sum(axis=1, keepdims=True) + rng.standard_normal((n, 1))
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    models = []
+    for method, flags in (("simpls", ["--d", "3"]), ("ridge", ["--lambda", "1.0"])):
+        models.append(str(tmp_path / f"{method}.json"))
+        assert main(["fit", str(train), models[-1], "--method", method, *flags]) == 0
+    table_bytes = n * (p + 1) * 8
+    for argv in (["predict", models[0], str(train), str(tmp_path / "pred.csv")],
+                 ["evaluate-rpe", str(train), *models, "--out", str(tmp_path / "rpe.csv")]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table_bytes, (argv[0], peak / table_bytes)
 
 
 def test_cli_rpe_golden_values(tmp_path):

@@ -221,8 +221,8 @@ def test_sample_fits_are_invariant_to_rotating_the_predictors(monkeypatch, n, p)
     folds = _fold_indices(n, 5, 3)
     picks, tune = [], simharness._tune
 
-    def spy(svd, caches, Yl, grid):
-        picks.append(tune(svd, caches, Yl, grid))
+    def spy(svd, caches, Yl, grids):
+        picks.append(tune(svd, caches, Yl, grids))
         return picks[-1]
 
     monkeypatch.setattr(simharness, "_tune", spy)
@@ -230,8 +230,8 @@ def test_sample_fits_are_invariant_to_rotating_the_predictors(monkeypatch, n, p)
     fits = _sample_fits(Xc, thin_svd(Xc), Y, folds, methods)
     Xr = Xc @ Q.T
     fits_r = _sample_fits(Xr, thin_svd(Xr), Y, folds, methods)
-    half = len(methods)
-    assert [a.tolist() for a in picks[:half]] == [a.tolist() for a in picks[half:]]
+    assert len(picks) == 2
+    assert [a.tolist() for a in picks[0]] == [a.tolist() for a in picks[1]]
     truth = TruthSpec(beta, None, [[1.0]], np.diag(scale))
     truth_r = TruthSpec(Q @ beta, None, [[1.0]], Q * scale)
     for m in methods:
@@ -637,14 +637,66 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
     svd = thin_svd(X)
     caches = _fold_caches(svd, _fold_indices(n, k, seed))
     for grid in _LANE_GRIDS:
-        both = _cv_sse(svd, caches, Y, grid)
-        each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], grid)[:, 0]
+        both = _cv_sse(svd, caches, Y, [grid])[0]
+        each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], [grid])[0][:, 0]
                                 for l in range(lanes)])
         assert_allclose(both, each, rtol=1e-12, err_msg=grid.method)
         picks = [_pick_best(grid, each[:, [l]] / n)[0] for l in range(lanes)]
-        assert _tune(svd, caches, Y, grid).tolist() == picks
+        assert _tune(svd, caches, Y, [grid])[0].tolist() == picks
         if zero_lane:
             assert np.all(both[:, 0] == 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(10, 23), wide=st.booleans(), k=st.integers(2, 5), lanes=st.integers(1, 5),
+       q=st.integers(1, 2), zero_lane=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=14, wide=True, k=4, lanes=4, q=1, zero_lane=True, seed=1)   # training ranks 10 and 11
+def test_cv_grids_scored_together_match_each_grid_alone(n, wide, k, lanes, q, zero_lane, seed):
+    # One call scores every grid of a lane block, the filters of each kernel
+    # form stacked in one pass: ridge, NIECE (with candidate pools) and
+    # full-rank EgReg in the residual form, PCR and EgReg d x lambda in the
+    # Gram form, and a one-entry PCR grid in a residual pass of its own.
+    # Stacking can move a product's last bit, so the scores match each grid
+    # scored alone to rtol 1e-12, and the picks are equal.
+    X, Y = _lane_data(n, n + 6 if wide else max(4, n // 2), lanes, q, seed)
+    if zero_lane:
+        Y[:, 0] = 0.0
+    svd = thin_svd(X)
+    caches = _fold_caches(svd, _fold_indices(n, k, seed))
+    grids = (*_LANE_GRIDS, _Grid("egreg", lam=[0.0, 0.5, 3.0]), _Grid("pcr", d=[2]))
+    together = _cv_sse(svd, caches, Y, grids)
+    picks = _tune(svd, caches, Y, grids)
+    for grid, got, pick in zip(grids, together, picks):
+        assert_allclose(got, _cv_sse(svd, caches, Y, [grid])[0], rtol=1e-12, err_msg=grid.method)
+        assert pick.tolist() == _tune(svd, caches, Y, [grid])[0].tolist(), grid.method
+
+
+def _lexsort_pick(grid, scores):
+    """The CV tie rule as one stable sort of each lane's whole score column:
+    lowest score (NaN last), then smaller d/u, then larger lambda, then the
+    first entry.  The reference for :func:`_pick_best`."""
+    size = np.where(grid.u > 0, grid.u, np.where(grid.d > 0, grid.d, np.inf))
+    return np.lexsort(np.broadcast_arrays(-grid.lam, size, scores.T))[:, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(method=st.sampled_from(["pcr", "ridge", "niece", "egreg", "egreg_r", "simpls"]),
+       entries=st.integers(1, 40), lanes=st.integers(1, 6),
+       nan_share=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+def test_pick_best_follows_the_lexsort_tie_rule(method, entries, lanes, nan_share, seed):
+    # Scores, d, u and lambda take few distinct values, so exact ties across
+    # d/u and lambda are common; signed zeros tie, and NaN ranks last.
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 5, entries)
+    lam = rng.choice([0.0, 0.1, 1.0, 10.0], entries)
+    pool = d * rng.integers(0, 2, entries)    # NIECE: 0 is the full-rank pool
+    grid = {"pcr": _Grid("pcr", d=d), "simpls": _Grid("simpls", d=d),
+            "ridge": _Grid("ridge", lam=lam), "egreg_r": _Grid("egreg", lam=lam),
+            "egreg": _Grid("egreg", d=d, lam=lam),
+            "niece": _Grid("niece", u=rng.integers(1, 4, entries), d=pool)}[method]
+    scores = rng.choice([-0.0, 0.0, 0.5, 1.0, np.inf], (entries, lanes))
+    scores[rng.random(scores.shape) < nan_share] = np.nan
+    assert _pick_best(grid, scores).tolist() == _lexsort_pick(grid, scores).tolist()
 
 
 def _filtered_sse(A, B, Yva, F, terms):
@@ -749,7 +801,7 @@ def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes,
         _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, ds.size)),
         _Grid("egreg", lam=lam[::-1]),
     ):
-        got = _cv_sse(svd, stack, Y, grid)
+        got = _cv_sse(svd, stack, Y, [grid])[0]
         assert_allclose(got, _per_fold_cv_sse(stack, Y, grid), rtol=1e-12, err_msg=grid.method)
 
 
@@ -774,11 +826,11 @@ def test_full_sum_path_matches_the_cumulative_sum():
     svd = thin_svd(X)
     stack = _fold_caches(svd, _fold_indices(14, 4, 5))
     lam = np.array([0.0, 0.1, 2.0, 30.0])
-    full = _cv_sse(svd, stack, Y, _Grid("egreg", lam=lam))
-    both = _cv_sse(svd, stack, Y, _Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0]))
+    full = _cv_sse(svd, stack, Y, [_Grid("egreg", lam=lam)])[0]
+    both = _cv_sse(svd, stack, Y, [_Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0])])[0]
     assert_allclose(full, both[:4], rtol=1e-12)
     fresh = _fold_caches(svd, _fold_indices(14, 4, 5))
-    _cv_sse(svd, fresh, Y, _Grid("niece", u=[1, 3, 2, 2], d=[0, 0, 3, 2]))
+    _cv_sse(svd, fresh, Y, [_Grid("niece", u=[1, 3, 2, 2], d=[0, 0, 3, 2])])
     assert "M" not in vars(fresh)           # the Gram form's matrix was never formed
 
 
@@ -794,8 +846,8 @@ def test_cv_scores_are_bit_identical_under_fold_pc_sign_flips(p):
     assert (flip < 0).any()
     flipped = dataclasses.replace(stack, U=stack.U * flip[:, None], A=stack.A * flip[:, None])
     for grid in (*_LANE_GRIDS, _Grid("egreg", lam=[0.0, 0.5, 3.0])):
-        got = _cv_sse(svd, flipped, Y, grid)
-        assert got.tobytes() == _cv_sse(svd, stack, Y, grid).tobytes(), grid.method
+        got = _cv_sse(svd, flipped, Y, [grid])[0]
+        assert got.tobytes() == _cv_sse(svd, stack, Y, [grid])[0].tobytes(), grid.method
 
 
 def _accuracy_grids(r):
