@@ -176,19 +176,15 @@ def _cmd_fit(args):
 
 def _predictors(mf, names, M, path):
     """The model's predictor columns of a table: matched by the model's stored
-    names, or taken as they stand when it has none and the width is p.
-
-    A selection by names is a column-major copy, and BLAS rounds a product
-    by its operand's layout.  So the table itself is returned, not a copy,
-    only when the copy would equal it in values and layout: the model's
-    columns are all of the table's, in order, and the table is column-major
-    (as :func:`~egreg.dataio.load_csv` returns the predictors)."""
+    names, or taken as they stand when it has none and the width is p.  The
+    table itself is returned, not a copy, when the model's columns are all of
+    its columns, in order."""
     if mf.x_names:
         missing = [c for c in mf.x_names if c not in names]
         if missing:
             raise ConfigError(f"{path} lacks the model's predictor column(s) "
                               f"{', '.join(missing)}")
-        if list(mf.x_names) == list(names) and M.flags.f_contiguous:
+        if list(mf.x_names) == list(names):
             return M
         return M[:, [names.index(c) for c in mf.x_names]]
     p = mf.model.beta.shape[0]

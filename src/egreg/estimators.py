@@ -212,10 +212,10 @@ def _simpls_lockstep(Z, Y, train, d: int):
     S = np.ascontiguousarray(S.reshape(k, lanes, q).transpose(1, 0, 2))
     s_tol = SIMPLS_TOL * np.maximum(1.0, _lane_norms(S))
     basis = np.empty((lanes, d, k))   # deflation basis, one row per component
-    # Per-lane reductions are BLAS dots and stacked matmuls, so a single
-    # lane reproduces the unbatched recurrence bit for bit.  A lane failing
-    # a test still runs through the component (its rows may turn inf/nan,
-    # which touches no other lane) and is dropped at the end of it.
+    # Per-lane reductions are BLAS dots and stacked matmuls, each reading
+    # only its own lane.  A lane failing a test still runs through the
+    # component (its rows may turn inf/nan, which touches no other lane) and
+    # is dropped at the end of it.
     for c in range(d):
         keep = _lane_norms(S) > s_tol
         if q == 1:
@@ -339,9 +339,12 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
 
     Applies the stored centering/standardization to ``Xnew``, multiplies by
     the coefficients, and maps the result back to the original response
-    scale.  A 1-D input is treated as a single observation row.  A model
-    that is not a :class:`FittedModel`, ragged, non-numeric or complex input,
-    and a row with a NaN or infinite cell (named) raise :class:`ContractError`.
+    scale.  A 1-D input is treated as a single observation row.  BLAS rounds
+    a product by its operand's layout, so the product is taken on a
+    column-major array: the same rows predict to the same bits whatever
+    ``Xnew``'s layout.  A model that is not a :class:`FittedModel`, ragged,
+    non-numeric or complex input, and a row with a NaN or infinite cell
+    (named) raise :class:`ContractError`.
     """
     if not isinstance(model, FittedModel):
         raise ContractError(f"model must be a FittedModel, got {type(model).__name__}")
@@ -356,8 +359,10 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
     _check_finite_rows(X, "predictor")
     tr = model.transform
     if tr is not None:
-        X = X - tr.x_mean
+        X = np.subtract(X, tr.x_mean, order="F")
         X /= tr.x_scale
+    else:
+        X = np.asfortranarray(X)
     Yp = X @ model.beta
     if tr is not None:
         Yp = Yp * tr.y_scale + tr.y_mean

@@ -160,14 +160,10 @@ def _model_frame(cfg: EnvelopeSimConfig, stream: int = 0):
     study methods see X only through its thin SVD, X'Y or SIMPLS, and a risk
     is ``||L'(b - beta*)||^2``, so in exact arithmetic the risks equal those
     of the frame rotated by any orthogonal Q (``X Q'``, ``Q beta*``, ``Q
-    Gamma``).  The normals of the Haar Q this frame once applied are still
-    drawn, in row blocks, and dropped, so Z keeps its stream.
+    Gamma``).  Z is the first n-by-p draw of the design stream.
     """
     sig = cfg.spectrum()
     rng = np.random.default_rng([cfg.seed, stream, _TAG_MODEL])
-    skip = np.empty((min(cfg.p, 64), cfg.p))
-    for i in range(0, cfg.p, skip.shape[0]):
-        rng.standard_normal(out=skip[:cfg.p - i])
     X = rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(sig)
     planted = np.asarray(cfg.P) - 1
     beta = _lift(planted, cfg.alpha, cfg.p)
@@ -749,7 +745,8 @@ def _sample_fits(X, svd, Y, folds, methods):
     """CV-tune and refit each method on every replication's response.
 
     ``X`` is the centered design and ``svd`` its thin SVD; ``Y`` holds the
-    replications as the lanes (n x R x q) of one CV call per method.  Each
+    replications as the lanes (n x R x q).  One :func:`_tune` call picks for
+    every method, with one :func:`_cv_sse` call per lane block.  Each
     replication's envelope scores are computed only if NIECE or an EgReg
     variant is among ``methods``.  Returns ``{method: [beta_hat per
     replication]}``.

@@ -357,6 +357,20 @@ def test_predict_standardized_chain_round_trip():
     assert_allclose(predict(model, raw.X), manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("transform", [True, False], ids=["transform", "no-transform"])
+def test_predict_is_bit_identical_across_input_layouts(transform):
+    # BLAS rounds X @ beta by X's layout; predict takes the product on one
+    # layout, so a row-major and a column-major copy of the same rows agree
+    # in every bit (the CLI hands it either, by command and model names).
+    rng = np.random.default_rng(28)
+    raw = Dataset(3.0 + rng.standard_normal((500, 40)), rng.standard_normal((500, 2)))
+    data = center_standardize(raw) if transform else _centered(seed=28, n=500, p=40, q=2)
+    model = fit_method(data, "ridge", {"lambda": 0.5})
+    assert (model.transform is not None) == transform
+    assert np.array_equal(predict(model, np.ascontiguousarray(raw.X)),
+                          predict(model, np.asfortranarray(raw.X)))
+
+
 @pytest.mark.parametrize("bad,why", [
     ([["a", 1.0, 2.0]], "string"),
     ([[None, "x", 2.0]], "string"),

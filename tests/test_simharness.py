@@ -180,24 +180,19 @@ def test_sample_covariance_matches_sigma_x():
 
 @pytest.mark.parametrize("stream", [0, 3])
 @pytest.mark.parametrize("study,ratio", [("P1", 2.0), ("double_descent", 1.0)])
-def test_model_frame_is_the_haar_frame_drawn_in_its_eigenbasis(study, ratio, stream):
-    # The frame still draws the p x p normals of a Haar rotation V (in row
-    # blocks; p > 64 here) and discards them, so Z is the draw a rotated frame
-    # makes from the same stream: X V' is that frame's design and V beta* its
-    # truth.  The factor is the vector sqrt(sig) (diag(root), so V diag(root)
-    # is V * root), and the planted basis is the coordinate columns P0.
+def test_model_frame_is_drawn_in_natural_form(study, ratio, stream):
+    # The frame is Sigma_x's eigenbasis: X = Z sqrt(sig) with Z the design
+    # stream's first n x p draw, the factor the vector sqrt(sig), and the
+    # planted basis the coordinate columns P0.  Its link to a rotated frame is
+    # test_sample_fits_are_invariant_to_rotating_the_predictors.
     sim = _point_frame(study, dict(simharness._STUDY_DEFAULTS[study]), 100, 4, ratio).args[0]
     X, truth, planted = _model_frame(sim, stream)
-    rng = np.random.default_rng([sim.seed, stream, 0])
-    V = _haar_orthogonal(sim.p, rng)
-    root = V * np.sqrt(sim.spectrum())
-    X_rotated = rng.standard_normal((sim.n, sim.p)) @ root.T
+    sig = sim.spectrum()
+    Z = np.random.default_rng([sim.seed, stream, 0]).standard_normal((sim.n, sim.p))
     P0 = np.array(sim.P) - 1
-    assert sim.p > 64
-    assert_allclose(X @ V.T, X_rotated, rtol=0, atol=1e-12 * np.abs(X_rotated).max())
-    assert_allclose(V @ truth.beta_star, V[:, P0] @ sim.alpha, rtol=0, atol=1e-12)
-    assert truth.Sigma_x_root.shape == (sim.p,)
-    assert_allclose(V * truth.Sigma_x_root, root, rtol=0, atol=1e-12)
+    assert np.array_equal(X, Z * np.sqrt(sig))
+    assert np.array_equal(truth.beta_star, simharness._lift(P0, sim.alpha, sim.p))
+    assert np.array_equal(truth.Sigma_x_root, np.sqrt(sig))    # the length-p vector
     assert np.array_equal(planted, P0)
 
 
