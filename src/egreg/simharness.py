@@ -39,6 +39,11 @@ are clamped at 0.  SIMPLS runs all folds x lanes as the lanes of one
 lockstep recurrence on ``U D``, with a 0/1 training-row mask per fold, and
 drops a lane's rows when it stops.  A pick is each lane's first minimum in
 a tie order formed once per grid, :attr:`_Grid.ties`.
+
+A study call that tunes ridge alone (double_descent's known-basis EgReg)
+factors no fold when :func:`_deletion_pays`: :func:`_ridge_deletion` gives
+ridge's held-out residuals exactly from the whole design's SVD, by the
+block-deletion identity ``e_f = (I - H_ff)^-1 ((I - H) y)_f``.
 """
 
 from __future__ import annotations
@@ -570,6 +575,61 @@ def _cv_sse(svd, folds: _FoldStack, Y, grids) -> list:
     return out
 
 
+def _deletion_pays(svd, folds, n_lam) -> bool:
+    """Whether :func:`_ridge_deletion` does less work than factoring the folds:
+    ``L m^2 (m + r)`` against ``n_tr r^2``, summed over folds (L lambdas, m
+    held-out rows, r the design's rank)."""
+    m = np.array([va.size for va in folds])
+    n = svd.U.shape[0]
+    return n_lam * int(np.sum(m**2 * (m + svd.r))) < int(np.sum(n - m)) * svd.r**2
+
+
+def _ridge_deletion(svd, folds, lam):
+    """Ridge CV by the exact block-deletion identity, with no fold factored.
+
+    With ``H = U diag(D^2/(D^2+lam)) U'`` the whole design's hat matrix,
+    fold f's held-out residuals are ``e_f = (I - H_ff)^-1 ((I - H) y)_f``
+    for every lam > 0.  ``I - H = W W' + U diag(lam/(D^2+lam)) U'`` with W
+    an orthonormal complement of U; ``(W W')_ff = P'P`` for P the held-out
+    unit vectors projected twice against U, so no n x n array and no
+    cancelling ``I - U_f U_f'`` is formed.  ``(I - H_ff)^-1`` is formed here
+    once per fold and lambda, folds of one size stacked; the returned
+    scorer maps a lane block's Y (n x lanes x q) to ``[lam x lanes]`` SSE,
+    as :func:`_cv_sse` does for one ridge grid.  ``(I - H) y`` is formed the
+    same way, from y projected twice against U.
+    """
+    U = svd.U
+    g = lam[:, None] / (svd.D**2 + lam[:, None])       # lam x r: the filter of I - H
+    groups = []
+    for size in dict.fromkeys(va.size for va in folds):
+        va = np.array([rows for rows in folds if rows.size == size])
+        inv = np.empty((len(va), lam.size, size, size))
+        for f, rows in enumerate(va):
+            P = U @ -U[rows].T
+            P[rows, np.arange(size)] += 1.0
+            P -= U @ (U.T @ P)
+            K = (U[rows] * g[:, None]) @ U[rows].T
+            K += P.T @ P
+            inv[f] = np.linalg.inv(K)
+        groups.append((va, inv))
+
+    def sse(Y):
+        n, lanes, q = Y.shape
+        y = Y.reshape(n, -1)
+        C = U.T @ y
+        y = y - U @ C
+        y -= U @ (U.T @ y)
+        E = y + U @ (g[:, :, None] * C)                 # lam x n x lanes q: (I - H) y
+        total = 0.0
+        for va, inv in groups:
+            e = inv @ E[:, va].transpose(1, 0, 2, 3)     # folds x lam x m x lanes q
+            e = e.reshape(*e.shape[:3], lanes, q)
+            total = total + np.einsum("flmjq,flmjq->lj", e, e)
+        return [total]
+
+    return sse
+
+
 def _pick_best(grid: _Grid, scores):
     """Best entry per lane (scores: entries x lanes): lowest score, then
     smaller d/u, then larger lambda, then the first entry.
@@ -595,14 +655,19 @@ _LANE_BLOCK = 4
 
 def _tune(svd, stack, Y, grids):
     """CV picks per lane of ``Y`` (n x lanes x q), one array per grid in
-    ``grids``.  Each block of ``_LANE_BLOCK`` lanes is scored for all grids
-    by one :func:`_cv_sse` call and picked before the next, so no block's
-    scores outlive its picks."""
+    ``grids``, scored by :func:`_cv_sse` on the fold stack."""
+    return _pick_blocks(partial(_cv_sse, svd, stack, grids=grids), Y, grids)
+
+
+def _pick_blocks(score, Y, grids):
+    """CV picks per lane of ``Y``, one array per grid in ``grids``.  Each
+    block of ``_LANE_BLOCK`` lanes is scored for all grids by one ``score``
+    call (block -> one entries x lanes SSE per grid) and picked before the
+    next, so no block's scores outlive its picks."""
     n = Y.shape[0]
     picks = [[] for _ in grids]
     for i in range(0, Y.shape[1], _LANE_BLOCK):
-        for grid, pick, sse in zip(grids, picks,
-                                   _cv_sse(svd, stack, Y[:, i:i + _LANE_BLOCK], grids)):
+        for grid, pick, sse in zip(grids, picks, score(Y[:, i:i + _LANE_BLOCK])):
             pick.append(_pick_best(grid, sse / n))
     return [np.concatenate(pick) for pick in picks]
 
@@ -746,25 +811,32 @@ def _sample_fits(X, svd, Y, folds, methods):
 
     ``X`` is the centered design and ``svd`` its thin SVD; ``Y`` holds the
     replications as the lanes (n x R x q).  One :func:`_tune` call picks for
-    every method, with one :func:`_cv_sse` call per lane block.  Each
+    every method, with one :func:`_cv_sse` call per lane block; a call
+    whose one method is ridge scores by :func:`_ridge_deletion` instead,
+    with no fold factored, where :func:`_deletion_pays`.  Each
     replication's envelope scores are computed only if NIECE or an EgReg
     variant is among ``methods``.  Returns ``{method: [beta_hat per
     replication]}``.
     """
     n = X.shape[0]
-    stack = _fold_caches(svd, folds)
-    r_cap = min(svd.r, int(stack.r.min()))
-    ds = np.arange(1, r_cap + 1)
     lam = _lambda_grid(svd.D[0] ** 2)
-    grids = {
-        "PCR": _Grid("pcr", d=ds),
-        "Ridge": _Grid("ridge", lam=lam),
-        "NIECE": _Grid("niece", u=ds),
-        "SIMPLS": _Grid("simpls", d=ds),
-        "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
-        "EgReg(r)": _Grid("egreg", lam=lam),
-    }
-    best = dict(zip(methods, _tune(svd, stack, Y, [grids[label] for label in methods])))
+    grids = {"Ridge": _Grid("ridge", lam=lam)}
+    deletion = set(methods) == {"Ridge"} and _deletion_pays(svd, folds, lam.size)
+    if not deletion:
+        stack = _fold_caches(svd, folds)
+        r_cap = min(svd.r, int(stack.r.min()))
+        ds = np.arange(1, r_cap + 1)
+        grids.update({
+            "PCR": _Grid("pcr", d=ds),
+            "NIECE": _Grid("niece", u=ds),
+            "SIMPLS": _Grid("simpls", d=ds),
+            "EgReg": _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
+            "EgReg(r)": _Grid("egreg", lam=lam),
+        })
+    tuned = [grids[label] for label in methods]
+    picks = (_pick_blocks(_ridge_deletion(svd, folds, lam), Y, tuned) if deletion
+             else _tune(svd, stack, Y, tuned))
+    best = dict(zip(methods, picks))
     scored = not {"NIECE", "EgReg", "EgReg(r)"}.isdisjoint(methods)
     fits = {m: [] for m in methods}
     for rep in range(Y.shape[1]):
@@ -793,9 +865,11 @@ def _known_basis_fits(Xc, planted, Y, folds, methods):
     lowest indices), whose reduced design NIECE factors on its own.  EgReg
     is ridge on the reduced design, tuned and refit by :func:`_sample_fits`
     (the planted scores are equal, so the score rescaling is a scalar
-    absorbed by the lambda grid).  The sample PC-ranked NIECE cannot spike
-    at u*/n = 1 -- its reduced design is X's own singular frame -- which is
-    why this study keeps the basis known.
+    absorbed by the lambda grid); past the work rule of
+    :func:`_deletion_pays` (u*/n >= 0.75 at n = 100 and 10 folds) its CV
+    factors no fold.  The sample PC-ranked NIECE cannot spike at u*/n = 1
+    -- its reduced design is X's own singular frame -- which is why this
+    study keeps the basis known.
     """
     n, p = Xc.shape
     capped = planted.size == n

@@ -47,6 +47,7 @@ from egreg.simharness import (
     _fold_indices,
     _Grid,
     _known_basis_fits,
+    _lift,
     _model_frame,
     _pick_best,
     _point_frame,
@@ -455,6 +456,70 @@ def test_sample_fits_scores_replications_only_for_score_ranked_methods(monkeypat
     assert calls == []
     simharness._sample_fits(Xc, svd, Y, folds, ["Ridge", "NIECE"])
     assert len(calls) == Y.shape[1]
+
+
+def test_ridge_only_fits_past_the_work_rule_factor_no_fold(monkeypatch):
+    # A ridge-only call scores CV by the block-deletion identity once its
+    # work is below the fold factorization's: at double_descent's n = 100 and
+    # 10 folds that is u*/n >= 0.75, where the known-basis EgReg makes no
+    # batched fold SVD (np.linalg.svd of a 3-D stack) and builds no fold
+    # stack.  u*/n = 0.2, and every call that tunes a second method, keep the
+    # fold stack; the picks, so the ridge fits, are the same either way.
+    svd_ndims, stacks = [], []
+    linalg_svd, fold_caches = np.linalg.svd, simharness._fold_caches
+
+    def svd_spy(a, *args, **kwargs):
+        svd_ndims.append(np.ndim(a))
+        return linalg_svd(a, *args, **kwargs)
+
+    def caches_spy(*args):
+        stacks.append(fold_caches(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(simharness, "_fold_caches", caches_spy)
+    for ratio, identity in ((0.75, True), (1.5, True), (0.2, False)):
+        Xc, planted, Y, _ = _dd_point(100, ratio)
+        folds = _fold_indices(100, 10, 1)
+        svd_ndims.clear()
+        stacks.clear()
+        ridge = _known_basis_fits(Xc, planted, Y, folds, ("EgReg",))["EgReg"]
+        assert (3 in svd_ndims, len(stacks)) == ((False, 0) if identity else (True, 1)), ratio
+        XG = Xc[:, planted]
+        for second in ("PCR", "EgReg(r)"):
+            stacks.clear()
+            fits = _sample_fits(XG, thin_svd(XG), Y, folds, ["Ridge", second])
+            assert len(stacks) == 1
+            for got, want in zip(fits["Ridge"], ridge):
+                assert np.array_equal(_lift(planted, got, Xc.shape[1]), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 30), shape=st.sampled_from(["square", "wide", "tall"]),
+       decay=st.booleans(), k=st.integers(2, 6), lanes=st.integers(1, 5), q=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+@example(n=14, shape="square", decay=False, k=4, lanes=5, q=2, seed=1)   # folds 4+4+3+3
+@example(n=14, shape="wide", decay=True, k=4, lanes=1, q=1, seed=2)
+@example(n=14, shape="tall", decay=True, k=4, lanes=3, q=2, seed=3)
+def test_ridge_block_deletion_scores_match_the_fold_stack(n, shape, decay, k, lanes, q, seed):
+    # The block-deletion identity scores ridge on the studies' lambda grid
+    # as the fold-stack kernel does, to rtol 1e-12, and picks the same
+    # entries.  Square (p = n - 1) and wide designs have rank n - 1 once
+    # centered, so W, the complement of U, is one column; a decaying
+    # spectrum spreads D^2 / lambda over many orders.
+    p = {"square": n - 1, "wide": 2 * n, "tall": max(2, n // 3)}[shape]
+    X, Y = _lane_data(n, p, lanes, q, seed)
+    if decay:
+        X *= np.exp(-0.2 * np.arange(p))
+    svd = thin_svd(X)
+    assert svd.r == (max(2, n // 3) if shape == "tall" else n - 1)
+    folds = _fold_indices(n, k, seed)
+    grid = _Grid("ridge", lam=simharness._lambda_grid(svd.D[0] ** 2))
+    score = simharness._ridge_deletion(svd, folds, grid.lam)
+    stack = _fold_caches(svd, folds)
+    assert_allclose(score(Y)[0], _cv_sse(svd, stack, Y, [grid])[0], rtol=1e-12, atol=0)
+    assert (simharness._pick_blocks(score, Y, [grid])[0].tolist()
+            == _tune(svd, stack, Y, [grid])[0].tolist())
 
 
 def _cv_data(seed=9, n=48, p=6, q=2):
@@ -990,6 +1055,7 @@ def test_model_frame_studies_never_form_sigma_x(monkeypatch):
 @pytest.mark.parametrize("study,config,p", [
     ("P1", {"p_over_n": [20], "replications": 2, "methods": ["ridge"]}, 2000),
     ("double_descent", {"u_star_over_n": [10], "replications": 2}, 1500),
+    ("double_descent", {"u_star_over_n": [10], "replications": 2, "methods": ["egreg"]}, 1500),
 ])
 def test_eigenbasis_study_memory_is_linear_in_n_times_p(study, config, p):
     # Sigma_x's factor is a vector and the planted basis a set of indices, so
