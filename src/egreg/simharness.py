@@ -25,8 +25,13 @@ which keeps CV memory flat in R: :func:`_tune` makes one :func:`_cv_sse`
 call per block for all methods' grids, then picks each lane's entry by
 :func:`_pick_best`.  :func:`kfold_cv` is the one-lane, one-grid case.  Each
 training fold is factored once, from its rows of the design's PC
-coordinates ``U D`` (n_tr x rank, not n_tr x p), and the folds are kept as
-one zero-padded stack, :class:`_FoldStack`.  PCR, ridge, NIECE and EgReg are
+coordinates ``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept
+as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
+factored by one batched call: wide folds (n_tr <= rank) of a design with
+``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` (1e-4) by ``eigh`` of their blocks
+of the kernel ``Z Z'``, within about eps / tau of the SVD's factors, if
+every fold passes the same check; all others by an SVD, bit for bit
+:func:`~egreg.matrixcore.thin_svd`.  PCR, ridge, NIECE and EgReg are
 diagonal filters on the fold PCs (NIECE's is 0/1, in each lane's score
 order).  A call forms the fold products once (``B = U'Y_tr``, the held-out
 responses, the fold scores and NIECE's score order) and stacks the filters
@@ -306,12 +311,18 @@ class _FoldStack:
     Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of the
     design's PC coordinates ``Z = U D``.  Its training rows have the thin SVD
     ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and ``A[f] = Z[va[f]] V_f /
-    D[f]`` holds its held-out rows in whitened fold-PC coordinates.  Folds are
-    padded to the largest training fold, held-out fold and rank: a padded
-    index is n (one row past the data), and padded rows and columns of U, D
-    and A are zero, so they add exact zeros to every score.  A fold PC keeps
-    the sign LAPACK gave it: flipping it flips its U and A columns together,
-    which cancels in every CV score.
+    D[f]`` holds its held-out rows in whitened fold-PC coordinates.
+    :func:`_fold_caches` chooses how: wide folds (n_tr <= rank) of a design
+    and fold stack whose squared condition ratios are at least
+    ``_KERNEL_TAU`` (1e-4) come from the kernel ``K = Z Z'`` (``A[f] =
+    K[va, tr] U[f] / D[f]^2``, no V_f), within about eps / tau of the SVD's
+    factors relative to scale; all others equal their ``thin_svd`` bit for
+    bit, up to column signs.  Folds are padded to the largest training
+    fold, held-out fold and rank: a padded index is n (one row past the
+    data), and padded rows and columns of U, D and A are zero, so they add
+    exact zeros to every score.  A fold PC keeps the sign LAPACK gave it:
+    flipping it flips its U and A columns together, which cancels in every
+    CV score.
     """
 
     tr: np.ndarray      # folds x n_tr row indices
@@ -334,13 +345,33 @@ class _FoldStack:
         return (self.A.transpose(0, 2, 1) @ self.A) * (2.0 * np.tri(k, k, -1) + np.eye(k))
 
 
+#: Smallest squared condition ratio ``(sigma_min / sigma_max)^2`` at which
+#: :func:`_fold_caches` factors wide training folds from the design's kernel
+#: ``K = Z Z'`` instead of by an SVD: asked of the design's ``U D`` and of
+#: every fold in a stack.  Squaring the ratio costs accuracy: the kernel's
+#: factors are within about eps / tau of the SVD's, relative to scale.
+_KERNEL_TAU = 1e-4
+
+
 def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
-    The training folds of one size are stacked and factored by one
-    ``np.linalg.svd`` call.  Each fold's factors are cut at its numerical
-    rank, as :func:`~egreg.matrixcore.thin_svd` cuts, straight into the
-    padded :class:`_FoldStack`.
+    The training folds of one size are stacked and factored by one batched
+    LAPACK call.  A stack of wide folds (n_tr <= rank) in a design whose
+    ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` is factored by one
+    ``np.linalg.eigh`` of its blocks ``K[tr, tr]`` of the design's kernel
+    ``K = Z Z'``.  A wide fold of full row rank has ``K[tr, tr] = U D^2
+    U'``, so its U is the eigenvectors (descending), D the square roots of
+    the eigenvalues and its rank n_tr, and ``A = Z[va] V / D = K[va, tr] U
+    / D^2``; no V is formed.  The stack keeps these factors if every fold's
+    smallest eigenvalue is positive and at least ``_KERNEL_TAU`` times its
+    largest, and then U, D and A are within about eps / tau of the SVD's,
+    relative to scale.  Every other stack (tall folds, graded spectra,
+    rank-deficient or zero folds, a stack that fails the check) is factored
+    by one ``np.linalg.svd`` call and cut at each fold's numerical rank, as
+    :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal ``thin_svd``
+    of their rows bit for bit.  The factors go straight into the padded
+    :class:`_FoldStack`.
     """
     Z = svd.U * svd.D
     n = Z.shape[0]
@@ -353,20 +384,31 @@ def _fold_caches(svd, folds) -> _FoldStack:
     tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
     for f, (t, v) in enumerate(zip(trs, folds)):
         tr[f, :t.size], va[f, :v.size] = t, v
-    cuts = [None] * len(folds)
+    wide = n_tr.min() <= svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
+    K = Z @ Z.T if wide else None
+    cuts = [None] * len(folds)    # per fold: U, D and A, cut at its rank
     for size in dict.fromkeys(n_tr.tolist()):
         at = np.flatnonzero(n_tr == size)
-        U, s, Vt = np.linalg.svd(Z[tr[at, :size]], full_matrices=False)
+        rows = tr[at, :size]
+        if K is not None and size <= svd.r:
+            lam, W = np.linalg.eigh(K[rows[:, :, None], rows[:, None]])
+            if np.all((lam[:, 0] > 0) & (lam[:, 0] >= _KERNEL_TAU * lam[:, -1])):
+                for j, f in enumerate(at):
+                    U, s2 = W[j, :, ::-1], lam[j, ::-1]
+                    cuts[f] = U, np.sqrt(s2), K[folds[f][:, None], rows[j]] @ U / s2
+                continue
+        U, s, Vt = np.linalg.svd(Z[rows], full_matrices=False)
         for j, f in enumerate(at):
-            cuts[f] = U[j], s[j], Vt[j], _rank_of(s[j])
-    r = np.array([cut[3] for cut in cuts])
+            rf = _rank_of(s[j])
+            cuts[f] = U[j, :, :rf], s[j, :rf], (Z[folds[f]] @ Vt[j, :rf].T) / s[j, :rf]
+    r = np.array([cut[1].size for cut in cuts])
     k = int(r.max())
     stack = _FoldStack(tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
                        np.zeros((len(folds), k)), np.zeros((len(folds), va.shape[1], k)))
-    for f, (U, s, Vt, rf) in enumerate(cuts):
-        stack.U[f, :n_tr[f], :rf] = U[:, :rf]
-        stack.D[f, :rf] = s[:rf]
-        stack.A[f, :folds[f].size, :rf] = (Z[folds[f]] @ Vt[:rf].T) / s[:rf]
+    for f, (U, s, A) in enumerate(cuts):
+        stack.U[f, :n_tr[f], :r[f]] = U
+        stack.D[f, :r[f]] = s
+        stack.A[f, :folds[f].size, :r[f]] = A
     return stack
 
 
@@ -578,7 +620,11 @@ def _cv_sse(svd, folds: _FoldStack, Y, grids) -> list:
 def _deletion_pays(svd, folds, n_lam) -> bool:
     """Whether :func:`_ridge_deletion` does less work than factoring the folds:
     ``L m^2 (m + r)`` against ``n_tr r^2``, summed over folds (L lambdas, m
-    held-out rows, r the design's rank)."""
+    held-out rows, r the design's rank).  That prices the folds at the SVD's
+    cost; the kernel path of :func:`_fold_caches` is cheaper, but at
+    double_descent's u*/n = 0.75, 0.9 and 1.5 (n = 100, 10 folds, one BLAS
+    thread) the identity still took less than half of the fold stack's
+    time, so the rule stands."""
     m = np.array([va.size for va in folds])
     n = svd.U.shape[0]
     return n_lam * int(np.sum(m**2 * (m + svd.r))) < int(np.sum(n - m)) * svd.r**2
@@ -697,7 +743,11 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     about eps k ||Y||^2 / n of the exact one (k the training-fold rank), not
     within a relative eps, and never below 0.  Ridge, NIECE and full-rank
     EgReg grids are scored from the residuals themselves, so their error is
-    relative to the score.
+    relative to the score.  The folds are factored as the studies factor
+    them (:func:`_fold_caches`): when p >= n they have n_tr <= rank, and if
+    the design's and every fold's ``(sigma_min / sigma_max)^2`` is at least
+    ``_KERNEL_TAU`` (1e-4) they come from the kernel ``X X'``, whose factors
+    are within about eps / tau of the SVD's; otherwise from one batched SVD.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)

@@ -354,16 +354,19 @@ def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
                         rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("n,p,k,dup_fold", [
-    pytest.param(20, 6, 4, None, id="equal-folds-tall"),
-    pytest.param(20, 45, 5, None, id="equal-folds-wide"),
-    pytest.param(14, 5, 4, None, id="unequal-folds-tall"),      # folds of 4+4+3+3 rows
-    pytest.param(14, 30, 4, None, id="unequal-folds-wide"),
-    pytest.param(12, 30, 4, 0, id="low-rank-fold-in-stack"),
+@pytest.mark.parametrize("n,p,k,dup_fold,graded", [
+    pytest.param(20, 6, 4, None, False, id="equal-folds-tall"),
+    pytest.param(14, 5, 4, None, False, id="unequal-folds-tall"),      # folds of 4+4+3+3 rows
+    pytest.param(12, 30, 4, 0, False, id="low-rank-fold-in-stack"),
+    pytest.param(14, 30, 4, None, True, id="unequal-folds-wide-graded"),
 ])
-def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
-    # Folds of one training size are factored by one stacked LAPACK call;
-    # each must carry exactly the rank, D and U of its own thin_svd call, U
+def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, monkeypatch):
+    # Folds of one training size that the kernel path does not take are
+    # factored by one stacked LAPACK SVD call: tall folds, a wide stack with
+    # a rank-deficient fold (it fails the per-fold eigenvalue check), and
+    # wide folds of a design with graded columns, whose (sigma_r /
+    # sigma_1)^2 is below _KERNEL_TAU (so no kernel block is factored).
+    # Each must carry exactly the rank, D and U of its own thin_svd call, U
     # up to the sign of each column (a fold PC's sign cancels in every CV
     # score, so the stack keeps LAPACK's), and zeros in all its padding.
     rng = np.random.default_rng(n + p)
@@ -373,10 +376,17 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
         # Two equal rows held out by different folds: the training folds
         # that keep both lose a rank against those that hold one out.
         X[folds[dup_fold + 1][0]] = X[folds[dup_fold][0]]
+    if graded:
+        X *= np.exp(-0.5 * np.arange(p))
     X -= X.mean(axis=0)
     svd = thin_svd(X)
+    assert graded == (svd.D[-1] ** 2 < simharness._KERNEL_TAU * svd.D[0] ** 2)
     Z = svd.U * svd.D
+    eighs, linalg_eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or linalg_eigh(a))
     stack = _fold_caches(svd, folds)
+    monkeypatch.undo()
+    assert bool(eighs) == (dup_fold is not None)    # only that stack is wide and checked
     for f, va in enumerate(folds):
         n_tr, r = stack.n_tr[f], stack.r[f]
         fresh = thin_svd(Z[stack.tr[f, :n_tr]])
@@ -391,6 +401,128 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold):
     assert len(sizes) == (1 if n % k == 0 else 2)
     if dup_fold is not None:
         assert len(set(stack.r.tolist())) == 2 and len(sizes) == 1
+
+
+def _batched_svds(monkeypatch):
+    """Spy on ``np.linalg.svd``: the list it returns collects the number of
+    dimensions of each argument, so a 3 marks a batched fold SVD."""
+    ndims, linalg_svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return linalg_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return ndims
+
+
+@pytest.mark.parametrize("n,p,k", [
+    pytest.param(20, 45, 5, id="equal-folds-wide"),
+    pytest.param(14, 30, 4, id="unequal-folds-wide"),
+])
+def test_kernel_fold_factors_match_thin_svd(n, p, k, monkeypatch):
+    # Wide folds of a well-conditioned design are factored by one batched
+    # eigh of their blocks of K = Z Z', with no batched SVD.  That gives up
+    # bitwise equality with thin_svd: each fold must carry its rank, D within
+    # 1e-12 relative, U and A within 1e-10 of their scale up to the sign of
+    # each column, and exact zeros in all its padding.
+    rng = np.random.default_rng(n + p)
+    X = rng.standard_normal((n, p))
+    folds = _fold_indices(n, k, 3)
+    X -= X.mean(axis=0)
+    svd = thin_svd(X)
+    Z = svd.U * svd.D
+    ndims = _batched_svds(monkeypatch)
+    stack = _fold_caches(svd, folds)
+    assert 3 not in ndims
+    for f, va in enumerate(folds):
+        n_tr, r = stack.n_tr[f], stack.r[f]
+        fresh = thin_svd(Z[stack.tr[f, :n_tr]])
+        U = stack.U[f, :n_tr, :r]
+        sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
+        assert r == fresh.r == n_tr
+        assert_allclose(stack.D[f, :r], fresh.D, rtol=1e-12, atol=0)
+        assert_allclose(U * sign, fresh.U, rtol=0, atol=1e-10)    # unit columns
+        A = Z[va] @ fresh.V / fresh.D
+        assert_allclose(stack.A[f, :va.size, :r] * sign, A, rtol=0, atol=1e-10 * np.abs(A).max())
+        assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
+                    or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
+        assert np.all(stack.tr[f, n_tr:] == n) and np.all(stack.va[f, va.size:] == n)
+
+
+def test_kernel_path_falls_back_to_the_svd_on_a_zero_wide_fold():
+    # Z = U D is zero on rows 0-2 and the identity on rows 3-5: a
+    # well-conditioned design whose folds are wide, but fold 1 trains on the
+    # zero rows.  Its eigenvalues are all 0, so the stack fails the check
+    # and thin_svd's error is raised, not a factor of 1 / 0.
+    svd = SvdFactors(U=np.eye(6)[:, 3:], D=np.ones(3), V=np.eye(3), r=3)
+    with pytest.raises(RankZeroError, match="identically zero"):
+        _fold_caches(svd, [np.arange(3), np.arange(3, 6)])
+
+
+def _filter_grids(svd, r_cap):
+    """The filter grids :func:`_sample_fits` tunes on a design (all but
+    SIMPLS, which reads no fold factor): PCR, ridge, NIECE, EgReg d x lambda
+    and EgReg(r)."""
+    lam = simharness._lambda_grid(svd.D[0] ** 2)
+    ds = np.arange(1, r_cap + 1)
+    return [_Grid("pcr", d=ds), _Grid("ridge", lam=lam), _Grid("niece", u=ds),
+            _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, r_cap)),
+            _Grid("egreg", lam=lam)]
+
+
+def _study_point(study, ratio, R=3):
+    """A study grid point's centered design and R centered response lanes."""
+    frame = _point_frame(study, simharness._STUDY_DEFAULTS[study], 100, 4, ratio)
+    X, truth, _ = frame(stream=0)
+    Y = np.stack([simharness._recenter(Y) for Y in _responses(X, truth, 4, 0, range(R))], axis=1)
+    return simharness._recenter(X), Y
+
+
+@pytest.mark.parametrize("study,ratio", [("double_descent", 0.75), ("baseline", 2.0)])
+def test_kernel_and_svd_fold_paths_score_and_pick_alike(study, ratio, monkeypatch):
+    # A wide study point's CV scores on the kernel-factored folds are those
+    # on the SVD-factored ones (forced by a _KERNEL_TAU no design meets):
+    # within 1e-12 relative, or for the Gram-form grids (PCR, EgReg d x
+    # lambda) within its absolute bound eps k ||y||^2, and every pick is the
+    # same.  double_descent at u*/n = 0.75 (p = 112) is its worst-conditioned
+    # wide point; the baseline design at p/n = 2 has one spiked eigenvalue.
+    X, Y = _study_point(study, ratio)
+    svd = thin_svd(X)
+    folds = _fold_indices(100, 10, 1)
+    ndims = _batched_svds(monkeypatch)
+    kernel = _fold_caches(svd, folds)
+    assert 3 not in ndims
+    monkeypatch.setattr(simharness, "_KERNEL_TAU", np.inf)
+    stack = _fold_caches(svd, folds)
+    assert 3 in ndims and kernel.r.tolist() == stack.r.tolist()
+    grids = _filter_grids(svd, min(svd.r, int(stack.r.min())))
+    bound = np.finfo(float).eps * stack.D.shape[1] * np.einsum("nlq,nlq->l", Y, Y)
+    for grid, got, want in zip(grids, _cv_sse(svd, kernel, Y, grids), _cv_sse(svd, stack, Y, grids)):
+        gram = grid.method == "pcr" or np.any(grid.d > 0)
+        assert_allclose(got, want, rtol=1e-12, atol=bound.max() if gram else 0, err_msg=grid.method)
+    for got, want in zip(_tune(svd, kernel, Y, grids), _tune(svd, stack, Y, grids)):
+        assert got.tolist() == want.tolist()
+
+
+def test_kfold_cv_scores_and_picks_alike_on_both_fold_paths(monkeypatch):
+    # kfold_cv shares the fold factors: on a wide design every grid's table
+    # and pick match the SVD path's, as the study points above do.
+    data = _cv_data(seed=5, n=48, p=60)
+    ndims = _batched_svds(monkeypatch)
+    runs = []
+    for tau in (simharness._KERNEL_TAU, np.inf):
+        monkeypatch.setattr(simharness, "_KERNEL_TAU", tau)
+        ndims.clear()
+        runs.append([kfold_cv(data, method, grid, k=6, seed=13)
+                     for method, grid in _accuracy_grids(40)])
+        assert (3 in ndims) == (tau == np.inf)
+    bound = np.finfo(float).eps * 40 * np.sum(data.Y**2) / data.n
+    for (method, grid), (best, table), (best_svd, table_svd) in zip(_accuracy_grids(40), *runs):
+        gram = method == "pcr" or any("d" in e for e in grid)
+        assert_allclose([row["cv_score"] for row in table], [row["cv_score"] for row in table_svd],
+                        rtol=1e-12, atol=bound if gram else 0, err_msg=method)
+        assert best == best_svd, method
 
 
 def test_batched_fold_factors_raise_thin_svds_error_on_a_zero_fold():
@@ -465,18 +597,13 @@ def test_ridge_only_fits_past_the_work_rule_factor_no_fold(monkeypatch):
     # batched fold SVD (np.linalg.svd of a 3-D stack) and builds no fold
     # stack.  u*/n = 0.2, and every call that tunes a second method, keep the
     # fold stack; the picks, so the ridge fits, are the same either way.
-    svd_ndims, stacks = [], []
-    linalg_svd, fold_caches = np.linalg.svd, simharness._fold_caches
-
-    def svd_spy(a, *args, **kwargs):
-        svd_ndims.append(np.ndim(a))
-        return linalg_svd(a, *args, **kwargs)
+    svd_ndims, stacks = _batched_svds(monkeypatch), []
+    fold_caches = simharness._fold_caches
 
     def caches_spy(*args):
         stacks.append(fold_caches(*args))
         return stacks[-1]
 
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(simharness, "_fold_caches", caches_spy)
     for ratio, identity in ((0.75, True), (1.5, True), (0.2, False)):
         Xc, planted, Y, _ = _dd_point(100, ratio)
