@@ -171,6 +171,9 @@ def _cmd_fit(args):
     _manifest_for(args, digest, None, t0, [args.model_out],
                   args.model_out + ".manifest.json")
     print(f"fitted {model.method} ({model.params}) on {data.n} rows -> {args.model_out}")
+    # A degenerate fit is saved, but not silently: the note prints its flags.
+    if {"early_stop", "zero_score_directions"} & model.flags.keys():
+        print(f"egreg: note: degenerate fit, {model.params} gave {model.flags}", file=sys.stderr)
     return 0
 
 

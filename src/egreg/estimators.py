@@ -28,7 +28,7 @@ import numpy as np
 from .envscore import EnvelopeScores, envelope_scores, top_ranked
 from .exceptions import ContractError, DimensionError, ParameterError
 from .matrixcore import (Dataset, SvdFactors, Transform, _as_matrix, _check_finite_rows, _count,
-                         _fix_signs, _integer, _real, _real_array, numerical_rank, thin_svd)
+                         _fix_signs, _integer, _real, _real_array, thin_svd)
 
 #: Deflation tolerance for the SIMPLS early-stop test.
 SIMPLS_TOL = 1e-12
@@ -192,18 +192,19 @@ def _lane_norms(M):
 def _simpls_lockstep(Z, Y, train, d: int):
     """The SIMPLS recurrence (de Jong 1993), run in lockstep over lanes.
 
-    ``Z`` (n x k) holds the predictors in any isometric coordinates (the fit
-    is invariant to rotating them), ``Y`` (lanes x n x q) one response per
-    lane and ``train`` (lanes x n) a 0/1 mask of the rows each lane fits on.
-    Per component this yields ``(keep, r, t, zr)`` for the lanes still
-    running, one row per lane: weights ``r`` (k), unit scores
-    ``t = train (Z r - mean)`` centered over the training rows (zero
-    elsewhere), and ``zr = Z r`` on every row.  Each component is one GEMM
-    for all lanes.  A lane stops before d components when its deflated
-    cross-product, its score or its orthogonalized loading collapses below
-    :data:`SIMPLS_TOL`; its rows are dropped then, and ``keep`` is the 0/1
-    mask of the lanes the previous component yielded that are kept (None
-    while all run), so a caller can drop the same rows from its own arrays.
+    ``Z`` (n x k) holds the predictors in the design's PC coordinates ``U D``
+    (every caller passes these; weights mapped back by V fit ``X = Z V'``),
+    ``Y`` (lanes x n x q) one response per lane and ``train`` (lanes x n) a
+    0/1 mask of the rows each lane fits on.  Per component this yields
+    ``(keep, r, t, zr)`` for the lanes still running, one row per lane:
+    weights ``r`` (k), unit scores ``t = train (Z r - mean)`` centered over
+    the training rows (zero elsewhere), and ``zr = Z r`` on every row.  Each
+    component is one GEMM for all lanes.  A lane stops before d components
+    when its deflated cross-product, its score or its orthogonalized loading
+    collapses below :data:`SIMPLS_TOL`; its rows are dropped then, and
+    ``keep`` is the 0/1 mask of the lanes the previous component yielded
+    that are kept (None while all run), so a caller can drop the same rows
+    from its own arrays.
     """
     lanes, n, q = Y.shape
     k = Z.shape[1]
@@ -251,29 +252,30 @@ def _simpls_lockstep(Z, Y, train, d: int):
         yield keep, r, t, zr
 
 
-def simpls_coefficients(X, Y, d: int) -> tuple[np.ndarray, int]:
+def simpls_coefficients(svd: SvdFactors, Y, d: int) -> tuple[np.ndarray, int]:
     """SIMPLS coefficients with up to d components; returns (beta, achieved).
 
-    The one-lane, all-rows case of :func:`_simpls_lockstep`: its k <= d
-    components give weights R (p x k) and unit, mutually orthogonal scores
-    T (n x k) with ``t = X r - mean``, and ``beta = R T'Y``.
+    The one-lane, all-rows case of :func:`_simpls_lockstep` on ``Z = U D``,
+    as in CV, so no direction past the rank enters: its k <= d components
+    give weights R (r x k) and unit, mutually orthogonal scores T (n x k)
+    with ``t = Z r - mean``, and ``beta = V R T'Y``.
     """
-    d = _integer("d", d, 1)
-    X, Y = _as_matrix(X, "X"), _as_matrix(Y, "Y")
-    steps = list(_simpls_lockstep(X, Y[None], np.ones((1, X.shape[0])), d))
-    R = np.empty((X.shape[1], len(steps)))
-    T = np.empty((X.shape[0], len(steps)))
+    d = _count("d", d, svd.r, "r")
+    Y = _as_matrix(Y, "Y")
+    steps = list(_simpls_lockstep(svd.U * svd.D, Y[None], np.ones((1, Y.shape[0])), d))
+    R = np.empty((svd.r, len(steps)))
+    T = np.empty((Y.shape[0], len(steps)))
     for j, (_, r, t, _) in enumerate(steps):
         R[:, j], T[:, j] = r[0], t[0]
-    return R @ (T.T @ Y), len(steps)
+    return svd.V @ (R @ (T.T @ Y)), len(steps)
 
 
-def _coefficients(method, svd, scores, X, Y, d, u, lam):
+def _coefficients(method, svd, scores, Y, d, u, lam):
     """beta-hat of the lower-case ``method`` at (d, u, lambda), with its flags.
 
     The one dispatch from a method to its builder, shared by
     :func:`fit_method` and the study refits.  ``svd`` is the thin SVD of the
-    centered design ``X`` (unused by SIMPLS) and ``scores`` its envelope
+    centered design, which every builder reads, and ``scores`` its envelope
     scores (read by NIECE and EgReg only).  The flags record a SIMPLS early
     stop: ``achieved_components``, and ``early_stop`` when fewer than d.
     """
@@ -285,7 +287,7 @@ def _coefficients(method, svd, scores, X, Y, d, u, lam):
         return niece_coefficients(svd, scores, Y, u, d), {}
     if method == "egreg":
         return egreg_coefficients(svd, scores, Y, d, lam), {}
-    beta, achieved = simpls_coefficients(X, Y, d)
+    beta, achieved = simpls_coefficients(svd, Y, d)
     flags = {"achieved_components": achieved}
     if achieved < d:
         flags["early_stop"] = True
@@ -297,29 +299,26 @@ def fit_method(data: Dataset, method: str, params: dict) -> FittedModel:
     :class:`Dataset` with a {"d", "u", "lambda"} params dict.
 
     ``params`` follows the rule CV grids follow, so a ``kfold_cv`` pick fits
-    as it is.  NIECE and EgReg without ``d`` use the full rank of X (the
-    "EgReg(r)" variant).  SIMPLS reads the rank from the singular values
-    alone and forms no U or V.  EgReg also returns its reduction matrix
-    ``Gamma_hat`` (the first d PCs rescaled by ``sqrt(phi_j)/sigma_j``), and
-    at lambda = 0 flags its zero-score directions, which are resolved to 0.
-    A ``d`` above the rank of X, or a ``u`` above ``d``, is a bad parameter:
-    it raises :class:`ParameterError` with the message of the builders'
+    as it is.  Every method is fit on one thin SVD of X.  NIECE and EgReg
+    without ``d`` use the full rank of X (the "EgReg(r)" variant).  EgReg
+    also returns its reduction matrix ``Gamma_hat`` (the first d PCs
+    rescaled by ``sqrt(phi_j)/sigma_j``), and at lambda = 0 flags its
+    zero-score directions, which are resolved to 0.  A ``d`` above the rank
+    of X, or a ``u`` above ``d``, is a bad parameter: it raises
+    :class:`ParameterError` with the message of the builders'
     :class:`DimensionError`.
     """
     key = str(method).lower()
     params = _check_params(key, params)
     _require_centered(data)
     d, u, lam = params.get("d"), params.get("u"), params.get("lambda")
-    svd = scores = None
+    scores = None
     try:
-        if key == "simpls":
-            d = _count("d", d, numerical_rank(data.X), "r")
-        else:
-            svd = thin_svd(data.X)
+        svd = thin_svd(data.X)
         if key in ("niece", "egreg"):
             scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r if d is None else d)
             d = scores.d
-        beta, flags = _coefficients(key, svd, scores, data.X, data.Y, d, u, lam)
+        beta, flags = _coefficients(key, svd, scores, data.Y, d, u, lam)
     except DimensionError as exc:
         # data is a valid Dataset, so only d or u can be out of range here.
         raise ParameterError(str(exc)) from None

@@ -263,11 +263,6 @@ def _rank_of(s):
     return r
 
 
-def numerical_rank(X) -> int:
-    """The rank :func:`thin_svd` would truncate at, from the singular values alone."""
-    return _rank_of(np.linalg.svd(_as_matrix(X, "X"), compute_uv=False))
-
-
 def thin_svd(X) -> SvdFactors:
     """Thin SVD truncated at the numerical rank, with deterministic signs.
 

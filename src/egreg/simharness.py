@@ -241,17 +241,17 @@ def _baseline_sigma(kind: str, p: int, rho: float):
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def _reals(name, values):
-    """A config list of finite numbers as a tuple of floats; anything else raises ConfigError."""
+def _reals(name, values, error):
+    """A list of finite numbers as a tuple of floats; anything else raises ``error``."""
     if not isinstance(values, (list, tuple, np.ndarray)):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return tuple(_real(name, v, ConfigError) for v in values)
+        raise error(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(name, v, error) for v in values)
 
 
-def _baseline_beta(p: int, stub=None):
-    stub = _BASELINE_BETA if stub is None else _reals("beta_star", stub)
+def _baseline_beta(p: int, stub, error):
+    stub = _BASELINE_BETA if stub is None else _reals("beta_star", stub, error)
     if len(stub) > p:
-        raise ConfigError(f"beta_star has {len(stub)} entries but p = {p}")
+        raise error(f"beta_star has {len(stub)} entries but p = {p}")
     beta = np.zeros((p, 1))
     beta[: len(stub), 0] = stub
     return beta
@@ -278,8 +278,8 @@ def gen_baseline(
 ):
     """Draw one dataset with no planted structure (CS or AR1 covariance).
 
-    ``beta_star`` defaults to the sparse vector (2, -2, 1, -1, 1/2, -1/2,
-    0, ..., 0); shorter vectors are zero-padded to length p.  As in
+    ``beta_star`` defaults to (2, -2, 1, -1, 1/2, -1/2, 0, ..., 0), which
+    needs p >= 6; shorter vectors are zero-padded to length p.  As in
     :func:`gen_envelope_model`, the design is fixed per ``(seed, stream)``,
     ``rep`` indexes the noise draw, and ``stream=g`` gives replication
     ``rep`` of the baseline study's grid point g.  ``n`` (>= 2), ``p`` (>= 1),
@@ -289,8 +289,8 @@ def gen_baseline(
     kind, rho, sigma_eps_sq = _baseline_inputs(kind, rho, sigma_eps_sq, ParameterError)
     n, p, seed, rep, stream = (_integer(key, v, low) for key, v, low in (
         ("n", n, 2), ("p", p, 1), ("seed", seed, 0), ("rep", rep, 0), ("stream", stream, 0)))
-    X, truth, _ = _baseline_frame(kind, n, _baseline_beta(p, beta_star), rho, sigma_eps_sq,
-                                  seed, stream)
+    X, truth, _ = _baseline_frame(kind, n, _baseline_beta(p, beta_star, ParameterError), rho,
+                                  sigma_eps_sq, seed, stream)
     Y = _responses(X, truth, seed, stream, [rep])[0]
     return Dataset(_recenter(X), _recenter(Y), centered=True), truth
 
@@ -859,14 +859,14 @@ def _lambda_grid(sigma1_sq):
 def _sample_fits(X, svd, Y, folds, methods):
     """CV-tune and refit each method on every replication's response.
 
-    ``X`` is the centered design and ``svd`` its thin SVD; ``Y`` holds the
-    replications as the lanes (n x R x q).  One :func:`_tune` call picks for
-    every method, with one :func:`_cv_sse` call per lane block; a call
-    whose one method is ridge scores by :func:`_ridge_deletion` instead,
-    with no fold factored, where :func:`_deletion_pays`.  Each
-    replication's envelope scores are computed only if NIECE or an EgReg
-    variant is among ``methods``.  Returns ``{method: [beta_hat per
-    replication]}``.
+    ``X`` is the centered design (read for the scores' X'Y only) and ``svd``
+    its thin SVD, on which all methods refit; ``Y`` holds the replications
+    as the lanes (n x R x q).  One :func:`_tune` call picks for every
+    method, with one :func:`_cv_sse` call per lane block; a call whose one
+    method is ridge scores by :func:`_ridge_deletion` instead, with no fold
+    factored, where :func:`_deletion_pays`.  Each replication's envelope
+    scores are computed only if NIECE or an EgReg variant is among
+    ``methods``.  Returns ``{method: [beta_hat per replication]}``.
     """
     n = X.shape[0]
     lam = _lambda_grid(svd.D[0] ** 2)
@@ -895,7 +895,7 @@ def _sample_fits(X, svd, Y, folds, methods):
         for label in methods:
             grid, i = grids[label], best[label][rep]
             d = int(grid.d[i]) or svd.r    # a missing d is the full rank
-            fits[label].append(_coefficients(grid.method, svd, scores, X, Yc, d, int(grid.u[i]),
+            fits[label].append(_coefficients(grid.method, svd, scores, Yc, d, int(grid.u[i]),
                                              float(grid.lam[i]))[0])
     return fits
 
@@ -947,7 +947,7 @@ def _point_frame(study, cfg, n, seed, ratio):
     if study == "baseline":
         kind, rho, sigma_eps_sq = _baseline_inputs(cfg["kind"], cfg["rho"], cfg["sigma_eps_sq"],
                                                    ConfigError)
-        return partial(_baseline_frame, kind, n, _baseline_beta(p, cfg["beta_star"]),
+        return partial(_baseline_frame, kind, n, _baseline_beta(p, cfg["beta_star"], ConfigError),
                        rho, sigma_eps_sq, seed)
     sigma_eps_sq = _noise_variance(cfg.get("sigma_eps_sq", 10.0), ConfigError)
     if study == "P1":
@@ -1017,7 +1017,7 @@ def run_study(study: str, config: dict | None = None) -> StudyResult:
     dd = study == "double_descent"
     methods = _canon_methods(cfg["methods"], _DD_METHODS if dd else _SAMPLE_METHODS, study)
     grid_name = "u_star_over_n" if dd else "p_over_n"
-    grid = _reals(grid_name, cfg[grid_name])
+    grid = _reals(grid_name, cfg[grid_name], ConfigError)
     if not grid or not all(v > 0 for v in grid):
         raise ConfigError(f"{grid_name} must list one or more positive values, got {list(grid)}")
     frames = [_point_frame(study, cfg, n, seed, v) for v in grid]

@@ -533,6 +533,29 @@ def test_cli_fit_rejects_a_flag_its_method_does_not_use(tmp_path, capsys):
     assert not (tmp_path / "m.json.manifest.json").exists()
 
 
+def test_cli_fit_notes_a_degenerate_fit_on_stderr(tmp_path, capsys):
+    # A fit with fewer SIMPLS components than asked, or with zero-score
+    # directions resolved to 0, is saved (exit 0) with a note on stderr.
+    X, _ = _toy(seed=14, n=30, p=5)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, np.zeros((30, 1)))
+    mp = tmp_path / "m.json"
+    for flags, note in ((["--method", "simpls", "--d", "3"], "egreg: note: degenerate fit, "
+                         "{'d': 3} gave {'achieved_components': 0, 'early_stop': True}"),
+                        (["--method", "egreg", "--d", "3", "--lambda", "0"], "egreg: note: "
+                         "degenerate fit, {'d': 3, 'lambda': 0.0} gave "
+                         "{'zero_score_directions': [0, 1, 2]}")):
+        assert main(["fit", str(train), str(mp), *flags]) == 0, flags
+        out, err = capsys.readouterr()
+        assert note in err, err
+        assert "egreg: note" not in out
+        assert mp.exists()
+    X, Y = _toy(seed=14, n=30, p=5)
+    _write_xy(train, X, Y)
+    assert main(["fit", str(train), str(mp), "--method", "simpls", "--d", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_fit_parameters_above_the_rank_exit_2(tmp_path, capsys):
     # d or u above the rank of X is a bad flag value, like --d 0.
     X, Y = _toy(seed=13, n=30, p=5)

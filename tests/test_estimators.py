@@ -276,7 +276,8 @@ def test_simpls_scores_are_orthonormal():
     from egreg.estimators import _simpls_lockstep
 
     data = _centered(seed=19, n=50, p=8, q=2)
-    steps = _simpls_lockstep(data.X, data.Y[None], np.ones((1, data.n)), 5)
+    svd = thin_svd(data.X)
+    steps = _simpls_lockstep(svd.U * svd.D, data.Y[None], np.ones((1, data.n)), 5)
     T = np.array([t[0] for _, _, t, _ in steps]).T
     assert_allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-8)
 
@@ -287,20 +288,41 @@ def test_simpls_d_out_of_range():
         fit_method(data, "simpls", {"d": 6})
 
 
-def test_fit_simpls_reads_the_rank_without_thin_svd(monkeypatch):
+def test_fit_simpls_runs_on_one_thin_svd(monkeypatch):
+    # SIMPLS fits on the design's thin SVD, like the other four methods:
+    # one factorization per fit, and a d above its rank is a bad parameter.
     from egreg import estimators
 
-    def no_thin_svd(*args, **kwargs):
-        raise AssertionError("the SIMPLS fit called thin_svd")
+    calls = []
 
-    monkeypatch.setattr(estimators, "thin_svd", no_thin_svd)
+    def counted(X):
+        calls.append(X.shape)
+        return thin_svd(X)
+
+    monkeypatch.setattr(estimators, "thin_svd", counted)
     data = _centered(seed=20, n=30, p=5)
     assert fit_method(data, "simpls", {"d": 5}).flags["achieved_components"] == 5
+    assert calls == [(30, 5)]
     with pytest.raises(ParameterError, match=r"r = 5, got 6"):
         fit_method(data, "simpls", {"d": 6})
     wide = _centered(seed=21, n=8, p=12)     # centered rows: rank n - 1 = 7
+    assert fit_method(wide, "simpls", {"d": 7}).beta.shape == (12, 1)
     with pytest.raises(ParameterError, match=r"r = 7, got 8"):
         fit_method(wide, "simpls", {"d": 8})
+
+
+def test_simpls_fit_leaves_out_directions_past_the_numerical_rank():
+    # The design of test_thin_svd_relative_cutoff: a direction at 1e-12 of
+    # sigma_1, which thin_svd drops, with a response that loads on it.  CV
+    # never sees that direction, so the fit must not put weight on it.
+    rng = np.random.default_rng(13)
+    G = rng.standard_normal((12, 2))
+    U0 = np.linalg.qr(G - G.mean(axis=0))[0]
+    X = np.outer(U0[:, 0], [1.0, 0, 0]) + 1e-12 * np.outer(U0[:, 1], [0, 1.0, 0])
+    y = (U0[:, 0] + U0[:, 1])[:, None]
+    beta = fit_method(Dataset(X, y, centered=True), "simpls", {"d": 1}).beta[:, 0]
+    assert abs(beta[1]) <= 1e-15 * abs(beta[0])
+    assert beta[2] == 0.0
 
 
 # ---------------------------------------------------------------------------

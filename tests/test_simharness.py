@@ -247,8 +247,29 @@ def test_gen_baseline_covariances_and_beta():
     assert_allclose(truth2.Sigma_x[0, 2], 0.25)
     with pytest.raises(ParameterError):
         gen_baseline("CS", 60, 8, 1.0, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         gen_baseline("CS", 60, 4, 0.3, seed=1)  # default beta needs p >= 6
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: gen_baseline("CS", 30, 3, 0.5), ParameterError,
+                 "beta_star has 6 entries but p = 3", id="default-beta-p-3"),
+    pytest.param(lambda: gen_baseline("CS", 30, 8, 0.5, beta_star="ab"), ParameterError,
+                 "beta_star must be a list", id="beta-string"),
+    pytest.param(lambda: gen_baseline("CS", 30, 8, 0.5, beta_star=["a"]), ParameterError,
+                 "beta_star", id="beta-cell-string"),
+    pytest.param(lambda: gen_baseline("CS", 30, 2, 0.5, beta_star=[1.0, 2.0, 3.0]),
+                 ParameterError, "beta_star has 3 entries but p = 2", id="beta-longer-than-p"),
+    pytest.param(lambda: run_study("baseline", {"beta_star": "ab"}), ConfigError,
+                 "beta_star must be a list", id="study-beta-string"),
+    pytest.param(lambda: run_study("baseline", {"p_over_n": [0.02]}), ConfigError,
+                 "beta_star has 6 entries but p = 2", id="study-default-beta-p-2"),
+])
+def test_bad_beta_star_raises_the_callers_error(call, error, match):
+    # gen_baseline's bad inputs are bad arguments (ParameterError), a study
+    # config's are bad config (ConfigError): the same check, two classes.
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_gen_baseline_rep_changes_noise_only():
@@ -681,7 +702,7 @@ def _brute_force_cv(data, method, grid, k, seed):
                 scores = envelope_scores(svd, Xt.T @ Yt / len(tr), svd.r)
                 beta = egreg_coefficients(svd, scores, Yt, d, e["lambda"])
             else:
-                beta = simpls_coefficients(Xt, Yt, e["d"])[0]
+                beta = simpls_coefficients(svd, Yt, e["d"])[0]
             out[i] += float(np.sum((Xv @ beta - Yv) ** 2))
     return out / data.n
 
