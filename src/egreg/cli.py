@@ -1,7 +1,10 @@
 """Command-line front end: fit, predict, evaluate-rpe, theory, simulate.
 
-Every command writes a provenance manifest next to its outputs.  Exit codes:
-0 on success, 1 on runtime or numeric failure, 2 on usage or config errors.
+Each ``_cmd_*`` handler does its command's work and returns ``(outputs,
+manifest path, digest object, seed or None, summary line)``.  :func:`main` is
+the one place that times a run, writes its provenance manifest, prints its
+summary and maps errors to exit codes: 0 on success, 1 on runtime or numeric
+failure, 2 on usage or config errors.
 
 BLAS thread caps (``--threads`` or the ``EGREG_THREADS`` environment
 variable) must land in the environment before numpy initializes its backend,
@@ -128,24 +131,7 @@ def build_parser():
     return parser
 
 
-def _manifest_for(args, digest_obj, seed, t0, outputs, path):
-    from .dataio import RunManifest, config_digest, write_manifest
-
-    write_manifest(
-        path,
-        RunManifest(
-            command=list(getattr(args, "_argv", [])),
-            config_digest=config_digest(digest_obj),
-            seed=seed,
-            software_version=__version__,
-            wall_clock_sec=time.time() - t0,
-            outputs=list(outputs),
-        ),
-    )
-
-
 def _cmd_fit(args):
-    t0 = time.time()
     from .dataio import load_csv, save_model
     from .estimators import fit_method
     from .matrixcore import Dataset, center_standardize
@@ -168,13 +154,11 @@ def _cmd_fit(args):
         "command": "fit", "csv_in": args.csv_in, "method": args.method,
         "params": params, "response": response, "standardize": args.standardize,
     }
-    _manifest_for(args, digest, None, t0, [args.model_out],
-                  args.model_out + ".manifest.json")
-    print(f"fitted {model.method} ({model.params}) on {data.n} rows -> {args.model_out}")
     # A degenerate fit is saved, but not silently: the note prints its flags.
     if {"early_stop", "zero_score_directions"} & model.flags.keys():
         print(f"egreg: note: degenerate fit, {model.params} gave {model.flags}", file=sys.stderr)
-    return 0
+    return ([args.model_out], args.model_out + ".manifest.json", digest, None,
+            f"fitted {model.method} ({model.params}) on {data.n} rows -> {args.model_out}")
 
 
 def _predictors(mf, names, M, path):
@@ -198,7 +182,6 @@ def _predictors(mf, names, M, path):
 
 
 def _cmd_predict(args):
-    t0 = time.time()
     from .dataio import load_model, load_table, write_table
     from .estimators import predict
 
@@ -210,14 +193,11 @@ def _cmd_predict(args):
     header = mf.y_names or [f"y{j + 1}" for j in range(Yp.shape[1])]
     write_table(args.csv_out, [header] + [list(row) for row in Yp])
     digest = {"command": "predict", "model_in": args.model_in, "csv_in": args.csv_in}
-    _manifest_for(args, digest, None, t0, [args.csv_out],
-                  args.csv_out + ".manifest.json")
-    print(f"predicted {Yp.shape[0]} rows -> {args.csv_out}")
-    return 0
+    return ([args.csv_out], args.csv_out + ".manifest.json", digest, None,
+            f"predicted {Yp.shape[0]} rows -> {args.csv_out}")
 
 
 def _cmd_evaluate_rpe(args):
-    t0 = time.time()
     import numpy as np
 
     from .dataio import load_csv, load_model, write_table
@@ -225,36 +205,40 @@ def _cmd_evaluate_rpe(args):
     from .matrixcore import _check_finite_rows
 
     response = _response_list(args.response)
-    X, Y, x_names, _ = load_csv(args.test_csv, response)
+    X, Y, x_names, y_names = load_csv(args.test_csv, response)
     _check_finite_rows(Y, "response")
     entries = [(path, load_model(path)) for path in args.models]
-    baselines = [mf for _, mf in entries if mf.model.method == "SIMPLS"]
-    if not baselines:
+    methods = [mf.model.method for _, mf in entries]
+    if "SIMPLS" not in methods:
         raise ContractError(
             "evaluate-rpe needs a SIMPLS model as the denominator; none was given"
         )
 
-    def sse(mf):
+    def sse(path, mf):
+        # A model's stored response names must be the table's, in order.
+        q = mf.model.beta.shape[1]
+        if (mf.y_names != y_names) if mf.y_names else (q != len(y_names)):
+            ours = ", ".join(mf.y_names) if mf.y_names else f"{q} unnamed"
+            raise ConfigError(f"{path} predicts the response(s) {ours}; "
+                              f"{args.test_csv} has {', '.join(y_names)}")
         Xm = _predictors(mf, x_names, X, args.test_csv)
         return float(np.sum((Y - predict(mf.model, Xm)) ** 2))
 
-    denom = sse(baselines[0])
+    sses = [sse(path, mf) for path, mf in entries]
+    denom = sses[methods.index("SIMPLS")]
     if denom == 0.0:
         raise ContractError("the SIMPLS baseline fits the test set exactly; "
                             "RPE is undefined")
     rows = [["model", "method", "rpe"]]
-    for path, mf in entries:
-        rows.append([path, mf.model.method, sse(mf) / denom])
+    rows += [[path, method, v / denom] for path, method, v in zip(args.models, methods, sses)]
     write_table(args.out, rows)
     digest = {"command": "evaluate-rpe", "test_csv": args.test_csv,
               "models": list(args.models), "response": response}
-    _manifest_for(args, digest, None, t0, [args.out], args.out + ".manifest.json")
-    print(f"wrote RPE table for {len(entries)} model(s) -> {args.out}")
-    return 0
+    return ([args.out], args.out + ".manifest.json", digest, None,
+            f"wrote RPE table for {len(entries)} model(s) -> {args.out}")
 
 
 def _cmd_theory(args):
-    t0 = time.time()
     import numpy as np
 
     from .asymptotics import LimitConfig, risk_curve
@@ -285,14 +269,11 @@ def _cmd_theory(args):
               "grid_stop": args.grid_stop, "grid_count": args.grid_count,
               "grid_log": args.grid_log, "c_sq": args.c_sq,
               "tr_sigma_eps": args.tr_sigma_eps}
-    _manifest_for(args, digest, None, t0, [args.out_csv],
-                  args.out_csv + ".manifest.json")
-    print(f"wrote limiting-risk curve ({grid.size} points) -> {args.out_csv}")
-    return 0
+    return ([args.out_csv], args.out_csv + ".manifest.json", digest, None,
+            f"wrote limiting-risk curve ({grid.size} points) -> {args.out_csv}")
 
 
 def _cmd_simulate(args):
-    t0 = time.time()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -317,11 +298,9 @@ def _cmd_simulate(args):
     csv_path = os.path.join(args.out_dir, f"{study}.csv")
     write_table(csv_path, result.rows())
     digest = {"study": study, **config}
-    _manifest_for(args, digest, result.seed, t0, [csv_path],
-                  os.path.join(args.out_dir, "manifest.json"))
-    print(f"ran {study} ({result.risks.shape[0]} grid points x "
-          f"{len(result.methods)} methods) -> {csv_path}")
-    return 0
+    return ([csv_path], os.path.join(args.out_dir, "manifest.json"), digest, result.seed,
+            f"ran {study} ({result.risks.shape[0]} grid points x "
+            f"{len(result.methods)} methods) -> {csv_path}")
 
 
 _DISPATCH = {
@@ -335,12 +314,19 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     record = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = record
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
         _apply_thread_cap(args.threads)
-        return _DISPATCH[args.command](args)
+        outputs, path, digest, seed, summary = _DISPATCH[args.command](args)
+        from .dataio import RunManifest, config_digest, write_manifest
+
+        write_manifest(path, RunManifest(
+            command=record, config_digest=config_digest(digest), seed=seed,
+            software_version=__version__, wall_clock_sec=time.time() - t0, outputs=outputs,
+        ))
+        print(summary)
+        return 0
     except (ConfigError, ParameterError) as exc:
         # Bad flag values or config contents are usage errors, like argparse's.
         print(f"egreg: error: {exc}", file=sys.stderr)

@@ -41,15 +41,17 @@ def _fmt(value):
 def _write_atomically(path, write, newline=None):
     """Fill a temp file beside ``path`` through ``write(fh)``, then rename it
     over ``path``; on any failure the temp file is removed and ``path`` is
-    left as it was."""
+    left as it was.  An OSError names ``path``."""
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex[:12]}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno:    # name the target, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -163,6 +165,8 @@ def split_response(names, M, response=None):
         y_names = [names[-1]]
     else:
         y_names = list(response)
+        if len(set(y_names)) < len(y_names):
+            raise ConfigError(f"a response column is listed twice in {', '.join(y_names)}")
         missing = [c for c in y_names if c not in names]
         if missing:
             raise ConfigError(

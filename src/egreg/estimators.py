@@ -137,9 +137,17 @@ def _shrink(s, lam):
     return np.divide(s, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
+def _response(svd: SvdFactors, Y) -> np.ndarray:
+    """``Y`` as a float matrix with the design's n rows, or DimensionError."""
+    Y = _as_matrix(Y, "Y")
+    if Y.shape[0] != svd.U.shape[0]:
+        raise DimensionError(f"Y has {Y.shape[0]} rows; the design has n = {svd.U.shape[0]}")
+    return Y
+
+
 def _filtered(svd: SvdFactors, Y, idx, f) -> np.ndarray:
     """The spectral filter ``V_idx diag(f / D_idx) U_idx' Y``."""
-    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ _real_array(Y, "Y")))
+    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ _response(svd, Y)))
 
 
 def _egreg_filter(svd: SvdFactors, scores: EnvelopeScores, d: int, lam: float):
@@ -261,7 +269,7 @@ def simpls_coefficients(svd: SvdFactors, Y, d: int) -> tuple[np.ndarray, int]:
     with ``t = Z r - mean``, and ``beta = V R T'Y``.
     """
     d = _count("d", d, svd.r, "r")
-    Y = _as_matrix(Y, "Y")
+    Y = _response(svd, Y)
     steps = list(_simpls_lockstep(svd.U * svd.D, Y[None], np.ones((1, Y.shape[0])), d))
     R = np.empty((svd.r, len(steps)))
     T = np.empty((Y.shape[0], len(steps)))

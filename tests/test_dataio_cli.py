@@ -7,6 +7,7 @@ codes and emitted files can be checked directly.
 import csv
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -252,6 +253,8 @@ def test_split_response_selection():
         split_response(names, M, ["z"])
     with pytest.raises(ConfigError):
         split_response(names, M, names)
+    with pytest.raises(ConfigError, match="listed twice"):
+        split_response(names, M, ["y1", "y1"])
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +377,23 @@ def test_write_failure_keeps_the_old_file_and_no_temp_file(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
 
 
+@pytest.mark.parametrize("target", ["missing/m.json", "m.json"], ids=["missing-dir", "a-dir"])
+def test_cli_write_failure_names_the_target(tmp_path, capsys, target):
+    # A model path in a missing directory, or one that is a directory: exit 1
+    # with an error naming the path given, not the temp file beside it.
+    X, Y = _toy(seed=8)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    (tmp_path / "m.json").mkdir()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["fit", str(train), str(tmp_path / target), "--method", "pcr", "--d", "1"]) == 1
+    err = capsys.readouterr().err
+    assert repr(str(tmp_path / target)) in err, err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_config_digest_is_canonical():
     a = config_digest({"x": 1, "y": [1, 2], "z": "s"})
     b = config_digest({"z": "s", "y": [1, 2], "x": 1})
@@ -413,6 +433,38 @@ def test_cli_fit_predict_round_trip(tmp_path):
 
     direct = fit_method(center_standardize(Dataset(X, Y)), "pcr", {"d": 2})
     assert np.max(np.abs(Yp - predict(direct, X))) <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "evaluate-rpe", "theory", "simulate"])
+def test_cli_manifest_records_the_argv_and_the_files_written(tmp_path, capsys, command):
+    # main writes every command's manifest: its command is the argv as given
+    # and its outputs are the files the command wrote.
+    X, Y = _toy(seed=7)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    models = [str(tmp_path / "simpls.json"), str(tmp_path / "pcr.json")]
+    assert main(["fit", str(train), models[0], "--method", "simpls", "--d", "1"]) == 0
+    assert main(["fit", str(train), models[1], "--method", "pcr", "--d", "2"]) == 0
+    config = tmp_path / "p1.json"
+    config.write_text(json.dumps({"study": "P1", "seed": 0, "n": 80, "replications": 2,
+                                  "p_over_n": [0.25], "methods": ["pcr"]}))
+    out = tmp_path / "out"
+    argv, written, manifest = {
+        "fit": (["fit", str(train), str(out), "--method", "ridge", "--lambda", "1"],
+                out, f"{out}.manifest.json"),
+        "predict": (["predict", models[1], str(train), str(out)], out, f"{out}.manifest.json"),
+        "evaluate-rpe": (["evaluate-rpe", str(train), *models, "--out", str(out)],
+                         out, f"{out}.manifest.json"),
+        "theory": (["theory", str(out), "--grid-count", "3"], out, f"{out}.manifest.json"),
+        "simulate": (["simulate", str(config), str(out)], out / "P1.csv",
+                     out / "manifest.json"),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 1    # the one summary line
+    man = _manifest(pathlib.Path(manifest))
+    assert man["command"] == argv
+    assert man["outputs"] == [str(written)] and written.is_file()
 
 
 def test_cli_fit_standardize_matches_library(tmp_path):
@@ -556,6 +608,19 @@ def test_cli_fit_notes_a_degenerate_fit_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cli_fit_response_listed_twice_exits_2(tmp_path, capsys):
+    # A model with two copies of one response would predict a table with a
+    # duplicated header, which load_table rejects; split_response refuses it.
+    X, Y = _toy(seed=9, p=2)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    mp = tmp_path / "m.json"
+    assert main(["fit", str(train), str(mp), "--method", "pcr", "--d", "1",
+                 "--response", "y, y"]) == 2
+    assert "listed twice" in capsys.readouterr().err
+    assert not mp.exists()
+
+
 def test_cli_fit_parameters_above_the_rank_exit_2(tmp_path, capsys):
     # d or u above the rank of X is a bad flag value, like --d 0.
     X, Y = _toy(seed=13, n=30, p=5)
@@ -689,6 +754,55 @@ def test_cli_rpe_matches_columns_by_name(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate-rpe", str(shuffled), *models, "--out", str(out2)]) == 2
     assert "x4" in capsys.readouterr().err
+
+
+def test_cli_rpe_refuses_a_model_whose_responses_differ(tmp_path, capsys):
+    # A model scores the table's response columns: stored response names must
+    # be those columns, in order, and a model without names must have as many
+    # responses.  A two-response model is not broadcast against one column.
+    X, Y = _toy(seed=20, n=40, p=4)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    pls, two = str(tmp_path / "pls.json"), str(tmp_path / "two.json")
+    assert main(["fit", str(train), pls, "--method", "simpls", "--d", "1"]) == 0
+    assert main(["fit", str(train), two, "--method", "pcr", "--d", "2",
+                 "--response", "x1,y"]) == 0
+    out = tmp_path / "rpe.csv"
+    capsys.readouterr()
+    assert main(["evaluate-rpe", str(train), pls, two, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{two} predicts the response(s) x1, y; {train} has y" in err, err
+    assert not out.exists()
+
+    doc = json.loads(pathlib.Path(two).read_text())
+    doc["y_names"] = None
+    pathlib.Path(two).write_text(json.dumps(doc))
+    assert main(["evaluate-rpe", str(train), pls, two, "--out", str(out)]) == 2
+    assert "predicts the response(s) 2 unnamed; " in capsys.readouterr().err
+    doc = json.loads(pathlib.Path(pls).read_text())    # one unnamed response: scored
+    doc["y_names"] = None
+    pathlib.Path(two).write_text(json.dumps(doc))
+    assert main(["evaluate-rpe", str(train), pls, two, "--out", str(out)]) == 0
+
+
+def test_cli_rpe_predicts_each_model_once(tmp_path, monkeypatch):
+    import egreg.estimators
+
+    X, Y = _toy(seed=21, n=40, p=4)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    models = [str(tmp_path / f"{m}.json") for m in ("simpls", "ridge")]
+    assert main(["fit", str(train), models[0], "--method", "simpls", "--d", "2"]) == 0
+    assert main(["fit", str(train), models[1], "--method", "ridge", "--lambda", "1"]) == 0
+    calls = []
+    real = egreg.estimators.predict
+    monkeypatch.setattr(egreg.estimators, "predict",
+                        lambda model, X: calls.append(model.method) or real(model, X))
+    out = tmp_path / "rpe.csv"
+    assert main(["evaluate-rpe", str(train), *models, "--out", str(out)]) == 0
+    assert calls == ["SIMPLS", "Ridge"]
+    with open(out) as fh:
+        assert list(csv.reader(fh))[1][2] == "1"
 
 
 def test_cli_rpe_requires_simpls_baseline(tmp_path, capsys):

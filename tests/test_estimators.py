@@ -288,6 +288,26 @@ def test_simpls_d_out_of_range():
         fit_method(data, "simpls", {"d": 6})
 
 
+@pytest.mark.parametrize("builder", ["pcr", "ridge", "niece", "egreg", "simpls"])
+def test_builders_reject_a_response_without_the_designs_rows(builder):
+    # Each *_coefficients builder checks Y's rows against the design's n and
+    # raises a typed error naming both, not numpy's matmul ValueError.
+    from egreg import envelope_scores
+    from egreg.estimators import egreg_coefficients, niece_coefficients, simpls_coefficients
+
+    data = _centered(seed=31, n=30, p=5)
+    svd = thin_svd(data.X)
+    scores = envelope_scores(svd, data.X.T @ data.Y / data.n, svd.r)
+    call = {"pcr": lambda Y: pcr_coefficients(svd, Y, 2),
+            "ridge": lambda Y: ridge_coefficients(svd, Y, 1.0),
+            "niece": lambda Y: niece_coefficients(svd, scores, Y, 2),
+            "egreg": lambda Y: egreg_coefficients(svd, scores, Y, 3, 0.5),
+            "simpls": lambda Y: simpls_coefficients(svd, Y, 2)}[builder]
+    with pytest.raises(DimensionError, match="Y has 29 rows; the design has n = 30"):
+        call(np.ones((29, 1)))
+    call(data.Y)    # the design's n rows pass
+
+
 def test_fit_simpls_runs_on_one_thin_svd(monkeypatch):
     # SIMPLS fits on the design's thin SVD, like the other four methods:
     # one factorization per fit, and a d above its rank is a bad parameter.
