@@ -158,13 +158,15 @@ def _scan_body(path, fh, width, lines_before):
 def split_response(names, M, response=None):
     """Split a table into predictors and responses by column names.
 
-    ``response`` lists the response column names; by default the last
-    column is the response.  Returns ``(X, Y, x_names, y_names)``.
+    ``response`` lists the response column names; by default (None) the
+    last column is the response.  Returns ``(X, Y, x_names, y_names)``.
     """
-    if response is None or len(response) == 0:
+    if response is None:
         y_names = [names[-1]]
     else:
         y_names = list(response)
+        if not y_names:
+            raise ConfigError("--response names no column")
         if len(set(y_names)) < len(y_names):
             raise ConfigError(f"a response column is listed twice in {', '.join(y_names)}")
         missing = [c for c in y_names if c not in names]

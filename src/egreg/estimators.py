@@ -4,13 +4,13 @@ prediction.
 Every solver routes through the thin SVD of the centered design (never the
 normal equations), so all methods behave identically whether n < p, n = p,
 or n > p.  PCR, ridge, NIECE and EgReg are one diagonal filter on that SVD
-(:func:`_filtered`), which the exact risks and CV use too.  The
-``*_coefficients`` functions are the raw building blocks operating on
-precomputed factors, and :func:`_coefficients` picks one by method name for
-both :func:`fit_method` and the study refits.  :func:`fit_method`, the one
-fit entry point, validates a centered :class:`Dataset`, attaches the
-ingestion transform, and returns a :class:`FittedModel`.  Fits and CV grids
-share one parameter rule, :data:`_PARAMS`.
+(:func:`_filtered`).  CV reads its shrinkage :func:`_shrink` alone; the exact
+risks read :func:`_egreg_filter` and form their own ``V diag(f/D)``.  The
+``*_coefficients`` builders take precomputed factors, and
+:func:`_coefficients` picks one by method name for both :func:`fit_method`
+and the study refits.  :func:`fit_method`, the one fit entry point, validates
+a centered :class:`Dataset`, attaches the ingestion transform, and returns a
+:class:`FittedModel`.  Fits and CV grids share one rule, :data:`_PARAMS`.
 
 Penalty convention: ridge and EgReg minimize ``||Y - X b||_F^2 + lambda * pen``
 with the penalty unscaled by n.  The asymptotic risk formulas in

@@ -26,8 +26,8 @@ call per block for all methods' grids, then picks each lane's entry by
 :func:`_pick_best`.  :func:`kfold_cv` is the one-lane, one-grid case.  Each
 training fold is factored once, from its rows of the design's PC
 coordinates ``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept
-as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
-factored by one batched call: wide folds (n_tr <= rank) of a design with
+with Z as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
+factored by one batched call: wide folds (n_tr < rank) of a design with
 ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` (1e-4) by ``eigh`` of their blocks
 of the kernel ``Z Z'``, within about eps / tau of the SVD's factors, if
 every fold passes the same check; all others by an SVD, bit for bit
@@ -258,11 +258,10 @@ def _baseline_beta(p: int, stub, error):
 
 
 def _baseline_frame(kind, n, beta, rho, sigma_eps_sq, seed, stream=0):
-    """Design-side draws of a CS/AR1 design: X, truth, and no planted basis."""
-    Sigma_x = _baseline_sigma(kind, beta.shape[0], rho)
-    L = np.linalg.cholesky(Sigma_x)
+    """Design-side draws of a CS/AR1 design: X, truth (Sigma_x's factor alone), no planted basis."""
+    L = np.linalg.cholesky(_baseline_sigma(kind, beta.shape[0], rho))
     X = np.random.default_rng([seed, stream, _TAG_MODEL]).standard_normal((n, L.shape[0])) @ L.T
-    return X, TruthSpec(beta, Sigma_x, [[sigma_eps_sq]], L), None
+    return X, TruthSpec(beta, None, [[sigma_eps_sq]], L), None
 
 
 def gen_baseline(
@@ -284,7 +283,8 @@ def gen_baseline(
     ``rep`` indexes the noise draw, and ``stream=g`` gives replication
     ``rep`` of the baseline study's grid point g.  ``n`` (>= 2), ``p`` (>= 1),
     ``seed``, ``rep`` and ``stream`` (>= 0) are integers; a bad input raises
-    ``ParameterError``.
+    ``ParameterError``.  The truth holds Sigma_x's Cholesky factor L alone;
+    ``truth.Sigma_x`` is formed from L when first read.
     """
     kind, rho, sigma_eps_sq = _baseline_inputs(kind, rho, sigma_eps_sq, ParameterError)
     n, p, seed, rep, stream = (_integer(key, v, low) for key, v, low in (
@@ -308,12 +308,12 @@ def _fold_indices(n, k, seed):
 class _FoldStack:
     """Every training fold of one design, factored and zero-padded to one shape.
 
-    Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of the
-    design's PC coordinates ``Z = U D``.  Its training rows have the thin SVD
-    ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and ``A[f] = Z[va[f]] V_f /
-    D[f]`` holds its held-out rows in whitened fold-PC coordinates.
-    :func:`_fold_caches` chooses how: wide folds (n_tr <= rank) of a design
-    and fold stack whose squared condition ratios are at least
+    Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of ``Z``,
+    the design's PC coordinates ``U D``, which SIMPLS CV reads.  Its training
+    rows have the thin SVD ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and
+    ``A[f] = Z[va[f]] V_f / D[f]`` holds its held-out rows in whitened fold-PC
+    coordinates.  :func:`_fold_caches` chooses how: wide folds (n_tr < rank)
+    of a design and fold stack whose squared condition ratios are at least
     ``_KERNEL_TAU`` (1e-4) come from the kernel ``K = Z Z'`` (``A[f] =
     K[va, tr] U[f] / D[f]^2``, no V_f), within about eps / tau of the SVD's
     factors relative to scale; all others equal their ``thin_svd`` bit for
@@ -325,6 +325,7 @@ class _FoldStack:
     CV score.
     """
 
+    Z: np.ndarray       # n x rank: the design's U D
     tr: np.ndarray      # folds x n_tr row indices
     va: np.ndarray      # folds x m row indices
     n_tr: np.ndarray    # training rows per fold
@@ -357,7 +358,7 @@ def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
     The training folds of one size are stacked and factored by one batched
-    LAPACK call.  A stack of wide folds (n_tr <= rank) in a design whose
+    LAPACK call.  A stack of wide folds (n_tr < rank) in a design whose
     ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` is factored by one
     ``np.linalg.eigh`` of its blocks ``K[tr, tr]`` of the design's kernel
     ``K = Z Z'``.  A wide fold of full row rank has ``K[tr, tr] = U D^2
@@ -366,12 +367,12 @@ def _fold_caches(svd, folds) -> _FoldStack:
     / D^2``; no V is formed.  The stack keeps these factors if every fold's
     smallest eigenvalue is positive and at least ``_KERNEL_TAU`` times its
     largest, and then U, D and A are within about eps / tau of the SVD's,
-    relative to scale.  Every other stack (tall folds, graded spectra,
+    relative to scale.  Every other stack (tall or square folds, graded spectra,
     rank-deficient or zero folds, a stack that fails the check) is factored
     by one ``np.linalg.svd`` call and cut at each fold's numerical rank, as
     :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal ``thin_svd``
     of their rows bit for bit.  The factors go straight into the padded
-    :class:`_FoldStack`.
+    :class:`_FoldStack`, which also keeps Z for SIMPLS CV.
     """
     Z = svd.U * svd.D
     n = Z.shape[0]
@@ -384,13 +385,13 @@ def _fold_caches(svd, folds) -> _FoldStack:
     tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
     for f, (t, v) in enumerate(zip(trs, folds)):
         tr[f, :t.size], va[f, :v.size] = t, v
-    wide = n_tr.min() <= svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
+    wide = n_tr.min() < svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
     K = Z @ Z.T if wide else None
     cuts = [None] * len(folds)    # per fold: U, D and A, cut at its rank
     for size in dict.fromkeys(n_tr.tolist()):
         at = np.flatnonzero(n_tr == size)
         rows = tr[at, :size]
-        if K is not None and size <= svd.r:
+        if K is not None and size < svd.r:
             lam, W = np.linalg.eigh(K[rows[:, :, None], rows[:, None]])
             if np.all((lam[:, 0] > 0) & (lam[:, 0] >= _KERNEL_TAU * lam[:, -1])):
                 for j, f in enumerate(at):
@@ -403,7 +404,7 @@ def _fold_caches(svd, folds) -> _FoldStack:
             cuts[f] = U[j, :, :rf], s[j, :rf], (Z[folds[f]] @ Vt[j, :rf].T) / s[j, :rf]
     r = np.array([cut[1].size for cut in cuts])
     k = int(r.max())
-    stack = _FoldStack(tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
+    stack = _FoldStack(Z, tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
                        np.zeros((len(folds), k)), np.zeros((len(folds), va.shape[1], k)))
     for f, (U, s, A) in enumerate(cuts):
         stack.U[f, :n_tr[f], :r[f]] = U
@@ -466,11 +467,11 @@ def _entry_sizes(grid: _Grid, r_f):
     return d
 
 
-def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
+def _simpls_cv_sse(folds: _FoldStack, Y, d):
     """Held-out SSE after 0..d SIMPLS components, pooled over folds: (d+1) x lanes.
 
     Every fold x lane pair is one lane of :func:`_simpls_lockstep` on the
-    design's coordinates ``Z`` (``X = Z Q'``); a fold is a 0/1 mask of its
+    design's coordinates ``folds.Z`` (``X = Z V'``); a fold is a 0/1 mask of its
     training rows.  Held-out predictions grow one component at a time, and
     a lane that stops early keeps its last fit: its rows are dropped from
     the running arrays when it stops.
@@ -486,7 +487,7 @@ def _simpls_cv_sse(Z, folds: _FoldStack, Y, d):
     live = np.arange(Yp.shape[0])
     sse = np.empty((d + 1, live.size))
     sse[:] = np.einsum("ln,lnq,lnq->l", held, Yp, Yp)
-    for c, (keep, _, t, zr) in enumerate(_simpls_lockstep(Z, Yp, train, d), start=1):
+    for c, (keep, _, t, zr) in enumerate(_simpls_lockstep(folds.Z, Yp, train, d), start=1):
         if keep is not None:
             live, Yp, fit, held = live[keep], Yp[keep], fit[keep], held[keep]
         fit += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yp)[:, None]
@@ -530,14 +531,14 @@ def _grid_filters(grid: _Grid, folds: _FoldStack, phi, order):
     return rows, lam.size, lambda at: _shrink(s[at, None], lam[:, None, None])
 
 
-def _cv_sse(svd, folds: _FoldStack, Y, grids) -> list:
+def _cv_sse(folds: _FoldStack, Y, grids) -> list:
     """Pooled held-out SSE for every entry and lane of each grid in ``grids``:
     one entries x lanes array per grid, in order.
 
     ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
-    replications are its lanes).  ``folds`` factor each fold from ``U D`` of
-    ``svd``, the whole design's thin SVD, on which SIMPLS runs all folds x
-    lanes in lockstep.  Like the fold SVDs, it leaves out directions below
+    replications are its lanes).  ``folds`` factor each fold from the
+    design's PC coordinates ``folds.Z``, on which SIMPLS runs all folds x
+    lanes in lockstep.  Like the fold SVDs, Z leaves out directions below
     the numerical rank: they carry only rounding noise, which late
     components would fit.
 
@@ -567,7 +568,7 @@ def _cv_sse(svd, folds: _FoldStack, Y, grids) -> list:
     passes = {}    # (Gram form?, terms read) -> (position, terms of each entry) of its grids
     for i, grid in enumerate(grids):
         if grid.method == "simpls":
-            out[i] = _simpls_cv_sse(svd.U * svd.D, folds, Y, int(grid.d.max()))[grid.d]
+            out[i] = _simpls_cv_sse(folds, Y, int(grid.d.max()))[grid.d]
             continue
         cols = np.where(grid.d > 0, grid.d, k) if grid.method != "niece" else np.array([k])
         gram = bool(np.any(cols != cols[0]))
@@ -699,10 +700,10 @@ def _pick_best(grid: _Grid, scores):
 _LANE_BLOCK = 4
 
 
-def _tune(svd, stack, Y, grids):
+def _tune(stack, Y, grids):
     """CV picks per lane of ``Y`` (n x lanes x q), one array per grid in
     ``grids``, scored by :func:`_cv_sse` on the fold stack."""
-    return _pick_blocks(partial(_cv_sse, svd, stack, grids=grids), Y, grids)
+    return _pick_blocks(partial(_cv_sse, stack, grids=grids), Y, grids)
 
 
 def _pick_blocks(score, Y, grids):
@@ -744,10 +745,11 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     within a relative eps, and never below 0.  Ridge, NIECE and full-rank
     EgReg grids are scored from the residuals themselves, so their error is
     relative to the score.  The folds are factored as the studies factor
-    them (:func:`_fold_caches`): when p >= n they have n_tr <= rank, and if
-    the design's and every fold's ``(sigma_min / sigma_max)^2`` is at least
-    ``_KERNEL_TAU`` (1e-4) they come from the kernel ``X X'``, whose factors
-    are within about eps / tau of the SVD's; otherwise from one batched SVD.
+    them (:func:`_fold_caches`, a stack that carries the design's ``U D``):
+    folds with n_tr < rank come from the kernel ``X X'`` if the design's and
+    every fold's ``(sigma_min / sigma_max)^2`` is at least ``_KERNEL_TAU``
+    (1e-4), within about eps / tau of the SVD's factors; all others, square
+    folds too, from one batched SVD.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)
@@ -759,9 +761,8 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     if _integer("k", k, 2) > n:
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
     seed = _integer("seed", seed, 0)
-    svd = thin_svd(data.X)
-    stack = _fold_caches(svd, _fold_indices(n, k, seed))
-    scores = _cv_sse(svd, stack, data.Y[:, None], [grid])[0][:, 0] / n
+    stack = _fold_caches(thin_svd(data.X), _fold_indices(n, k, seed))
+    scores = _cv_sse(stack, data.Y[:, None], [grid])[0][:, 0] / n
     best = _pick_best(grid, scores[:, None])[0]
     table = [{**e, "cv_score": float(s)} for e, s in zip(entries, scores)]
     return dict(entries[best]), table
@@ -885,7 +886,7 @@ def _sample_fits(X, svd, Y, folds, methods):
         })
     tuned = [grids[label] for label in methods]
     picks = (_pick_blocks(_ridge_deletion(svd, folds, lam), Y, tuned) if deletion
-             else _tune(svd, stack, Y, tuned))
+             else _tune(stack, Y, tuned))
     best = dict(zip(methods, picks))
     scored = not {"NIECE", "EgReg", "EgReg(r)"}.isdisjoint(methods)
     fits = {m: [] for m in methods}

@@ -255,6 +255,8 @@ def test_split_response_selection():
         split_response(names, M, names)
     with pytest.raises(ConfigError, match="listed twice"):
         split_response(names, M, ["y1", "y1"])
+    with pytest.raises(ConfigError, match="names no column"):
+        split_response(names, M, [])          # only None means the last column
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +529,42 @@ def test_cli_predict_column_mismatch_exits_2(tmp_path, capsys):
     assert "column" in capsys.readouterr().err
 
 
+def test_cli_model_without_predictor_names_takes_a_table_of_its_width(tmp_path, capsys):
+    # A model file whose x_names is null reads a table's candidate predictor
+    # columns as they stand: at the model's width, predict and evaluate-rpe
+    # give what the named model gives; any other width exits 2 naming both.
+    X, Y = _toy(seed=11)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    named, unnamed, pls = (tmp_path / f"{m}.json" for m in ("named", "unnamed", "pls"))
+    assert main(["fit", str(train), str(named), "--method", "pcr", "--d", "2"]) == 0
+    assert main(["fit", str(train), str(pls), "--method", "simpls", "--d", "1"]) == 0
+    doc = json.loads(named.read_text())
+    doc["x_names"] = None
+    unnamed.write_text(json.dumps(doc))
+    plain = tmp_path / "plain.csv"
+    write_table(plain, [["a", "b", "c", "d"]] + [list(r) for r in X])
+    outs = [tmp_path / f"p{i}.csv" for i in range(2)]
+    assert main(["predict", str(named), str(train), str(outs[0])]) == 0
+    assert main(["predict", str(unnamed), str(plain), str(outs[1])]) == 0
+    assert np.array_equal(load_table(outs[0])[1], load_table(outs[1])[1])
+    rpes = [tmp_path / f"r{i}.csv" for i in range(2)]
+    for model, out in zip((named, unnamed), rpes):
+        assert main(["evaluate-rpe", str(train), str(pls), str(model), "--out", str(out)]) == 0
+    rpe = [[line.split(",")[-1] for line in out.read_text().splitlines()] for out in rpes]
+    assert rpe[0] == rpe[1]
+
+    narrow = tmp_path / "narrow.csv"
+    _write_xy(narrow, X[:, :3], Y)
+    capsys.readouterr()
+    assert main(["predict", str(unnamed), str(train), str(tmp_path / "o.csv")]) == 2  # x1..x4, y
+    assert "has 5 candidate predictor columns; the model has 4" in capsys.readouterr().err
+    assert main(["evaluate-rpe", str(narrow), str(unnamed), str(pls), "--out",
+                 str(tmp_path / "r.csv")]) == 2                 # x1..x3 beside y: width 3
+    err = capsys.readouterr().err
+    assert "has 3 candidate predictor columns; the model has 4" in err and "Traceback" not in err
+
+
 def test_cli_predict_and_rpe_reject_nonfinite_predictors(tmp_path, capsys):
     X, Y = _toy(seed=17)
     train = tmp_path / "train.csv"
@@ -619,6 +657,26 @@ def test_cli_fit_response_listed_twice_exits_2(tmp_path, capsys):
                  "--response", "y, y"]) == 2
     assert "listed twice" in capsys.readouterr().err
     assert not mp.exists()
+
+
+@pytest.mark.parametrize("response", ["", ",", " , "])
+def test_cli_empty_response_exits_2(tmp_path, capsys, response):
+    # A --response that names no column is a usage error, not a request for
+    # the default last column: fit and evaluate-rpe exit 2 and write neither
+    # their output nor its manifest.
+    X, Y = _toy(seed=9, p=2)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    pls = tmp_path / "pls.json"
+    assert main(["fit", str(train), str(pls), "--method", "simpls", "--d", "1"]) == 0
+    mp, rpe = tmp_path / "m.json", tmp_path / "rpe.csv"
+    for argv, out in ((["fit", str(train), str(mp), "--method", "pcr", "--d", "1"], mp),
+                      (["evaluate-rpe", str(train), str(pls), "--out", str(rpe)], rpe)):
+        capsys.readouterr()
+        assert main([*argv, "--response", response]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "--response names no column" in err and "Traceback" not in err
+        assert not out.exists() and not pathlib.Path(f"{out}.manifest.json").exists()
 
 
 def test_cli_fit_parameters_above_the_rank_exit_2(tmp_path, capsys):
@@ -856,6 +914,22 @@ def test_cli_theory_frozen_point(tmp_path):
     _manifest(tmp_path / "curve.csv.manifest.json")
 
 
+def test_cli_theory_log_grid_is_geomspace(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["theory", str(out), "--grid-log", "--grid-start", "0.2", "--grid-stop", "7",
+                 "--grid-count", "9"]) == 0
+    gamma = load_table(out)[1][:, 0]
+    assert gamma.tolist() == [float(f"{g:.17g}") for g in np.geomspace(0.2, 7.0, 9)]
+
+
+def test_cli_theory_rejects_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["theory", str(out), "--grid-count", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid-count" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--grid-log", "--grid-start", "0"], "--grid-start"),
     (["--grid-log", "--grid-stop", "0"], "--grid-stop"),
@@ -1007,6 +1081,15 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path):
     assert main(["simulate", str(cpath), str(d3), "--seed", "4"]) == 0
     assert (d3 / "P1.csv").read_bytes() != out1
     assert _manifest(d3 / "manifest.json")["seed"] == 4
+
+
+def test_cli_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([{"study": "P1", "seed": 0}]))
+    assert main(["simulate", str(bad), str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config must be a JSON object" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_simulate_config_errors(tmp_path, capsys):

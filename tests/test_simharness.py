@@ -217,8 +217,8 @@ def test_sample_fits_are_invariant_to_rotating_the_predictors(monkeypatch, n, p)
     folds = _fold_indices(n, 5, 3)
     picks, tune = [], simharness._tune
 
-    def spy(svd, caches, Yl, grids):
-        picks.append(tune(svd, caches, Yl, grids))
+    def spy(caches, Yl, grids):
+        picks.append(tune(caches, Yl, grids))
         return picks[-1]
 
     monkeypatch.setattr(simharness, "_tune", spy)
@@ -270,6 +270,20 @@ def test_bad_beta_star_raises_the_callers_error(call, error, match):
     # config's are bad config (ConfigError): the same check, two classes.
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 60, 400])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("kind", ["CS", "AR1"])
+def test_baseline_factor_reproduces_sigma_x(kind, rho, p):
+    # The baseline truth holds Sigma_x's Cholesky factor L alone, so the
+    # check TruthSpec makes when it is handed both runs here, once: L L'
+    # reproduces Sigma_x entrywise within 1e-10 of max(1, its largest entry).
+    _, truth, _ = simharness._baseline_frame(kind, 3, np.zeros((p, 1)), rho, 1.0, 0)
+    L = truth.Sigma_x_root
+    Sigma_x = simharness._baseline_sigma(kind, p, rho)
+    assert L.shape == (p, p)
+    assert np.max(np.abs(L @ L.T - Sigma_x)) <= 1e-10 * max(1.0, np.max(np.abs(Sigma_x)))
 
 
 def test_gen_baseline_rep_changes_noise_only():
@@ -380,13 +394,15 @@ def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
     pytest.param(14, 5, 4, None, False, id="unequal-folds-tall"),      # folds of 4+4+3+3 rows
     pytest.param(12, 30, 4, 0, False, id="low-rank-fold-in-stack"),
     pytest.param(14, 30, 4, None, True, id="unequal-folds-wide-graded"),
+    pytest.param(40, 36, 10, None, False, id="square-folds"),     # n_tr = rank = 36
 ])
 def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, monkeypatch):
     # Folds of one training size that the kernel path does not take are
     # factored by one stacked LAPACK SVD call: tall folds, a wide stack with
-    # a rank-deficient fold (it fails the per-fold eigenvalue check), and
-    # wide folds of a design with graded columns, whose (sigma_r /
-    # sigma_1)^2 is below _KERNEL_TAU (so no kernel block is factored).
+    # a rank-deficient fold (it fails the per-fold eigenvalue check), wide
+    # folds of a design with graded columns, whose (sigma_r / sigma_1)^2 is
+    # below _KERNEL_TAU (so no kernel block is factored), and square folds
+    # (n_tr = rank) of a well-conditioned design, which take the SVD at once.
     # Each must carry exactly the rank, D and U of its own thin_svd call, U
     # up to the sign of each column (a fold PC's sign cancels in every CV
     # score, so the stack keeps LAPACK's), and zeros in all its padding.
@@ -519,10 +535,10 @@ def test_kernel_and_svd_fold_paths_score_and_pick_alike(study, ratio, monkeypatc
     assert 3 in ndims and kernel.r.tolist() == stack.r.tolist()
     grids = _filter_grids(svd, min(svd.r, int(stack.r.min())))
     bound = np.finfo(float).eps * stack.D.shape[1] * np.einsum("nlq,nlq->l", Y, Y)
-    for grid, got, want in zip(grids, _cv_sse(svd, kernel, Y, grids), _cv_sse(svd, stack, Y, grids)):
+    for grid, got, want in zip(grids, _cv_sse(kernel, Y, grids), _cv_sse(stack, Y, grids)):
         gram = grid.method == "pcr" or np.any(grid.d > 0)
         assert_allclose(got, want, rtol=1e-12, atol=bound.max() if gram else 0, err_msg=grid.method)
-    for got, want in zip(_tune(svd, kernel, Y, grids), _tune(svd, stack, Y, grids)):
+    for got, want in zip(_tune(kernel, Y, grids), _tune(stack, Y, grids)):
         assert got.tolist() == want.tolist()
 
 
@@ -665,9 +681,9 @@ def test_ridge_block_deletion_scores_match_the_fold_stack(n, shape, decay, k, la
     grid = _Grid("ridge", lam=simharness._lambda_grid(svd.D[0] ** 2))
     score = simharness._ridge_deletion(svd, folds, grid.lam)
     stack = _fold_caches(svd, folds)
-    assert_allclose(score(Y)[0], _cv_sse(svd, stack, Y, [grid])[0], rtol=1e-12, atol=0)
+    assert_allclose(score(Y)[0], _cv_sse(stack, Y, [grid])[0], rtol=1e-12, atol=0)
     assert (simharness._pick_blocks(score, Y, [grid])[0].tolist()
-            == _tune(svd, stack, Y, [grid])[0].tolist())
+            == _tune(stack, Y, [grid])[0].tolist())
 
 
 def _cv_data(seed=9, n=48, p=6, q=2):
@@ -842,15 +858,14 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
     Y -= Y.mean(axis=0)
     if zero_lane:
         Y[:, 0] = 0.0
-    svd = thin_svd(X)
-    caches = _fold_caches(svd, _fold_indices(n, k, seed))
+    caches = _fold_caches(thin_svd(X), _fold_indices(n, k, seed))
     for grid in _LANE_GRIDS:
-        both = _cv_sse(svd, caches, Y, [grid])[0]
-        each = np.column_stack([_cv_sse(svd, caches, Y[:, [l]], [grid])[0][:, 0]
+        both = _cv_sse(caches, Y, [grid])[0]
+        each = np.column_stack([_cv_sse(caches, Y[:, [l]], [grid])[0][:, 0]
                                 for l in range(lanes)])
         assert_allclose(both, each, rtol=1e-12, err_msg=grid.method)
         picks = [_pick_best(grid, each[:, [l]] / n)[0] for l in range(lanes)]
-        assert _tune(svd, caches, Y, [grid])[0].tolist() == picks
+        assert _tune(caches, Y, [grid])[0].tolist() == picks
         if zero_lane:
             assert np.all(both[:, 0] == 0.0)
 
@@ -869,14 +884,13 @@ def test_cv_grids_scored_together_match_each_grid_alone(n, wide, k, lanes, q, ze
     X, Y = _lane_data(n, n + 6 if wide else max(4, n // 2), lanes, q, seed)
     if zero_lane:
         Y[:, 0] = 0.0
-    svd = thin_svd(X)
-    caches = _fold_caches(svd, _fold_indices(n, k, seed))
+    caches = _fold_caches(thin_svd(X), _fold_indices(n, k, seed))
     grids = (*_LANE_GRIDS, _Grid("egreg", lam=[0.0, 0.5, 3.0]), _Grid("pcr", d=[2]))
-    together = _cv_sse(svd, caches, Y, grids)
-    picks = _tune(svd, caches, Y, grids)
+    together = _cv_sse(caches, Y, grids)
+    picks = _tune(caches, Y, grids)
     for grid, got, pick in zip(grids, together, picks):
-        assert_allclose(got, _cv_sse(svd, caches, Y, [grid])[0], rtol=1e-12, err_msg=grid.method)
-        assert pick.tolist() == _tune(svd, caches, Y, [grid])[0].tolist(), grid.method
+        assert_allclose(got, _cv_sse(caches, Y, [grid])[0], rtol=1e-12, err_msg=grid.method)
+        assert pick.tolist() == _tune(caches, Y, [grid])[0].tolist(), grid.method
 
 
 def _lexsort_pick(grid, scores):
@@ -996,8 +1010,7 @@ def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes,
     # of a 0/1 filter there and a prefix of its pool-first order here.  The
     # two agree to rtol 1e-12.
     X, Y = _lane_data(n, p, lanes, q, n * lanes + q)
-    svd = thin_svd(X)
-    stack = _fold_caches(svd, _fold_indices(n, k, 5))
+    stack = _fold_caches(thin_svd(X), _fold_indices(n, k, 5))
     ranks = set(stack.r.tolist())
     assert len(ranks) == (2 if p > n else 1)
     ds = np.arange(1, min(ranks) + 1)
@@ -1009,7 +1022,7 @@ def test_planned_cv_scores_are_bit_identical_to_per_fold_lookups(n, p, k, lanes,
         _Grid("egreg", d=np.repeat(ds, lam.size), lam=np.tile(lam, ds.size)),
         _Grid("egreg", lam=lam[::-1]),
     ):
-        got = _cv_sse(svd, stack, Y, [grid])[0]
+        got = _cv_sse(stack, Y, [grid])[0]
         assert_allclose(got, _per_fold_cv_sse(stack, Y, grid), rtol=1e-12, err_msg=grid.method)
 
 
@@ -1034,11 +1047,11 @@ def test_full_sum_path_matches_the_cumulative_sum():
     svd = thin_svd(X)
     stack = _fold_caches(svd, _fold_indices(14, 4, 5))
     lam = np.array([0.0, 0.1, 2.0, 30.0])
-    full = _cv_sse(svd, stack, Y, [_Grid("egreg", lam=lam)])[0]
-    both = _cv_sse(svd, stack, Y, [_Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0])])[0]
+    full = _cv_sse(stack, Y, [_Grid("egreg", lam=lam)])[0]
+    both = _cv_sse(stack, Y, [_Grid("egreg", d=[0, 0, 0, 0, 2], lam=[*lam, 1.0])])[0]
     assert_allclose(full, both[:4], rtol=1e-12)
     fresh = _fold_caches(svd, _fold_indices(14, 4, 5))
-    _cv_sse(svd, fresh, Y, [_Grid("niece", u=[1, 3, 2, 2], d=[0, 0, 3, 2])])
+    _cv_sse(fresh, Y, [_Grid("niece", u=[1, 3, 2, 2], d=[0, 0, 3, 2])])
     assert "M" not in vars(fresh)           # the Gram form's matrix was never formed
 
 
@@ -1048,14 +1061,13 @@ def test_cv_scores_are_bit_identical_under_fold_pc_sign_flips(p):
     # column, so B_j = U_j'Y, together with its A column; the sign cancels
     # in every score of every method (SIMPLS reads only the fold masks).
     X, Y = _lane_data(14, p, 3, 2, 8)
-    svd = thin_svd(X)
-    stack = _fold_caches(svd, _fold_indices(14, 4, 5))
+    stack = _fold_caches(thin_svd(X), _fold_indices(14, 4, 5))
     flip = np.where(np.random.default_rng(p).random(stack.D.shape) < 0.5, -1.0, 1.0)
     assert (flip < 0).any()
     flipped = dataclasses.replace(stack, U=stack.U * flip[:, None], A=stack.A * flip[:, None])
     for grid in (*_LANE_GRIDS, _Grid("egreg", lam=[0.0, 0.5, 3.0])):
-        got = _cv_sse(svd, flipped, Y, [grid])[0]
-        assert got.tobytes() == _cv_sse(svd, stack, Y, [grid])[0].tobytes(), grid.method
+        got = _cv_sse(flipped, Y, [grid])[0]
+        assert got.tobytes() == _cv_sse(stack, Y, [grid])[0].tobytes(), grid.method
 
 
 def _accuracy_grids(r):
@@ -1208,17 +1220,32 @@ def test_model_frame_studies_never_form_sigma_x(monkeypatch):
 def test_eigenbasis_study_memory_is_linear_in_n_times_p(study, config, p):
     # Sigma_x's factor is a vector and the planted basis a set of indices, so
     # no p x p or p x u* array is formed: a dense factor alone would be
-    # 32 MB at p = 2000, against this bound of 10 n p doubles (16 MB).  The
-    # first run takes any one-time allocations out of the measured one.
+    # 32 MB at p = 2000, against this bound of 10 n p doubles (16 MB).
     n = simharness._STUDY_DEFAULTS[study]["n"]
+    assert _second_run_peak(study, config) < 10 * n * p * 8
+
+
+def test_baseline_study_memory_is_quadratic_only_in_its_factor():
+    # The baseline frame forms Sigma_x and its Cholesky factor L, two p x p
+    # arrays, and hands the truth L alone, so nothing else of p^2 size is
+    # formed: the bound is 2 p^2 + 10 n p doubles (80 MB at p = 2000).  A
+    # truth handed Sigma_x as well checked it against L L', a third p x p
+    # array.
+    n, p = 100, 2000
+    config = {"p_over_n": [p / n], "replications": 2, "methods": ["ridge"]}
+    assert _second_run_peak("baseline", config) < (2 * p * p + 10 * n * p) * 8
+
+
+def _second_run_peak(study, config):
+    """The tracemalloc peak of a second ``run_study`` call: the first takes
+    any one-time allocations out of the measured one."""
     run_study(study, config)
     tracemalloc.start()
     try:
         run_study(study, config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * n * p * 8
 
 
 def test_study_result_layout_and_determinism():
