@@ -27,7 +27,7 @@ call per block for all methods' grids, then picks each lane's entry by
 training fold is factored once, from its rows of the design's PC
 coordinates ``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept
 with Z as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
-factored by one batched call: wide folds (n_tr < rank) of a design with
+factored by one batched call: wide folds of a design with
 ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` (1e-4) by ``eigh`` of their blocks
 of the kernel ``Z Z'``, within about eps / tau of the SVD's factors, if
 every fold passes the same check; all others by an SVD, bit for bit
@@ -284,7 +284,8 @@ def gen_baseline(
     ``rep`` of the baseline study's grid point g.  ``n`` (>= 2), ``p`` (>= 1),
     ``seed``, ``rep`` and ``stream`` (>= 0) are integers; a bad input raises
     ``ParameterError``.  The truth holds Sigma_x's Cholesky factor L alone;
-    ``truth.Sigma_x`` is formed from L when first read.
+    ``truth.Sigma_x`` is ``L L'``, formed on first read at O(p^3) cost, and
+    equals the CS/AR1 Sigma_x within 1e-10 relative, not bit for bit.
     """
     kind, rho, sigma_eps_sq = _baseline_inputs(kind, rho, sigma_eps_sq, ParameterError)
     n, p, seed, rep, stream = (_integer(key, v, low) for key, v, low in (
@@ -312,17 +313,12 @@ class _FoldStack:
     the design's PC coordinates ``U D``, which SIMPLS CV reads.  Its training
     rows have the thin SVD ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and
     ``A[f] = Z[va[f]] V_f / D[f]`` holds its held-out rows in whitened fold-PC
-    coordinates.  :func:`_fold_caches` chooses how: wide folds (n_tr < rank)
-    of a design and fold stack whose squared condition ratios are at least
-    ``_KERNEL_TAU`` (1e-4) come from the kernel ``K = Z Z'`` (``A[f] =
-    K[va, tr] U[f] / D[f]^2``, no V_f), within about eps / tau of the SVD's
-    factors relative to scale; all others equal their ``thin_svd`` bit for
-    bit, up to column signs.  Folds are padded to the largest training
-    fold, held-out fold and rank: a padded index is n (one row past the
-    data), and padded rows and columns of U, D and A are zero, so they add
-    exact zeros to every score.  A fold PC keeps the sign LAPACK gave it:
-    flipping it flips its U and A columns together, which cancels in every
-    CV score.
+    coordinates, factored as :func:`_fold_caches` says.  Folds are padded to
+    the largest training fold, held-out fold and rank: a padded index is n
+    (one row past the data), and padded rows and columns of U, D and A are
+    zero, so they add exact zeros to every score.  A fold PC keeps the sign
+    LAPACK gave it: flipping it flips its U and A columns together, which
+    cancels in every CV score.
     """
 
     Z: np.ndarray       # n x rank: the design's U D
@@ -358,7 +354,7 @@ def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
     The training folds of one size are stacked and factored by one batched
-    LAPACK call.  A stack of wide folds (n_tr < rank) in a design whose
+    LAPACK call.  A stack of wide folds (n_tr <= rank) in a design whose
     ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` is factored by one
     ``np.linalg.eigh`` of its blocks ``K[tr, tr]`` of the design's kernel
     ``K = Z Z'``.  A wide fold of full row rank has ``K[tr, tr] = U D^2
@@ -367,12 +363,14 @@ def _fold_caches(svd, folds) -> _FoldStack:
     / D^2``; no V is formed.  The stack keeps these factors if every fold's
     smallest eigenvalue is positive and at least ``_KERNEL_TAU`` times its
     largest, and then U, D and A are within about eps / tau of the SVD's,
-    relative to scale.  Every other stack (tall or square folds, graded spectra,
-    rank-deficient or zero folds, a stack that fails the check) is factored
-    by one ``np.linalg.svd`` call and cut at each fold's numerical rank, as
+    relative to scale.  A square stack (n_tr = rank, as leave-one-out folds
+    of a wide centered design) is tried only where its held-out rows make
+    the check certain, ``D_r^2 (1 - ||U[va]||^2) >= _KERNEL_TAU D_1^2``.
+    Every other stack (tall folds, graded spectra, rank-deficient or zero
+    folds, a stack that fails the check) is factored by one
+    ``np.linalg.svd`` call and cut at each fold's numerical rank, as
     :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal ``thin_svd``
-    of their rows bit for bit.  The factors go straight into the padded
-    :class:`_FoldStack`, which also keeps Z for SIMPLS CV.
+    of their rows bit for bit, and go into the padded :class:`_FoldStack`.
     """
     Z = svd.U * svd.D
     n = Z.shape[0]
@@ -385,13 +383,15 @@ def _fold_caches(svd, folds) -> _FoldStack:
     tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
     for f, (t, v) in enumerate(zip(trs, folds)):
         tr[f, :t.size], va[f, :v.size] = t, v
-    wide = n_tr.min() < svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
+    wide = n_tr.min() <= svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
     K = Z @ Z.T if wide else None
     cuts = [None] * len(folds)    # per fold: U, D and A, cut at its rank
     for size in dict.fromkeys(n_tr.tolist()):
         at = np.flatnonzero(n_tr == size)
         rows = tr[at, :size]
-        if K is not None and size < svd.r:
+        u2 = (np.linalg.norm(svd.U[va[at, :n - size]], 2, (1, 2)).max() ** 2
+              if wide and size == svd.r else 0)
+        if wide and size <= svd.r and svd.D[-1] ** 2 * (1 - u2) >= _KERNEL_TAU * svd.D[0] ** 2:
             lam, W = np.linalg.eigh(K[rows[:, :, None], rows[:, None]])
             if np.all((lam[:, 0] > 0) & (lam[:, 0] >= _KERNEL_TAU * lam[:, -1])):
                 for j, f in enumerate(at):
@@ -746,10 +746,9 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     EgReg grids are scored from the residuals themselves, so their error is
     relative to the score.  The folds are factored as the studies factor
     them (:func:`_fold_caches`, a stack that carries the design's ``U D``):
-    folds with n_tr < rank come from the kernel ``X X'`` if the design's and
-    every fold's ``(sigma_min / sigma_max)^2`` is at least ``_KERNEL_TAU``
-    (1e-4), within about eps / tau of the SVD's factors; all others, square
-    folds too, from one batched SVD.
+    wide folds of a well-conditioned design (``_KERNEL_TAU``) come from the
+    kernel ``X X'``, within about eps / tau of the SVD's factors; all others
+    from one batched SVD.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)

@@ -402,7 +402,8 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, mo
     # a rank-deficient fold (it fails the per-fold eigenvalue check), wide
     # folds of a design with graded columns, whose (sigma_r / sigma_1)^2 is
     # below _KERNEL_TAU (so no kernel block is factored), and square folds
-    # (n_tr = rank) of a well-conditioned design, which take the SVD at once.
+    # (n_tr = rank) of a well-conditioned design whose four held-out rows
+    # leave the check uncertain, so they take the SVD at once.
     # Each must carry exactly the rank, D and U of its own thin_svd call, U
     # up to the sign of each column (a fold PC's sign cancels in every CV
     # score, so the stack keeps LAPACK's), and zeros in all its padding.
@@ -456,10 +457,14 @@ def _batched_svds(monkeypatch):
 @pytest.mark.parametrize("n,p,k", [
     pytest.param(20, 45, 5, id="equal-folds-wide"),
     pytest.param(14, 30, 4, id="unequal-folds-wide"),
+    pytest.param(20, 45, 20, id="leave-one-out-square"),    # n_tr = rank = 19
 ])
 def test_kernel_fold_factors_match_thin_svd(n, p, k, monkeypatch):
     # Wide folds of a well-conditioned design are factored by one batched
-    # eigh of their blocks of K = Z Z', with no batched SVD.  That gives up
+    # eigh of their blocks of K = Z Z', with no batched SVD.  So are its
+    # leave-one-out folds, though square: a held-out row's leverage is
+    # 1 - 1/n, so each block's eigenvalues are at least D_r^2 / n, which
+    # passes the check when (D_r / D_1)^2 / n >= _KERNEL_TAU.  That gives up
     # bitwise equality with thin_svd: each fold must carry its rank, D within
     # 1e-12 relative, U and A within 1e-10 of their scale up to the sign of
     # each column, and exact zeros in all its padding.
