@@ -1,10 +1,10 @@
 """Command-line front end: fit, predict, evaluate-rpe, theory, simulate.
 
 Each ``_cmd_*`` handler does its command's work and returns ``(outputs,
-manifest path, digest object, seed or None, summary line)``.  :func:`main` is
-the one place that times a run, writes its provenance manifest, prints its
-summary and maps errors to exit codes: 0 on success, 1 on runtime or numeric
-failure, 2 on usage or config errors.
+digest object, seed or None, summary line)``.  :func:`main` is the one place
+that times a run, writes its provenance manifest (its path checked before
+any output is replaced), prints its summary and maps errors to exit codes:
+0 on success, 1 on runtime or numeric failure, 2 on usage or config errors.
 
 BLAS thread caps (``--threads`` or the ``EGREG_THREADS`` environment
 variable) must land in the environment before numpy initializes its backend,
@@ -15,6 +15,7 @@ which is also why the package ``__init__`` resolves its exports lazily.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -157,7 +158,7 @@ def _cmd_fit(args):
     # A degenerate fit is saved, but not silently: the note prints its flags.
     if {"early_stop", "zero_score_directions"} & model.flags.keys():
         print(f"egreg: note: degenerate fit, {model.params} gave {model.flags}", file=sys.stderr)
-    return ([args.model_out], args.model_out + ".manifest.json", digest, None,
+    return ([args.model_out], digest, None,
             f"fitted {model.method} ({model.params}) on {data.n} rows -> {args.model_out}")
 
 
@@ -193,8 +194,7 @@ def _cmd_predict(args):
     header = mf.y_names or [f"y{j + 1}" for j in range(Yp.shape[1])]
     write_table(args.csv_out, [header] + [list(row) for row in Yp])
     digest = {"command": "predict", "model_in": args.model_in, "csv_in": args.csv_in}
-    return ([args.csv_out], args.csv_out + ".manifest.json", digest, None,
-            f"predicted {Yp.shape[0]} rows -> {args.csv_out}")
+    return [args.csv_out], digest, None, f"predicted {Yp.shape[0]} rows -> {args.csv_out}"
 
 
 def _cmd_evaluate_rpe(args):
@@ -234,8 +234,7 @@ def _cmd_evaluate_rpe(args):
     write_table(args.out, rows)
     digest = {"command": "evaluate-rpe", "test_csv": args.test_csv,
               "models": list(args.models), "response": response}
-    return ([args.out], args.out + ".manifest.json", digest, None,
-            f"wrote RPE table for {len(entries)} model(s) -> {args.out}")
+    return [args.out], digest, None, f"wrote RPE table for {len(entries)} model(s) -> {args.out}"
 
 
 def _cmd_theory(args):
@@ -269,7 +268,7 @@ def _cmd_theory(args):
               "grid_stop": args.grid_stop, "grid_count": args.grid_count,
               "grid_log": args.grid_log, "c_sq": args.c_sq,
               "tr_sigma_eps": args.tr_sigma_eps}
-    return ([args.out_csv], args.out_csv + ".manifest.json", digest, None,
+    return ([args.out_csv], digest, None,
             f"wrote limiting-risk curve ({grid.size} points) -> {args.out_csv}")
 
 
@@ -298,11 +297,12 @@ def _cmd_simulate(args):
     csv_path = os.path.join(args.out_dir, f"{study}.csv")
     write_table(csv_path, result.rows())
     digest = {"study": study, **config}
-    return ([csv_path], os.path.join(args.out_dir, "manifest.json"), digest, result.seed,
+    return ([csv_path], digest, result.seed,
             f"ran {study} ({result.risks.shape[0]} grid points x "
             f"{len(result.methods)} methods) -> {csv_path}")
 
 
+_OUTPUT_ARG = {"fit": "model_out", "predict": "csv_out", "evaluate-rpe": "out", "theory": "out_csv"}
 _DISPATCH = {
     "fit": _cmd_fit,
     "predict": _cmd_predict,
@@ -318,7 +318,11 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         _apply_thread_cap(args.threads)
-        outputs, path, digest, seed, summary = _DISPATCH[args.command](args)
+        path = (os.path.join(args.out_dir, "manifest.json") if args.command == "simulate"
+                else getattr(args, _OUTPUT_ARG[args.command]) + ".manifest.json")
+        if os.path.isdir(path):    # written last, so checked before any output is replaced
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        outputs, digest, seed, summary = _DISPATCH[args.command](args)
         from .dataio import RunManifest, config_digest, write_manifest
 
         write_manifest(path, RunManifest(

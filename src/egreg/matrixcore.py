@@ -30,6 +30,10 @@ CENTER_TOL = 1e-10
 #: Relative cutoff for the numerical rank of a design matrix.
 DEFAULT_RANK_RTOL = 1e-10
 
+#: Smallest (sigma_min / sigma_max)^2 at which a factorization may go through a cross product
+#: (X'X, X X', a fold's kernel block), whose factors are within about eps / GRAM_TAU of the SVD's.
+GRAM_TAU = 1e-4
+
 
 def _integer(name, v, low=None, error=ParameterError):
     """``v`` as an int: an integer or integral float (a JSON config may write an
@@ -263,6 +267,11 @@ def _rank_of(s):
     return r
 
 
+def _gram_ok(lo, hi):
+    """The one cross-product gate: each ``lo`` > 0 and >= ``GRAM_TAU`` times its finite ``hi``."""
+    return bool(np.all((lo > 0) & (lo >= GRAM_TAU * hi) & (hi < np.inf)))
+
+
 def thin_svd(X) -> SvdFactors:
     """Thin SVD truncated at the numerical rank, with deterministic signs.
 
@@ -271,12 +280,51 @@ def thin_svd(X) -> SvdFactors:
     largest-magnitude entry is positive, making downstream score rankings
     reproducible across LAPACK builds.
 
+    X is first factored by ``eigh`` of its cross product (X'X tall, X X' wide,
+    less the ones vector if ``||X'1|| / sqrt(n)`` is below the rank cut, as when
+    centered), kept when every eigenvalue is at least ``GRAM_TAU`` (1e-4) times
+    the largest: r is then the SVD's, and U, D, V within about eps / GRAM_TAU
+    of its factors (a Cholesky QR step keeps U, V orthonormal).  Any other X,
+    or one whose column (tall) or row (wide) norms spread past ``GRAM_TAU``,
+    as P1's and u_star's do, gets :func:`_svd`, LAPACK's SVD, bit for bit.
+
     Raises
     ------
     RankZeroError
         If X is identically zero (or no singular value clears the cutoff).
     """
-    U, s, Vt = np.linalg.svd(_as_matrix(X, "X"), full_matrices=False)
+    X = _as_matrix(X, "X")
+    return _gram_svd(X) or _svd(X)
+
+
+def _gram_svd(X):
+    """:func:`thin_svd`'s factors from its cross product, or None where the gate refuses them."""
+    n, p = X.shape
+    scale = math.ldexp(1.0, math.frexp(max(X.max(), -X.min()))[1] - 1)    # 2^k: A is exact
+    A = (X if n >= p else X.T) / scale    # N x m, and A'A the m x m cross product
+    norms = np.einsum("ij,ij->j", A, A)    # sigma_m <= the smallest, sigma_1 >= the largest
+    if not _gram_ok(norms.min(), norms.max()):
+        return None
+    G, Q = A.T @ A, None
+    if n < p and np.linalg.norm(A.sum(axis=1)) < DEFAULT_RANK_RTOL * math.sqrt(n * norms.max()):
+        h = np.full(n, 1 / math.sqrt(n)) + np.eye(1, n)[0]    # reflector I - h h' / h[0]
+        Q = np.eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])    # its last n - 1 columns: 1's complement
+        G = Q.T @ G @ Q
+    lam, W = np.linalg.eigh(G)
+    if not _gram_ok(lam[0], lam[-1]):
+        return None
+    s, W = np.sqrt(lam[::-1]), np.ascontiguousarray(W[:, ::-1] if Q is None else Q @ W[:, ::-1])
+    P = A @ (W / s)    # the other side, orthonormal within about eps / GRAM_TAU
+    if np.abs((C := P.T @ P) - np.eye(s.size)).max() > s.size * np.finfo(float).eps:
+        P = P @ np.linalg.inv(np.linalg.cholesky(C).T)
+    U, V = (P, W) if n >= p else (W, P)
+    _fix_signs(V, U)
+    return SvdFactors(U=U, D=s * scale, V=V, r=s.size)
+
+
+def _svd(X):
+    """:func:`thin_svd`'s SVD branch, which ``simharness``'s batched fold SVDs equal bit for bit."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
     r = _rank_of(s)
     U = U if r == U.shape[1] else U[:, :r].copy()    # a view would keep all of U alive
     V = Vt[:r].T.copy()

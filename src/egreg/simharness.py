@@ -28,10 +28,10 @@ training fold is factored once, from its rows of the design's PC
 coordinates ``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept
 with Z as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
 factored by one batched call: wide folds of a design with
-``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` (1e-4) by ``eigh`` of their blocks
-of the kernel ``Z Z'``, within about eps / tau of the SVD's factors, if
-every fold passes the same check; all others by an SVD, bit for bit
-:func:`~egreg.matrixcore.thin_svd`.  PCR, ridge, NIECE and EgReg are
+``(sigma_r / sigma_1)^2 >= GRAM_TAU`` (1e-4) by ``eigh`` of their blocks of
+the kernel ``Z Z'``, within about eps / GRAM_TAU of the SVD's factors, if every
+fold passes :func:`~egreg.matrixcore._gram_ok`; all others by an SVD, bit for
+bit :func:`~egreg.matrixcore._svd`.  PCR, ridge, NIECE and EgReg are
 diagonal filters on the fold PCs (NIECE's is 0/1, in each lane's score
 order).  A call forms the fold products once (``B = U'Y_tr``, the held-out
 responses, the fold scores and NIECE's score order) and stacks the filters
@@ -64,8 +64,8 @@ from .envscore import _score_order, envelope_scores
 from .estimators import (_check_params, _coefficients, _require_centered, _shrink, _simpls_lockstep,
                          pcr_coefficients)
 from .exceptions import ConfigError, ParameterError
-from .matrixcore import (Dataset, _as_matrix, _integer, _rank_of, _real, _real_array, _recenter,
-                         thin_svd)
+from .matrixcore import (Dataset, _as_matrix, _gram_ok, _integer, _rank_of, _real, _real_array,
+                         _recenter, thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -342,35 +342,28 @@ class _FoldStack:
         return (self.A.transpose(0, 2, 1) @ self.A) * (2.0 * np.tri(k, k, -1) + np.eye(k))
 
 
-#: Smallest squared condition ratio ``(sigma_min / sigma_max)^2`` at which
-#: :func:`_fold_caches` factors wide training folds from the design's kernel
-#: ``K = Z Z'`` instead of by an SVD: asked of the design's ``U D`` and of
-#: every fold in a stack.  Squaring the ratio costs accuracy: the kernel's
-#: factors are within about eps / tau of the SVD's, relative to scale.
-_KERNEL_TAU = 1e-4
-
-
 def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
     The training folds of one size are stacked and factored by one batched
     LAPACK call.  A stack of wide folds (n_tr <= rank) in a design whose
-    ``(sigma_r / sigma_1)^2 >= _KERNEL_TAU`` is factored by one
+    ``(sigma_r / sigma_1)^2 >= GRAM_TAU`` is factored by one
     ``np.linalg.eigh`` of its blocks ``K[tr, tr]`` of the design's kernel
     ``K = Z Z'``.  A wide fold of full row rank has ``K[tr, tr] = U D^2
     U'``, so its U is the eigenvectors (descending), D the square roots of
     the eigenvalues and its rank n_tr, and ``A = Z[va] V / D = K[va, tr] U
     / D^2``; no V is formed.  The stack keeps these factors if every fold's
-    smallest eigenvalue is positive and at least ``_KERNEL_TAU`` times its
-    largest, and then U, D and A are within about eps / tau of the SVD's,
-    relative to scale.  A square stack (n_tr = rank, as leave-one-out folds
-    of a wide centered design) is tried only where its held-out rows make
-    the check certain, ``D_r^2 (1 - ||U[va]||^2) >= _KERNEL_TAU D_1^2``.
+    smallest eigenvalue is at least ``GRAM_TAU`` times its largest (the gate
+    :func:`~egreg.matrixcore._gram_ok` of ``thin_svd`` too), and then U, D and
+    A are within about eps / GRAM_TAU of the SVD's, relative to scale.  A
+    square stack (n_tr = rank, as leave-one-out folds of a wide centered
+    design) is tried only where its held-out rows make the check certain,
+    ``D_r^2 (1 - ||U[va]||^2) >= GRAM_TAU D_1^2``.
     Every other stack (tall folds, graded spectra, rank-deficient or zero
     folds, a stack that fails the check) is factored by one
     ``np.linalg.svd`` call and cut at each fold's numerical rank, as
-    :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal ``thin_svd``
-    of their rows bit for bit, and go into the padded :class:`_FoldStack`.
+    :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal its SVD branch
+    :func:`~egreg.matrixcore._svd` of their rows bit for bit.
     """
     Z = svd.U * svd.D
     n = Z.shape[0]
@@ -383,7 +376,7 @@ def _fold_caches(svd, folds) -> _FoldStack:
     tr, va = (np.full((len(folds), max(map(len, rows))), n) for rows in (trs, folds))
     for f, (t, v) in enumerate(zip(trs, folds)):
         tr[f, :t.size], va[f, :v.size] = t, v
-    wide = n_tr.min() <= svd.r and svd.D[-1] ** 2 >= _KERNEL_TAU * svd.D[0] ** 2
+    wide = n_tr.min() <= svd.r and _gram_ok(svd.D[-1] ** 2, svd.D[0] ** 2)
     K = Z @ Z.T if wide else None
     cuts = [None] * len(folds)    # per fold: U, D and A, cut at its rank
     for size in dict.fromkeys(n_tr.tolist()):
@@ -391,9 +384,9 @@ def _fold_caches(svd, folds) -> _FoldStack:
         rows = tr[at, :size]
         u2 = (np.linalg.norm(svd.U[va[at, :n - size]], 2, (1, 2)).max() ** 2
               if wide and size == svd.r else 0)
-        if wide and size <= svd.r and svd.D[-1] ** 2 * (1 - u2) >= _KERNEL_TAU * svd.D[0] ** 2:
+        if wide and size <= svd.r and _gram_ok(svd.D[-1] ** 2 * (1 - u2), svd.D[0] ** 2):
             lam, W = np.linalg.eigh(K[rows[:, :, None], rows[:, None]])
-            if np.all((lam[:, 0] > 0) & (lam[:, 0] >= _KERNEL_TAU * lam[:, -1])):
+            if _gram_ok(lam[:, 0], lam[:, -1]):
                 for j, f in enumerate(at):
                     U, s2 = W[j, :, ::-1], lam[j, ::-1]
                     cuts[f] = U, np.sqrt(s2), K[folds[f][:, None], rows[j]] @ U / s2
@@ -746,8 +739,8 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     EgReg grids are scored from the residuals themselves, so their error is
     relative to the score.  The folds are factored as the studies factor
     them (:func:`_fold_caches`, a stack that carries the design's ``U D``):
-    wide folds of a well-conditioned design (``_KERNEL_TAU``) come from the
-    kernel ``X X'``, within about eps / tau of the SVD's factors; all others
+    wide folds of a well-conditioned design (``GRAM_TAU``) come from the
+    kernel ``X X'``, within about eps / GRAM_TAU of the SVD's factors; all others
     from one batched SVD.
     """
     _require_centered(data)

@@ -469,6 +469,45 @@ def test_cli_manifest_records_the_argv_and_the_files_written(tmp_path, capsys, c
     assert man["outputs"] == [str(written)] and written.is_file()
 
 
+@pytest.mark.parametrize("command", ["fit", "predict", "evaluate-rpe", "theory", "simulate"])
+def test_cli_manifest_path_that_is_a_directory_leaves_older_output_untouched(tmp_path, capsys,
+                                                                            command):
+    # The manifest is written last, so a manifest path that cannot be
+    # written (here a directory) is caught before the command runs: exit 1
+    # with the OSError's message, the older output unchanged and no file
+    # added, not a fresh output without its record.
+    X, Y = _toy(seed=7)
+    train = tmp_path / "train.csv"
+    _write_xy(train, X, Y)
+    models = [str(tmp_path / "simpls.json"), str(tmp_path / "pcr.json")]
+    assert main(["fit", str(train), models[0], "--method", "simpls", "--d", "1"]) == 0
+    assert main(["fit", str(train), models[1], "--method", "pcr", "--d", "2"]) == 0
+    config = tmp_path / "p1.json"
+    config.write_text(json.dumps({"study": "P1", "seed": 0, "n": 80, "replications": 2,
+                                  "p_over_n": [0.25], "methods": ["pcr"]}))
+    out = tmp_path / "out"
+    argv, older, manifest = {
+        "fit": (["fit", str(train), str(out), "--method", "ridge", "--lambda", "1"],
+                out, f"{out}.manifest.json"),
+        "predict": (["predict", models[1], str(train), str(out)], out, f"{out}.manifest.json"),
+        "evaluate-rpe": (["evaluate-rpe", str(train), *models, "--out", str(out)],
+                         out, f"{out}.manifest.json"),
+        "theory": (["theory", str(out), "--grid-count", "3"], out, f"{out}.manifest.json"),
+        "simulate": (["simulate", str(config), str(out)], out / "P1.csv",
+                     os.path.join(out, "manifest.json")),
+    }[command]
+    older.parent.mkdir(exist_ok=True)
+    older.write_text("older\n")
+    os.mkdir(manifest)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{manifest}'" in err and "Traceback" not in err
+    assert older.read_text() == "older\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def test_cli_fit_standardize_matches_library(tmp_path):
     X, Y = _toy(seed=6)
     train = tmp_path / "train.csv"

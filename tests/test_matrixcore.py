@@ -4,11 +4,15 @@ input rules every module shares."""
 import re
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from egreg import matrixcore
 from egreg import (
     ContractError,
     Dataset,
@@ -176,6 +180,94 @@ def test_thin_svd_relative_cutoff():
     U0 = np.linalg.qr(np.random.default_rng(13).standard_normal((12, 2)))[0]
     X = np.outer(U0[:, 0], [1.0, 0, 0]) + 1e-12 * np.outer(U0[:, 1], [0, 1.0, 0])
     assert thin_svd(X).r == 1
+
+
+def _with_spectrum(rng, n, p, s, centered=False):
+    """An n x p matrix ``Q1 diag(s) Q2'`` with random orthonormal Q1 and Q2;
+    ``centered`` makes Q1's columns orthogonal to the ones vector."""
+    G = rng.standard_normal((n, s.size))
+    Q1 = np.linalg.qr(G - G.mean(axis=0) if centered else G)[0]
+    return Q1 @ (s[:, None] * np.linalg.qr(rng.standard_normal((p, s.size)))[0].T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["tall", "wide", "centered-wide"]), m=st.integers(2, 30),
+       extra=st.integers(0, 40), cond_sq=st.floats(matrixcore.GRAM_TAU, 1.0),
+       exponent=st.sampled_from([-150, 0, 150]), seed=st.integers(0, 2**32 - 1))
+def test_thin_svd_gram_path_matches_the_svd_branch(shape, m, extra, cond_sq, exponent, seed):
+    # A design whose squared condition (sigma_r / sigma_1)^2 is at least
+    # GRAM_TAU is factored from its m x m cross product (X'X tall, X X' wide,
+    # the ones vector deflated from a centered wide one, of rank m - 1).
+    # Its rank is the SVD branch's, D within 1e-12 of sigma_1, U D V' is X
+    # within 1e-12 relative and U and V are orthonormal within 1e-11, at
+    # entries near 1e-150 and 1e150 too.  Above 2 GRAM_TAU no norm check or
+    # rounding can send it to the SVD branch, which must then not run.
+    rng = np.random.default_rng(seed)
+    n, p = (m + (extra if shape == "tall" else 0), m + (0 if shape == "tall" else extra + 1))
+    k = m - (shape == "centered-wide")
+    X = _with_spectrum(rng, n, p, np.geomspace(1.0, np.sqrt(cond_sq), k),
+                       centered=shape == "centered-wide") * 10.0**exponent
+    ref = matrixcore._svd(X)
+    if cond_sq >= 2 * matrixcore.GRAM_TAU:
+        with mock.patch.object(matrixcore, "_svd", side_effect=AssertionError("SVD branch ran")):
+            f = thin_svd(X)
+    else:
+        f = thin_svd(X)
+    assert f.r == ref.r == k
+    assert_allclose(f.D, ref.D, rtol=0, atol=1e-12 * ref.D[0])
+    err = np.linalg.norm(f.U @ (f.D[:, None] * f.V.T) - X) / np.linalg.norm(X)
+    assert err <= 1e-12
+    assert_allclose(f.U.T @ f.U, np.eye(k), rtol=0, atol=1e-11)
+    assert_allclose(f.V.T @ f.V, np.eye(k), rtol=0, atol=1e-11)
+
+
+def _p1_design(rng, n, p):
+    X = rng.standard_normal((n, p)) * np.sqrt(10.0 * np.exp(-np.arange(p)))
+    return X - X.mean(axis=0)
+
+
+@pytest.mark.parametrize("case", ["p1-tall", "p1-wide", "graded-columns-under-tau",
+                                  "rotated-spectrum-under-tau", "duplicate-columns",
+                                  "entries-near-1e-150-and-1e150"])
+def test_thin_svd_takes_the_svd_branch_bit_for_bit(case):
+    # Designs the cross product cannot serve: P1's spectrum and columns
+    # graded just past GRAM_TAU (refused on their column norms, before any
+    # product), a spectrum just past GRAM_TAU behind a rotation that evens
+    # the column norms and duplicate columns (refused on the eigenvalues),
+    # and columns of 1e-150 beside columns of 1e150.  thin_svd must return
+    # exactly the SVD branch's factors.
+    rng = np.random.default_rng(29)
+    below = np.sqrt(0.9 * matrixcore.GRAM_TAU)
+    X = {
+        "p1-tall": lambda: _p1_design(rng, 100, 25),
+        "p1-wide": lambda: _p1_design(rng, 100, 200),
+        "graded-columns-under-tau": lambda: (np.linalg.qr(rng.standard_normal((40, 8)))[0]
+                                             * np.geomspace(1.0, below, 8)),
+        "rotated-spectrum-under-tau": lambda: _with_spectrum(rng, 40, 8,
+                                                             np.geomspace(1.0, below, 8)),
+        "duplicate-columns": lambda: rng.standard_normal((30, 6))[:, [0, 1, 2, 3, 4, 5, 2]],
+        "entries-near-1e-150-and-1e150": lambda: (rng.standard_normal((30, 6))
+                                                  * np.array([1e150, 1e-150] * 3)),
+    }[case]()
+    f, ref = thin_svd(X), matrixcore._svd(X)
+    assert f.r == ref.r
+    for name in ("U", "D", "V"):
+        assert getattr(f, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("factor,rank", [(2.0, 20), (0.5, 19)])
+def test_thin_svd_keeps_a_ones_component_above_the_rank_cut(factor, rank):
+    # A centered, well-conditioned 20 x 50 design (rank 19) plus a ones
+    # component whose singular value ||X'1|| / sqrt(n) is `factor` times the
+    # rank cut DEFAULT_RANK_RTOL * sigma_1.  Just above the cut it is a
+    # direction the SVD keeps (rank n), so the Householder deflation must not
+    # drop it; just below it the SVD cuts it, and so must thin_svd.
+    rng = np.random.default_rng(31)
+    n, p = 20, 50
+    X0 = _with_spectrum(rng, n, p, np.geomspace(1.0, 0.5, n - 1), centered=True)
+    w = np.linalg.svd(X0)[2][-1]    # a unit vector off X0's row space
+    X = X0 + np.outer(np.full(n, factor * matrixcore.DEFAULT_RANK_RTOL / np.sqrt(n)), w)
+    assert thin_svd(X).r == matrixcore._svd(X).r == rank
 
 
 # ---------------------------------------------------------------------------

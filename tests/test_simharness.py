@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from egreg import simharness
+from egreg import matrixcore, simharness
 from egreg import (
     ConfigError,
     Dataset,
@@ -55,7 +55,7 @@ from egreg.simharness import (
     _sample_fits,
     _tune,
 )
-from egreg.matrixcore import SvdFactors
+from egreg.matrixcore import SvdFactors, _svd
 from egreg.riskanalytics import empirical_risk_terms
 
 
@@ -401,12 +401,13 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, mo
     # factored by one stacked LAPACK SVD call: tall folds, a wide stack with
     # a rank-deficient fold (it fails the per-fold eigenvalue check), wide
     # folds of a design with graded columns, whose (sigma_r / sigma_1)^2 is
-    # below _KERNEL_TAU (so no kernel block is factored), and square folds
+    # below GRAM_TAU (so no kernel block is factored), and square folds
     # (n_tr = rank) of a well-conditioned design whose four held-out rows
     # leave the check uncertain, so they take the SVD at once.
-    # Each must carry exactly the rank, D and U of its own thin_svd call, U
-    # up to the sign of each column (a fold PC's sign cancels in every CV
-    # score, so the stack keeps LAPACK's), and zeros in all its padding.
+    # Each must carry exactly the rank, D and U of thin_svd's SVD branch
+    # (_svd) on its rows, U up to the sign of each column (a fold PC's sign
+    # cancels in every CV score, so the stack keeps LAPACK's), and zeros in
+    # all its padding.
     rng = np.random.default_rng(n + p)
     X = rng.standard_normal((n, p))
     folds = _fold_indices(n, k, 3)
@@ -418,7 +419,7 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, mo
         X *= np.exp(-0.5 * np.arange(p))
     X -= X.mean(axis=0)
     svd = thin_svd(X)
-    assert graded == (svd.D[-1] ** 2 < simharness._KERNEL_TAU * svd.D[0] ** 2)
+    assert graded == (svd.D[-1] ** 2 < matrixcore.GRAM_TAU * svd.D[0] ** 2)
     Z = svd.U * svd.D
     eighs, linalg_eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or linalg_eigh(a))
@@ -427,7 +428,7 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, mo
     assert bool(eighs) == (dup_fold is not None)    # only that stack is wide and checked
     for f, va in enumerate(folds):
         n_tr, r = stack.n_tr[f], stack.r[f]
-        fresh = thin_svd(Z[stack.tr[f, :n_tr]])
+        fresh = _svd(Z[stack.tr[f, :n_tr]])
         U = stack.U[f, :n_tr, :r]
         sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
         assert r == fresh.r and stack.D[f, :r].tobytes() == fresh.D.tobytes()
@@ -464,7 +465,7 @@ def test_kernel_fold_factors_match_thin_svd(n, p, k, monkeypatch):
     # eigh of their blocks of K = Z Z', with no batched SVD.  So are its
     # leave-one-out folds, though square: a held-out row's leverage is
     # 1 - 1/n, so each block's eigenvalues are at least D_r^2 / n, which
-    # passes the check when (D_r / D_1)^2 / n >= _KERNEL_TAU.  That gives up
+    # passes the check when (D_r / D_1)^2 / n >= GRAM_TAU.  That gives up
     # bitwise equality with thin_svd: each fold must carry its rank, D within
     # 1e-12 relative, U and A within 1e-10 of their scale up to the sign of
     # each column, and exact zeros in all its padding.
@@ -524,7 +525,7 @@ def _study_point(study, ratio, R=3):
 @pytest.mark.parametrize("study,ratio", [("double_descent", 0.75), ("baseline", 2.0)])
 def test_kernel_and_svd_fold_paths_score_and_pick_alike(study, ratio, monkeypatch):
     # A wide study point's CV scores on the kernel-factored folds are those
-    # on the SVD-factored ones (forced by a _KERNEL_TAU no design meets):
+    # on the SVD-factored ones (forced by a GRAM_TAU no design meets):
     # within 1e-12 relative, or for the Gram-form grids (PCR, EgReg d x
     # lambda) within its absolute bound eps k ||y||^2, and every pick is the
     # same.  double_descent at u*/n = 0.75 (p = 112) is its worst-conditioned
@@ -535,7 +536,7 @@ def test_kernel_and_svd_fold_paths_score_and_pick_alike(study, ratio, monkeypatc
     ndims = _batched_svds(monkeypatch)
     kernel = _fold_caches(svd, folds)
     assert 3 not in ndims
-    monkeypatch.setattr(simharness, "_KERNEL_TAU", np.inf)
+    monkeypatch.setattr(matrixcore, "GRAM_TAU", np.inf)
     stack = _fold_caches(svd, folds)
     assert 3 in ndims and kernel.r.tolist() == stack.r.tolist()
     grids = _filter_grids(svd, min(svd.r, int(stack.r.min())))
@@ -553,8 +554,8 @@ def test_kfold_cv_scores_and_picks_alike_on_both_fold_paths(monkeypatch):
     data = _cv_data(seed=5, n=48, p=60)
     ndims = _batched_svds(monkeypatch)
     runs = []
-    for tau in (simharness._KERNEL_TAU, np.inf):
-        monkeypatch.setattr(simharness, "_KERNEL_TAU", tau)
+    for tau in (matrixcore.GRAM_TAU, np.inf):
+        monkeypatch.setattr(matrixcore, "GRAM_TAU", tau)
         ndims.clear()
         runs.append([kfold_cv(data, method, grid, k=6, seed=13)
                      for method, grid in _accuracy_grids(40)])
