@@ -302,11 +302,11 @@ def _gram_svd(X):
     n, p = X.shape
     scale = math.ldexp(1.0, math.frexp(max(X.max(), -X.min()))[1] - 1)    # 2^k: A is exact
     A = (X if n >= p else X.T) / scale    # N x m, and A'A the m x m cross product
-    norms = np.einsum("ij,ij->j", A, A)    # sigma_m <= the smallest, sigma_1 >= the largest
-    if not _gram_ok(norms.min(), norms.max()):
+    c = np.sort(np.einsum("ij,ij->j" if n >= p else "ij,ij->i", A, A))    # X's squared column norms
+    if not _gram_ok(c[:max(1, p - n + 2)].sum(), c[-1]):    # Weyl: sigma_r^2 <= the p - r + 1 least
         return None
     G, Q = A.T @ A, None
-    if n < p and np.linalg.norm(A.sum(axis=1)) < DEFAULT_RANK_RTOL * math.sqrt(n * norms.max()):
+    if n < p and np.linalg.norm(A.sum(axis=1)) < DEFAULT_RANK_RTOL * math.sqrt(n * c[-1]):
         h = np.full(n, 1 / math.sqrt(n)) + np.eye(1, n)[0]    # reflector I - h h' / h[0]
         Q = np.eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])    # its last n - 1 columns: 1's complement
         G = Q.T @ G @ Q
