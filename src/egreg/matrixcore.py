@@ -285,8 +285,8 @@ def thin_svd(X) -> SvdFactors:
     centered), kept when every eigenvalue is at least ``GRAM_TAU`` (1e-4) times
     the largest: r is then the SVD's, and U, D, V within about eps / GRAM_TAU
     of its factors (a Cholesky QR step keeps U, V orthonormal).  Any other X,
-    or one whose column (tall) or row (wide) norms spread past ``GRAM_TAU``,
-    as P1's and u_star's do, gets :func:`_svd`, LAPACK's SVD, bit for bit.
+    or one whose column norms already bound (sigma_r / sigma_1)^2 below
+    ``GRAM_TAU``, as P1's and u_star's do, gets :func:`_svd` (LAPACK) bit for bit.
 
     Raises
     ------
@@ -316,7 +316,7 @@ def _gram_svd(X):
     s, W = np.sqrt(lam[::-1]), np.ascontiguousarray(W[:, ::-1] if Q is None else Q @ W[:, ::-1])
     P = A @ (W / s)    # the other side, orthonormal within about eps / GRAM_TAU
     if np.abs((C := P.T @ P) - np.eye(s.size)).max() > s.size * np.finfo(float).eps:
-        P = P @ np.linalg.inv(np.linalg.cholesky(C).T)
+        P = P @ np.linalg.inv(np.linalg.cholesky(C).T)    # Cholesky QR: CV assumes U'U = I
     U, V = (P, W) if n >= p else (W, P)
     _fix_signs(V, U)
     return SvdFactors(U=U, D=s * scale, V=V, r=s.size)
