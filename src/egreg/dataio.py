@@ -159,7 +159,8 @@ def split_response(names, M, response=None):
     """Split a table into predictors and responses by column names.
 
     ``response`` lists the response column names; by default (None) the
-    last column is the response.  Returns ``(X, Y, x_names, y_names)``.
+    last column is the response.  Returns ``(X, Y, x_names, y_names)``, X a
+    view of M when the predictors are one run of columns, as by default.
     """
     if response is None:
         y_names = [names[-1]]
@@ -179,7 +180,8 @@ def split_response(names, M, response=None):
     if not x_idx:
         raise ConfigError("no predictor columns remain after removing responses")
     x_names = [names[i] for i in x_idx]
-    return M[:, x_idx], M[:, y_idx], x_names, y_names
+    run = x_idx[-1] - x_idx[0] + 1 == len(x_idx)
+    return M[:, x_idx[0]:x_idx[-1] + 1] if run else M[:, x_idx], M[:, y_idx], x_names, y_names
 
 
 def load_csv(path, response=None):

@@ -197,16 +197,17 @@ def _lane_norms(M):
     return np.sqrt(M @ M.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _simpls_lockstep(Z, Y, train, d: int):
+def _simpls_lockstep(Z, Y, train, d: int, scale=None):
     """The SIMPLS recurrence (de Jong 1993), run in lockstep over lanes.
 
-    ``Z`` (n x k) holds the predictors in the design's PC coordinates ``U D``
-    (every caller passes these; weights mapped back by V fit ``X = Z V'``),
-    ``Y`` (lanes x n x q) one response per lane and ``train`` (lanes x n) a
+    The predictors are the design's PC coordinates ``P = Z diag(scale)``
+    (n x k; weights mapped back by V fit ``X = P V'``), never formed: CV
+    passes its stack's ``Z = U D`` and no scale, the refit U and D.  ``Y``
+    (lanes x n x q) holds one response per lane and ``train`` (lanes x n) a
     0/1 mask of the rows each lane fits on.  Per component this yields
     ``(keep, r, t, zr)`` for the lanes still running, one row per lane:
-    weights ``r`` (k), unit scores ``t = train (Z r - mean)`` centered over
-    the training rows (zero elsewhere), and ``zr = Z r`` on every row.  Each
+    weights ``r`` (k), unit scores ``t = train (P r - mean)`` centered over
+    the training rows (zero elsewhere), and ``zr = P r``.  Each
     component is one GEMM for all lanes.  A lane stops before d components
     when its deflated cross-product, its score or its orthogonalized loading
     collapses below :data:`SIMPLS_TOL`; its rows are dropped then, and
@@ -218,6 +219,7 @@ def _simpls_lockstep(Z, Y, train, d: int):
     k = Z.shape[1]
     n_tr = train.sum(axis=1)
     S = Z.T @ (train[:, :, None] * Y).transpose(1, 0, 2).reshape(n, -1)
+    S = S if scale is None else S * scale[:, None]
     S = np.ascontiguousarray(S.reshape(k, lanes, q).transpose(1, 0, 2))
     s_tol = SIMPLS_TOL * np.maximum(1.0, _lane_norms(S))
     basis = np.empty((lanes, d, k))   # deflation basis, one row per component
@@ -234,7 +236,7 @@ def _simpls_lockstep(Z, Y, train, d: int):
             w = np.linalg.eigh((G + G.transpose(0, 2, 1)) / 2.0)[1][:, :, -1:]
             _fix_signs(w[:, :, 0].T)    # each lane's leading eigenvector is a column
             r = (S @ w)[:, :, 0]
-        zr = r @ Z.T
+        zr = (r if scale is None else r * scale) @ Z.T
         t = zr - (train * zr).sum(axis=1, keepdims=True) / n_tr[:, None]
         t *= train
         nt = _lane_norms(t)
@@ -242,7 +244,7 @@ def _simpls_lockstep(Z, Y, train, d: int):
             t /= nt[:, None]
             r /= nt[:, None]
             zr /= nt[:, None]
-            pl = (t @ Z)[:, :, None]
+            pl = (t @ Z if scale is None else t @ Z * scale)[:, :, None]
             Vb = basis[:, :c]
             v = pl - Vb.transpose(0, 2, 1) @ (Vb @ pl)
             nv = _lane_norms(v)
@@ -263,14 +265,15 @@ def _simpls_lockstep(Z, Y, train, d: int):
 def simpls_coefficients(svd: SvdFactors, Y, d: int) -> tuple[np.ndarray, int]:
     """SIMPLS coefficients with up to d components; returns (beta, achieved).
 
-    The one-lane, all-rows case of :func:`_simpls_lockstep` on ``Z = U D``,
-    as in CV, so no direction past the rank enters: its k <= d components
-    give weights R (r x k) and unit, mutually orthogonal scores T (n x k)
-    with ``t = Z r - mean``, and ``beta = V R T'Y``.
+    The one-lane, all-rows case of :func:`_simpls_lockstep` on U and D, as in
+    CV, so no direction past the rank enters; beside the factors it holds n x d
+    and n x q arrays only, no ``U D``.  Its k <= d components give weights R
+    (r x k) and unit, orthogonal scores T (n x k) with ``t = U D r - mean``, and
+    ``beta = V R T'Y``.
     """
     d = _count("d", d, svd.r, "r")
     Y = _response(svd, Y)
-    steps = list(_simpls_lockstep(svd.U * svd.D, Y[None], np.ones((1, Y.shape[0])), d))
+    steps = list(_simpls_lockstep(svd.U, Y[None], np.ones((1, Y.shape[0])), d, svd.D))
     R = np.empty((svd.r, len(steps)))
     T = np.empty((Y.shape[0], len(steps)))
     for j, (_, r, t, _) in enumerate(steps):

@@ -34,6 +34,9 @@ DEFAULT_RANK_RTOL = 1e-10
 #: (X'X, X X', a fold's kernel block), whose factors are within about eps / GRAM_TAU of the SVD's.
 GRAM_TAU = 1e-4
 
+#: Most bytes in one row block of the scaled design or factor that :func:`_gram_svd` forms (1 MiB).
+GRAM_BLOCK_BYTES = 2**20
+
 
 def _integer(name, v, low=None, error=ParameterError):
     """``v`` as an int: an integer or integral float (a JSON config may write an
@@ -204,9 +207,9 @@ def _check_finite_rows(M, what):
                             "has a non-finite value")
 
 
-def _recenter(M):
-    """Subtract column means twice so the residual means are at noise level."""
-    out = M - M.mean(axis=0)
+def _recenter(M, inplace=False):
+    """Subtract column means twice (in place if ``inplace``): residual means at noise level."""
+    out = np.subtract(M, M.mean(axis=0), out=M if inplace else None)
     out -= out.mean(axis=0)
     return out
 
@@ -225,7 +228,9 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     Returns
     -------
     Dataset
-        Transformed data with the fitted :class:`Transform` attached.
+        Transformed data with the fitted :class:`Transform` attached: one
+        column-major copy of each matrix, scaled and centered in place, so a
+        table's columns give the same bits whether passed as a view or a copy.
 
     Raises
     ------
@@ -236,9 +241,7 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     if mode not in ("center", "standardize"):
         raise ParameterError(f"mode must be 'center' or 'standardize', got {mode!r}")
     X, Y = raw.X, raw.Y
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    if mode == "standardize":
+    if mode == "standardize":    # before the copies: np.std forms a centered temporary
         x_scale = X.std(axis=0, ddof=1)
         y_scale = Y.std(axis=0, ddof=1)
         for name, scale in (("X", x_scale), ("Y", y_scale)):
@@ -250,8 +253,10 @@ def center_standardize(raw: Dataset, mode: str = "center") -> Dataset:
     else:
         x_scale = np.ones(raw.p)
         y_scale = np.ones(raw.q)
-    Xt = _recenter(X / x_scale if mode == "standardize" else X)
-    Yt = _recenter(Y / y_scale if mode == "standardize" else Y)
+    Xt, Yt = np.array(X, order="F"), np.array(Y, order="F")
+    x_mean, y_mean = Xt.mean(axis=0), Yt.mean(axis=0)
+    for M, scale in ((Xt, x_scale), (Yt, y_scale)):    # dividing is exact in center mode
+        _recenter(np.divide(M, scale, out=M), inplace=True)
     tr = Transform(mode=mode, x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
     return Dataset(Xt, Yt, centered=True, transform=tr)
 
@@ -298,7 +303,10 @@ def thin_svd(X) -> SvdFactors:
 
 
 def _gram_svd(X):
-    """:func:`thin_svd`'s factors from its cross product, or None where the gate refuses them."""
+    """:func:`thin_svd`'s factors from its cross product, or None where the gate refuses them.
+
+    Beside X and the factors, it holds the scaled ``A`` until the product is formed, then
+    blocks of at most :data:`GRAM_BLOCK_BYTES`: the long side's factor is built in place."""
     n, p = X.shape
     scale = math.ldexp(1.0, math.frexp(max(X.max(), -X.min()))[1] - 1)    # 2^k: A is exact
     A = (X if n >= p else X.T) / scale    # N x m, and A'A the m x m cross product
@@ -310,13 +318,20 @@ def _gram_svd(X):
         h = np.full(n, 1 / math.sqrt(n)) + np.eye(1, n)[0]    # reflector I - h h' / h[0]
         Q = np.eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])    # its last n - 1 columns: 1's complement
         G = Q.T @ G @ Q
+    del A
     lam, W = np.linalg.eigh(G)
     if not _gram_ok(lam[0], lam[-1]):
         return None
     s, W = np.sqrt(lam[::-1]), np.ascontiguousarray(W[:, ::-1] if Q is None else Q @ W[:, ::-1])
-    P = A @ (W / s)    # the other side, orthonormal within about eps / GRAM_TAU
+    Ws, step = W / s, max(1, GRAM_BLOCK_BYTES // (8 * min(n, p)))
+    blocks = [slice(i, i + step) for i in range(0, max(n, p), step)]
+    P = np.empty((max(n, p), s.size))    # the other side, orthonormal within about eps / GRAM_TAU
+    for b in blocks:
+        np.matmul((X[b] if n >= p else X[:, b].T) / scale, Ws, out=P[b])
     if np.abs((C := P.T @ P) - np.eye(s.size)).max() > s.size * np.finfo(float).eps:
-        P = P @ np.linalg.inv(np.linalg.cholesky(C).T)    # Cholesky QR: CV assumes U'U = I
+        Rinv = np.linalg.inv(np.linalg.cholesky(C).T)    # Cholesky QR: CV assumes U'U = I
+        for b in blocks:
+            P[b] = P[b] @ Rinv
     U, V = (P, W) if n >= p else (W, P)
     _fix_signs(V, U)
     return SvdFactors(U=U, D=s * scale, V=V, r=s.size)

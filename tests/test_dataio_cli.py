@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -769,31 +770,47 @@ def test_cli_thread_cap(tmp_path, monkeypatch):
     assert main(["fit", str(train), str(mp), "--method", "pcr", "--d", "1"]) == 2
 
 
-def test_cli_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
-    # predict and evaluate-rpe hold at most two n x p copies at once: the
-    # table (or its predictor columns, after which the table is dropped) and
-    # predict's centered copy.  A third copy would put the peak near 3x the
-    # table's bytes.
+def test_cli_fit_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
+    # fit, predict and evaluate-rpe hold at most two n x p arrays at once.
+    # A fit holds the table (its predictors are a view of it) and the
+    # centered copy, then the centered copy and the U factored from it: the
+    # cross-product branch drops its scaled design once the product is
+    # formed and builds U, and its Cholesky QR step, in 1 MiB blocks, and
+    # the SIMPLS refit forms no U D.  predict and evaluate-rpe hold the table
+    # (or its predictor columns) and predict's centered copy.  A third copy
+    # would put the peak near 3x the table's bytes.  The column scales
+    # exp(-j/25) put (sigma_p / sigma_1)^2 near 4e-4, so every centered fit
+    # takes the cross-product branch and its Cholesky QR step.  The table
+    # (4 MB) is large beside a block.  The first fit in a process also fills
+    # import and BLAS caches, so a warm-up fit runs untraced.
     rng = np.random.default_rng(23)
-    n, p = 2000, 60
-    X = rng.standard_normal((n, p)) * np.linspace(3.0, 1.0, p) + 1.0
+    n, p = 5000, 100
+    X = rng.standard_normal((n, p)) * np.exp(-np.arange(p) / 25.0) + 1.0
     Y = X[:, :3].sum(axis=1, keepdims=True) + rng.standard_normal((n, 1))
     train = tmp_path / "train.csv"
-    _write_xy(train, X, Y)
-    models = []
-    for method, flags in (("simpls", ["--d", "3"]), ("ridge", ["--lambda", "1.0"])):
-        models.append(str(tmp_path / f"{method}.json"))
-        assert main(["fit", str(train), models[-1], "--method", method, *flags]) == 0
+    with open(train, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{j + 1}" for j in range(p)] + ["y"]) + "\n")
+        np.savetxt(fh, np.column_stack([X, Y]), fmt="%.17g", delimiter=",")
+    fits = (("pcr", ["--d", "10"]), ("ridge", ["--lambda", "1.0"]), ("niece", ["--u", "10"]),
+            ("egreg", ["--d", "20", "--lambda", "0.5"]),
+            ("simpls", ["--d", "3", "--standardize"]))
+    models = [str(tmp_path / f"{method}.json") for method, _ in fits]
+    runs = [["fit", str(train), model, "--method", method, *flags]
+            for model, (method, flags) in zip(models, fits)]
+    runs += [["predict", models[-1], str(train), str(tmp_path / "pred.csv")],
+             ["evaluate-rpe", str(train), *models, "--out", str(tmp_path / "rpe.csv")]]
+    assert main(runs[0]) == 0
     table_bytes = n * (p + 1) * 8
-    for argv in (["predict", models[0], str(train), str(tmp_path / "pred.csv")],
-                 ["evaluate-rpe", str(train), *models, "--out", str(tmp_path / "rpe.csv")]):
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * table_bytes, (argv[0], peak / table_bytes)
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+        for argv in runs:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * table_bytes, (argv[:4], peak / table_bytes)
+    assert spy.call_count == 4
 
 
 def test_cli_rpe_golden_values(tmp_path):

@@ -190,11 +190,7 @@ def _with_spectrum(rng, n, p, s, centered=False):
     return Q1 @ (s[:, None] * np.linalg.qr(rng.standard_normal((p, s.size)))[0].T)
 
 
-@settings(max_examples=60, deadline=None)
-@given(shape=st.sampled_from(["tall", "wide", "centered-wide"]), m=st.integers(2, 30),
-       extra=st.integers(0, 40), cond_sq=st.floats(matrixcore.GRAM_TAU, 1.0),
-       exponent=st.sampled_from([-150, 0, 150]), seed=st.integers(0, 2**32 - 1))
-def test_thin_svd_gram_path_matches_the_svd_branch(shape, m, extra, cond_sq, exponent, seed):
+def _check_gram_path(shape, m, extra, cond_sq, exponent, seed):
     # A design whose squared condition (sigma_r / sigma_1)^2 is at least
     # GRAM_TAU is factored from its m x m cross product (X'X tall, X X' wide,
     # the ones vector deflated from a centered wide one, of rank m - 1).
@@ -219,6 +215,37 @@ def test_thin_svd_gram_path_matches_the_svd_branch(shape, m, extra, cond_sq, exp
     assert err <= 1e-12
     assert_allclose(f.U.T @ f.U, np.eye(k), rtol=0, atol=1e-11)
     assert_allclose(f.V.T @ f.V, np.eye(k), rtol=0, atol=1e-11)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["tall", "wide", "centered-wide"]), m=st.integers(2, 30),
+       extra=st.integers(0, 40), cond_sq=st.floats(matrixcore.GRAM_TAU, 1.0),
+       exponent=st.sampled_from([-150, 0, 150]), seed=st.integers(0, 2**32 - 1))
+def test_thin_svd_gram_path_matches_the_svd_branch(shape, m, extra, cond_sq, exponent, seed):
+    _check_gram_path(shape, m, extra, cond_sq, exponent, seed)
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "centered-wide"])
+@pytest.mark.parametrize("cond_sq, cholesky_qr", [(1.0, False), (2e-4, True)])
+@pytest.mark.parametrize("exponent", [-150, 0, 150])
+def test_thin_svd_gram_path_in_row_blocks(shape, cond_sq, cholesky_qr, exponent):
+    # The cross-product branch builds the other side's factor (U tall, V
+    # wide), and applies its Cholesky QR step, in row blocks of at most
+    # GRAM_BLOCK_BYTES.  Patched to 3 rows, the 37 rows of the tall design's
+    # U and the 38 of the wide ones' V span 13 blocks each.  Besides the
+    # one-block bounds above, that factor must come out orthonormal within
+    # k eps, in every block: at this seed a flat spectrum leaves it so and
+    # takes no step, and (sigma_r / sigma_1)^2 = 2e-4 takes the step, without
+    # which it would be off by about 1e-12.
+    m = 12
+    with mock.patch.object(matrixcore, "GRAM_BLOCK_BYTES", 3 * 8 * m), \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+        f = _check_gram_path(shape, m, 25, cond_sq, exponent, seed=31)
+    assert spy.called == cholesky_qr
+    side = f.U if shape == "tall" else f.V
+    k = side.shape[1]
+    assert np.abs(side.T @ side - np.eye(k)).max() <= k * np.finfo(float).eps
 
 
 def _p1_design(rng, n, p):
