@@ -31,10 +31,10 @@ CENTER_TOL = 1e-10
 DEFAULT_RANK_RTOL = 1e-10
 
 #: Smallest (sigma_min / sigma_max)^2 at which a factorization may go through a cross product
-#: (X'X, X X', a fold's kernel block), whose factors are within about eps / GRAM_TAU of the SVD's.
+#: (X'X, X X', a fold's F F'), whose factors are within about eps / GRAM_TAU of the SVD's.
 GRAM_TAU = 1e-4
 
-#: Most bytes in one row block of the scaled design or factor that :func:`_gram_svd` forms (1 MiB).
+#: Most bytes in one row block of the factor that :func:`_gram_svd` forms (1 MiB).
 GRAM_BLOCK_BYTES = 2**20
 
 
@@ -299,30 +299,38 @@ def thin_svd(X) -> SvdFactors:
         If X is identically zero (or no singular value clears the cutoff).
     """
     X = _as_matrix(X, "X")
-    return _gram_svd(X) or _svd(X)
+    eig = _gram_eig(X)
+    return _svd(X) if eig is None else _gram_svd(X, *eig)
 
 
-def _gram_svd(X):
-    """:func:`thin_svd`'s factors from its cross product, or None where the gate refuses them.
-
-    Beside X and the factors, it holds the scaled ``A`` until the product is formed, then
-    blocks of at most :data:`GRAM_BLOCK_BYTES`: the long side's factor is built in place."""
-    n, p = X.shape
+def _gram_eig(X):
+    """:func:`thin_svd`'s eigen step, for X (n x p) or a stack (... x n x p): the descending
+    singular values of ``X / scale``, the short side's vectors (V if n >= p, else U) and the power
+    of two ``scale``, or None where the column norms or :func:`_gram_ok` refuse any one matrix.  A
+    wide stack loses the ones vector only if each matrix's ``||X'1|| / sqrt(n)`` is under the cut."""
+    n, p = X.shape[-2:]
     scale = math.ldexp(1.0, math.frexp(max(X.max(), -X.min()))[1] - 1)    # 2^k: A is exact
-    A = (X if n >= p else X.T) / scale    # N x m, and A'A the m x m cross product
-    c = np.sort(np.einsum("ij,ij->j" if n >= p else "ij,ij->i", A, A))    # X's squared column norms
-    if not _gram_ok(c[:max(1, p - n + 2)].sum(), c[-1]):    # Weyl: sigma_r^2 <= the p - r + 1 least
-        return None
-    G, Q = A.T @ A, None
-    if n < p and np.linalg.norm(A.sum(axis=1)) < DEFAULT_RANK_RTOL * math.sqrt(n * c[-1]):
+    A = (X if n >= p else X.swapaxes(-1, -2)) / scale    # N x m, and A'A the m x m cross product
+    c = np.sort(np.einsum("...ij,...ij->...j" if n >= p else "...ij,...ij->...i", A, A))
+    if not _gram_ok(c[..., :max(1, p - n + 2)].sum(-1), c[..., -1]):    # Weyl: sigma_r^2 <=
+        return None                                   # the p - r + 1 least squared column norms
+    G, Q = A.swapaxes(-1, -2) @ A, None
+    if n < p and np.all(np.linalg.norm(A.sum(-1), axis=-1)
+                        < DEFAULT_RANK_RTOL * np.sqrt(n * c[..., -1])):
         h = np.full(n, 1 / math.sqrt(n)) + np.eye(1, n)[0]    # reflector I - h h' / h[0]
         Q = np.eye(n)[:, 1:] - np.outer(h, h[1:] / h[0])    # its last n - 1 columns: 1's complement
         G = Q.T @ G @ Q
-    del A
     lam, W = np.linalg.eigh(G)
-    if not _gram_ok(lam[0], lam[-1]):
+    if not _gram_ok(lam[..., 0], lam[..., -1]):
         return None
-    s, W = np.sqrt(lam[::-1]), np.ascontiguousarray(W[:, ::-1] if Q is None else Q @ W[:, ::-1])
+    W = W[..., ::-1] if Q is None else Q @ W[..., ::-1]
+    return np.sqrt(lam[..., ::-1]), np.ascontiguousarray(W), scale
+
+
+def _gram_svd(X, s, W, scale):
+    """:func:`thin_svd`'s factors from :func:`_gram_eig`'s: the long side ``(X / scale) W / s`` is
+    built in place from row blocks of :data:`GRAM_BLOCK_BYTES` at most, Cholesky QR'd if need be."""
+    n, p = X.shape
     Ws, step = W / s, max(1, GRAM_BLOCK_BYTES // (8 * min(n, p)))
     blocks = [slice(i, i + step) for i in range(0, max(n, p), step)]
     P = np.empty((max(n, p), s.size))    # the other side, orthonormal within about eps / GRAM_TAU

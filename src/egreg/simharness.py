@@ -24,26 +24,26 @@ point as R lanes and scores them in *lane blocks* of ``_LANE_BLOCK`` lanes,
 which keeps CV memory flat in R: :func:`_tune` makes one :func:`_cv_sse`
 call per block for all methods' grids, then picks each lane's entry by
 :func:`_pick_best`.  :func:`kfold_cv` is the one-lane, one-grid case.  Each
-training fold is factored once, from its rows of the design's PC
-coordinates ``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept
-with Z as one zero-padded stack, :class:`_FoldStack`.  Folds of one size are
-factored by one batched call: wide folds of a design with
-``(sigma_r / sigma_1)^2 >= GRAM_TAU`` (1e-4) by ``eigh`` of their blocks of
-the kernel ``Z Z'``, within about eps / GRAM_TAU of the SVD's factors, if every
-fold passes :func:`~egreg.matrixcore._gram_ok`; all others by an SVD, bit for
-bit :func:`~egreg.matrixcore._svd`.  PCR, ridge, NIECE and EgReg are
-diagonal filters on the fold PCs (NIECE's is 0/1, in each lane's score
-order).  A call forms the fold products once (``B = U'Y_tr``, the held-out
-responses, the fold scores and NIECE's score order) and stacks the filters
-of all grids of one kernel form into one pass over the folds.  Grids that
-read one term count (ridge, NIECE, full-rank EgReg) share a residual-form
-pass; the others (PCR, EgReg d x lambda) share a Gram-form pass whose
-increments are summed over folds before one cumulative sum over the terms.
-The Gram form's error is absolute, about eps k ||y_va||^2, so its scores
-are clamped at 0.  SIMPLS runs all folds x lanes as the lanes of one
-lockstep recurrence on ``U D``, with a 0/1 training-row mask per fold, and
-drops a lane's rows when it stops.  A pick is each lane's first minimum in
-a tie order formed once per grid, :attr:`_Grid.ties`.
+training fold is factored once, from its rows of the design's PC coordinates
+``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept with Z as
+one zero-padded stack, :class:`_FoldStack`.  Folds of one size are factored
+by one batched call: wide folds of a design with
+``(sigma_r / sigma_1)^2 >= GRAM_TAU`` (1e-4) by ``thin_svd``'s eigen step
+:func:`~egreg.matrixcore._gram_eig` of their cross products ``Z[tr] Z[tr]'``
+if every fold passes its gate, all others by an SVD, bit for bit
+:func:`~egreg.matrixcore._svd`.  PCR, ridge, NIECE and EgReg are diagonal
+filters on the fold PCs (NIECE's is 0/1, in each lane's score order).  A call
+forms the fold products once (``B = U'Y_tr``, the held-out responses, the
+fold scores and NIECE's score order) and stacks the filters of all grids of
+one kernel form into one pass over the folds.  Grids that read one term count
+(ridge, NIECE, full-rank EgReg) share a residual-form pass; the others (PCR,
+EgReg d x lambda) share a Gram-form pass whose increments are summed over
+folds before one cumulative sum over the terms.  The Gram form's error is
+absolute, about eps k ||y_va||^2, so its scores are clamped at 0.  SIMPLS
+runs all folds x lanes as the lanes of one lockstep recurrence on ``U D``,
+with a 0/1 training-row mask per fold, and drops a lane's rows when it
+stops.  A pick is each lane's first minimum in a tie order formed once per
+grid, :attr:`_Grid.ties`.
 
 A study call that tunes ridge alone (double_descent's known-basis EgReg)
 factors no fold when :func:`_deletion_pays`: :func:`_ridge_deletion` gives
@@ -64,8 +64,8 @@ from .envscore import _score_order, envelope_scores
 from .estimators import (_check_params, _coefficients, _require_centered, _shrink, _simpls_lockstep,
                          pcr_coefficients)
 from .exceptions import ConfigError, ParameterError
-from .matrixcore import (Dataset, _as_matrix, _gram_ok, _integer, _rank_of, _real, _real_array,
-                         _recenter, thin_svd)
+from .matrixcore import (Dataset, _as_matrix, _gram_eig, _gram_ok, _integer, _rank_of, _real,
+                         _real_array, _recenter, thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -346,21 +346,16 @@ def _fold_caches(svd, folds) -> _FoldStack:
     """Factor each fold from its rows of ``Z = U D`` (``X = U D V'``, so ``X[tr] = Z[tr] V'``).
 
     The training folds of one size are stacked and factored by one batched
-    LAPACK call.  A stack of wide folds (n_tr <= rank) in a design whose
-    ``(sigma_r / sigma_1)^2 >= GRAM_TAU`` is factored by one
-    ``np.linalg.eigh`` of its blocks ``K[tr, tr]`` of the design's kernel
-    ``K = Z Z'``.  A wide fold of full row rank has ``K[tr, tr] = U D^2
-    U'``, so its U is the eigenvectors (descending), D the square roots of
-    the eigenvalues and its rank n_tr, and ``A = Z[va] V / D = K[va, tr] U
-    / D^2``; no V is formed.  The stack keeps these factors if every fold's
-    smallest eigenvalue is at least ``GRAM_TAU`` times its largest (the gate
-    :func:`~egreg.matrixcore._gram_ok` of ``thin_svd`` too), and then U, D and
-    A are within about eps / GRAM_TAU of the SVD's, relative to scale.  A
-    square stack (n_tr = rank, as leave-one-out folds of a wide centered
-    design) is tried only where its held-out rows make the check certain,
+    call.  A stack of wide folds ``F = Z[tr]`` (n_tr <= rank) of a design with
+    ``(sigma_r / sigma_1)^2 >= GRAM_TAU`` goes to ``thin_svd``'s eigen step
+    :func:`~egreg.matrixcore._gram_eig` on ``F F'``: U, D and rank n_tr, within
+    about eps / GRAM_TAU of the SVD's where every fold passes its gate, and
+    ``A = Z[va] V / D = (Z[va] F') U / D^2``, so no V is formed.  A square
+    stack (n_tr = rank, as leave-one-out folds of a wide centered design) is
+    tried only where its held-out rows make the gate certain,
     ``D_r^2 (1 - ||U[va]||^2) >= GRAM_TAU D_1^2``.
     Every other stack (tall folds, graded spectra, rank-deficient or zero
-    folds, a stack that fails the check) is factored by one
+    folds, a stack that fails the gate) is factored by one
     ``np.linalg.svd`` call and cut at each fold's numerical rank, as
     :func:`~egreg.matrixcore.thin_svd` cuts: those folds equal its SVD branch
     :func:`~egreg.matrixcore._svd` of their rows bit for bit.
@@ -377,21 +372,20 @@ def _fold_caches(svd, folds) -> _FoldStack:
     for f, (t, v) in enumerate(zip(trs, folds)):
         tr[f, :t.size], va[f, :v.size] = t, v
     wide = n_tr.min() <= svd.r and _gram_ok(svd.D[-1] ** 2, svd.D[0] ** 2)
-    K = Z @ Z.T if wide else None
     cuts = [None] * len(folds)    # per fold: U, D and A, cut at its rank
     for size in dict.fromkeys(n_tr.tolist()):
         at = np.flatnonzero(n_tr == size)
-        rows = tr[at, :size]
+        F = Z[tr[at, :size]]
         u2 = (np.linalg.norm(svd.U[va[at, :n - size]], 2, (1, 2)).max() ** 2
               if wide and size == svd.r else 0)
-        if wide and size <= svd.r and _gram_ok(svd.D[-1] ** 2 * (1 - u2), svd.D[0] ** 2):
-            lam, W = np.linalg.eigh(K[rows[:, :, None], rows[:, None]])
-            if _gram_ok(lam[:, 0], lam[:, -1]):
-                for j, f in enumerate(at):
-                    U, s2 = W[j, :, ::-1], lam[j, ::-1]
-                    cuts[f] = U, np.sqrt(s2), K[folds[f][:, None], rows[j]] @ U / s2
-                continue
-        U, s, Vt = np.linalg.svd(Z[rows], full_matrices=False)
+        if wide and size <= svd.r and _gram_ok(svd.D[-1] ** 2 * (1 - u2), svd.D[0] ** 2) \
+                and (eig := _gram_eig(F.transpose(0, 2, 1))):    # F F', square stacks too
+            s, U, scale = eig
+            A = Z[va[at, :n - size]] @ F.transpose(0, 2, 1) @ U / ((s * scale) ** 2)[:, None]
+            for j, f in enumerate(at):
+                cuts[f] = U[j], s[j] * scale, A[j]
+            continue
+        U, s, Vt = np.linalg.svd(F, full_matrices=False)
         for j, f in enumerate(at):
             rf = _rank_of(s[j])
             cuts[f] = U[j, :, :rf], s[j, :rf], (Z[folds[f]] @ Vt[j, :rf].T) / s[j, :rf]
@@ -615,7 +609,7 @@ def _deletion_pays(svd, folds, n_lam) -> bool:
     """Whether :func:`_ridge_deletion` does less work than factoring the folds:
     ``L m^2 (m + r)`` against ``n_tr r^2``, summed over folds (L lambdas, m
     held-out rows, r the design's rank).  That prices the folds at the SVD's
-    cost; the kernel path of :func:`_fold_caches` is cheaper, but at
+    cost; the cross-product path of :func:`_fold_caches` is cheaper, but at
     double_descent's u*/n = 0.75, 0.9 and 1.5 (n = 100, 10 folds, one BLAS
     thread) the identity still took less than half of the fold stack's
     time, so the rule stands."""
@@ -648,9 +642,7 @@ def _ridge_deletion(svd, folds, lam):
             P = U @ -U[rows].T
             P[rows, np.arange(size)] += 1.0
             P -= U @ (U.T @ P)
-            K = (U[rows] * g[:, None]) @ U[rows].T
-            K += P.T @ P
-            inv[f] = np.linalg.inv(K)
+            inv[f] = np.linalg.inv((U[rows] * g[:, None]) @ U[rows].T + P.T @ P)
         groups.append((va, inv))
 
     def sse(Y):
@@ -739,9 +731,9 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     EgReg grids are scored from the residuals themselves, so their error is
     relative to the score.  The folds are factored as the studies factor
     them (:func:`_fold_caches`, a stack that carries the design's ``U D``):
-    wide folds of a well-conditioned design (``GRAM_TAU``) come from the
-    kernel ``X X'``, within about eps / GRAM_TAU of the SVD's factors; all others
-    from one batched SVD.
+    wide folds of a well-conditioned design (``GRAM_TAU``) come from ``eigh``
+    of their cross products ``X[tr] X[tr]'``, within about eps / GRAM_TAU of the
+    SVD's factors; all others from one batched SVD.
     """
     _require_centered(data)
     if not isinstance(param_grid, (list, tuple)) or not all(isinstance(e, Mapping)

@@ -282,6 +282,41 @@ def test_thin_svd_takes_the_svd_branch_bit_for_bit(case):
         assert getattr(f, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+@pytest.mark.parametrize("shape,n,p", [("tall", 30, 8), ("square", 12, 12), ("wide", 8, 30),
+                                        ("centered-wide", 8, 30)])
+def test_gram_eig_on_a_stack_is_each_matrix_s_own_call(shape, n, p):
+    # The eigen step takes a stack (folds x n x p) as well as one matrix.
+    # On a stack of three matrices of different scales and conditions it
+    # gives each matrix's singular values (times the power-of-two scale)
+    # and short-side vectors (V tall or square, U wide, the ones vector
+    # deflated from centered wide ones)
+    # within 1e-12 of that matrix's own call, and None as soon as one matrix
+    # fails the Weyl skip on its column norms (before any eigh) or the gate
+    # on its eigenvalues, as that matrix's own call does.
+    rng = np.random.default_rng(37)
+    centered = shape == "centered-wide"
+    k = min(n, p) - centered
+    stack = np.stack([_with_spectrum(rng, n, p, np.geomspace(1.0, np.sqrt(c), k), centered)
+                      * 2.0**e for c, e in ((1.0, 0), (2e-4, 40), (0.5, -30))])
+    s, W, scale = matrixcore._gram_eig(stack)    # the singular values of stack / scale
+    assert s.shape == (3, k) and W.shape == (3, min(n, p), k)
+    for j, X in enumerate(stack):
+        s1, W1, scale1 = matrixcore._gram_eig(X)
+        assert_allclose(s[j] * scale, s1 * scale1, rtol=1e-12, atol=0)
+        sign = np.where(np.sum(W[j] * W1, axis=0) < 0, -1.0, 1.0)
+        assert_allclose(W[j] * sign, W1, rtol=0, atol=1e-12)
+    least = max(1, p - n + 2)    # the column norms that bound sigma_r^2 (rank n - 1 if wide)
+    weyl = rng.standard_normal((n, p)) * np.r_[np.ones(p - least), np.full(least, 3e-3 / least)]
+    gate = _with_spectrum(rng, n, p, np.geomspace(1.0, np.sqrt(0.9 * matrixcore.GRAM_TAU), k),
+                          centered)
+    for why, bad in (("weyl", weyl), ("gate", gate)):
+        bad_stack = stack.copy()
+        bad_stack[1] = bad
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            assert matrixcore._gram_eig(bad) is None and matrixcore._gram_eig(bad_stack) is None
+        assert eigh.called == (why == "gate"), why
+
+
 @pytest.mark.parametrize("factor,rank", [(2.0, 20), (0.5, 19)])
 def test_thin_svd_keeps_a_ones_component_above_the_rank_cut(factor, rank):
     # A centered, well-conditioned 20 x 50 design (rank 19) plus a ones

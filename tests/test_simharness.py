@@ -8,6 +8,7 @@ and against the per-fold residual-form kernel kept here as a reference.
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,18 +397,16 @@ def test_fold_factors_from_the_design_svd_match_fresh_fold_svds(n, p, k, dup):
     pytest.param(14, 30, 4, None, True, id="unequal-folds-wide-graded"),
     pytest.param(40, 36, 10, None, False, id="square-folds"),     # n_tr = rank = 36
 ])
-def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, monkeypatch):
-    # Folds of one training size that the kernel path does not take are
-    # factored by one stacked LAPACK SVD call: tall folds, a wide stack with
-    # a rank-deficient fold (it fails the per-fold eigenvalue check), wide
-    # folds of a design with graded columns, whose (sigma_r / sigma_1)^2 is
-    # below GRAM_TAU (so no kernel block is factored), and square folds
-    # (n_tr = rank) of a well-conditioned design whose four held-out rows
-    # leave the check uncertain, so they take the SVD at once.
-    # Each must carry exactly the rank, D and U of thin_svd's SVD branch
-    # (_svd) on its rows, U up to the sign of each column (a fold PC's sign
-    # cancels in every CV score, so the stack keeps LAPACK's), and zeros in
-    # all its padding.
+def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded):
+    # Folds of one training size that the cross-product path does not keep
+    # are factored by one stacked LAPACK SVD call: tall folds, a wide stack
+    # with a rank-deficient fold (its eigenvalues fail the gate), wide folds
+    # of a design with graded columns, whose (sigma_r / sigma_1)^2 is below
+    # GRAM_TAU, and square folds (n_tr = rank) of a well-conditioned design
+    # whose four held-out rows leave the gate uncertain.  Each must carry
+    # exactly the rank, D and U of thin_svd's SVD branch (_svd) on its rows,
+    # U up to the sign of each column (a fold PC's sign cancels in every CV
+    # score, so the stack keeps LAPACK's), and zeros in all its padding.
     rng = np.random.default_rng(n + p)
     X = rng.standard_normal((n, p))
     folds = _fold_indices(n, k, 3)
@@ -420,26 +419,39 @@ def test_batched_fold_factors_are_bitwise_thin_svd(n, p, k, dup_fold, graded, mo
     X -= X.mean(axis=0)
     svd = thin_svd(X)
     assert graded == (svd.D[-1] ** 2 < matrixcore.GRAM_TAU * svd.D[0] ** 2)
-    Z = svd.U * svd.D
-    eighs, linalg_eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or linalg_eigh(a))
     stack = _fold_caches(svd, folds)
-    monkeypatch.undo()
-    assert bool(eighs) == (dup_fold is not None)    # only that stack is wide and checked
-    for f, va in enumerate(folds):
-        n_tr, r = stack.n_tr[f], stack.r[f]
-        fresh = _svd(Z[stack.tr[f, :n_tr]])
-        U = stack.U[f, :n_tr, :r]
-        sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
-        assert r == fresh.r and stack.D[f, :r].tobytes() == fresh.D.tobytes()
-        assert (U * sign).tobytes() == fresh.U.tobytes()
-        assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
-                    or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
-        assert np.all(stack.tr[f, n_tr:] == n) and np.all(stack.va[f, va.size:] == n)
+    _assert_folds_carry_thin_svd(stack, folds, exact=True)
     sizes = set(stack.n_tr.tolist())
     assert len(sizes) == (1 if n % k == 0 else 2)
     if dup_fold is not None:
         assert len(set(stack.r.tolist())) == 2 and len(sizes) == 1
+
+
+def _assert_folds_carry_thin_svd(stack, folds, exact):
+    """Each fold of ``stack`` carries thin_svd's rank and D for its rows of
+    Z, its U and held-out rows A up to the sign of each column, and exact
+    zeros in all its padding.  If ``exact``, rank, D and U are bit for bit
+    those of the SVD branch (_svd); otherwise D is within 1e-12 relative and
+    U and A within 1e-10 of their scale, as the cross-product branch gives."""
+    n = stack.Z.shape[0]
+    for f, va in enumerate(folds):
+        n_tr, r = stack.n_tr[f], stack.r[f]
+        rows = stack.Z[stack.tr[f, :n_tr]]
+        fresh = _svd(rows) if exact else thin_svd(rows)
+        U = stack.U[f, :n_tr, :r]
+        sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
+        assert r == fresh.r
+        if exact:
+            assert stack.D[f, :r].tobytes() == fresh.D.tobytes()
+            assert (U * sign).tobytes() == fresh.U.tobytes()
+        else:
+            assert_allclose(stack.D[f, :r], fresh.D, rtol=1e-12, atol=0)
+            assert_allclose(U * sign, fresh.U, rtol=0, atol=1e-10)    # unit columns
+        A = stack.Z[va] @ fresh.V / fresh.D
+        assert_allclose(stack.A[f, :va.size, :r] * sign, A, rtol=0, atol=1e-10 * np.abs(A).max())
+        assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
+                    or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
+        assert np.all(stack.tr[f, n_tr:] == n) and np.all(stack.va[f, va.size:] == n)
 
 
 def _batched_svds(monkeypatch):
@@ -460,47 +472,32 @@ def _batched_svds(monkeypatch):
     pytest.param(14, 30, 4, id="unequal-folds-wide"),
     pytest.param(20, 45, 20, id="leave-one-out-square"),    # n_tr = rank = 19
 ])
-def test_kernel_fold_factors_match_thin_svd(n, p, k, monkeypatch):
-    # Wide folds of a well-conditioned design are factored by one batched
-    # eigh of their blocks of K = Z Z', with no batched SVD.  So are its
+def test_kernel_fold_factors_match_thin_svd(n, p, k):
+    # Wide folds F = Z[tr] of a well-conditioned design are factored by
+    # matrixcore._gram_eig on their cross products F F'.  So are its
     # leave-one-out folds, though square: a held-out row's leverage is
-    # 1 - 1/n, so each block's eigenvalues are at least D_r^2 / n, which
-    # passes the check when (D_r / D_1)^2 / n >= GRAM_TAU.  That gives up
-    # bitwise equality with thin_svd: each fold must carry its rank, D within
-    # 1e-12 relative, U and A within 1e-10 of their scale up to the sign of
-    # each column, and exact zeros in all its padding.
+    # 1 - 1/n, so each F F' has its eigenvalues at least D_r^2 / n, which
+    # passes the gate when (D_r / D_1)^2 / n >= GRAM_TAU.  That gives up
+    # bitwise equality with thin_svd: each fold must carry its rank n_tr, D
+    # within 1e-12 relative, U and A within 1e-10 of their scale up to the
+    # sign of each column, and exact zeros in all its padding.
     rng = np.random.default_rng(n + p)
     X = rng.standard_normal((n, p))
     folds = _fold_indices(n, k, 3)
     X -= X.mean(axis=0)
-    svd = thin_svd(X)
-    Z = svd.U * svd.D
-    ndims = _batched_svds(monkeypatch)
-    stack = _fold_caches(svd, folds)
-    assert 3 not in ndims
-    for f, va in enumerate(folds):
-        n_tr, r = stack.n_tr[f], stack.r[f]
-        fresh = thin_svd(Z[stack.tr[f, :n_tr]])
-        U = stack.U[f, :n_tr, :r]
-        sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
-        assert r == fresh.r == n_tr
-        assert_allclose(stack.D[f, :r], fresh.D, rtol=1e-12, atol=0)
-        assert_allclose(U * sign, fresh.U, rtol=0, atol=1e-10)    # unit columns
-        A = Z[va] @ fresh.V / fresh.D
-        assert_allclose(stack.A[f, :va.size, :r] * sign, A, rtol=0, atol=1e-10 * np.abs(A).max())
-        assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
-                    or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
-        assert np.all(stack.tr[f, n_tr:] == n) and np.all(stack.va[f, va.size:] == n)
+    stack = _fold_caches(thin_svd(X), folds)
+    assert stack.r.tolist() == stack.n_tr.tolist()
+    _assert_folds_carry_thin_svd(stack, folds, exact=False)
 
 
 def test_kernel_path_falls_back_to_the_svd_on_a_zero_wide_fold():
-    # Z = U D is zero on rows 0-2 and the identity on rows 3-5: a
-    # well-conditioned design whose folds are wide, but fold 1 trains on the
-    # zero rows.  Its eigenvalues are all 0, so the stack fails the check
-    # and thin_svd's error is raised, not a factor of 1 / 0.
-    svd = SvdFactors(U=np.eye(6)[:, 3:], D=np.ones(3), V=np.eye(3), r=3)
+    # Z = U D is zero on rows 0-2 and the identity on rows 3-7: a
+    # well-conditioned design of rank 5, whose fold 0 trains on the three
+    # zero rows, a wide fold.  Its cross product is zero, so the eigen step
+    # refuses the stack and thin_svd's error is raised, not a factor of 1 / 0.
+    svd = SvdFactors(U=np.eye(8)[:, 3:], D=np.ones(5), V=np.eye(5), r=5)
     with pytest.raises(RankZeroError, match="identically zero"):
-        _fold_caches(svd, [np.arange(3), np.arange(3, 6)])
+        _fold_caches(svd, [np.arange(3, 8), np.arange(3)])
 
 
 def _filter_grids(svd, r_cap):
@@ -524,27 +521,28 @@ def _study_point(study, ratio, R=3):
 
 @pytest.mark.parametrize("study,ratio", [("double_descent", 0.75), ("baseline", 2.0)])
 def test_kernel_and_svd_fold_paths_score_and_pick_alike(study, ratio, monkeypatch):
-    # A wide study point's CV scores on the kernel-factored folds are those
-    # on the SVD-factored ones (forced by a GRAM_TAU no design meets):
-    # within 1e-12 relative, or for the Gram-form grids (PCR, EgReg d x
-    # lambda) within its absolute bound eps k ||y||^2, and every pick is the
-    # same.  double_descent at u*/n = 0.75 (p = 112) is its worst-conditioned
-    # wide point; the baseline design at p/n = 2 has one spiked eigenvalue.
+    # A wide study point's folds carry thin_svd's factors of their rows on
+    # both paths: within its tolerances from their cross products, and bit
+    # for bit from the SVD (forced by a GRAM_TAU no design meets).  The CV
+    # scores on the two stacks agree within 1e-12 relative, or for the
+    # Gram-form grids (PCR, EgReg d x lambda) within its absolute bound
+    # eps k ||y||^2, and every pick is the same.  double_descent at u*/n =
+    # 0.75 (p = 112) is its worst-conditioned wide point; the baseline
+    # design at p/n = 2 has one spiked eigenvalue.
     X, Y = _study_point(study, ratio)
     svd = thin_svd(X)
     folds = _fold_indices(100, 10, 1)
-    ndims = _batched_svds(monkeypatch)
-    kernel = _fold_caches(svd, folds)
-    assert 3 not in ndims
+    cross = _fold_caches(svd, folds)
+    _assert_folds_carry_thin_svd(cross, folds, exact=False)
     monkeypatch.setattr(matrixcore, "GRAM_TAU", np.inf)
     stack = _fold_caches(svd, folds)
-    assert 3 in ndims and kernel.r.tolist() == stack.r.tolist()
+    _assert_folds_carry_thin_svd(stack, folds, exact=True)
     grids = _filter_grids(svd, min(svd.r, int(stack.r.min())))
     bound = np.finfo(float).eps * stack.D.shape[1] * np.einsum("nlq,nlq->l", Y, Y)
-    for grid, got, want in zip(grids, _cv_sse(kernel, Y, grids), _cv_sse(stack, Y, grids)):
+    for grid, got, want in zip(grids, _cv_sse(cross, Y, grids), _cv_sse(stack, Y, grids)):
         gram = grid.method == "pcr" or np.any(grid.d > 0)
         assert_allclose(got, want, rtol=1e-12, atol=bound.max() if gram else 0, err_msg=grid.method)
-    for got, want in zip(_tune(kernel, Y, grids), _tune(stack, Y, grids)):
+    for got, want in zip(_tune(cross, Y, grids), _tune(stack, Y, grids)):
         assert got.tolist() == want.tolist()
 
 
@@ -552,14 +550,11 @@ def test_kfold_cv_scores_and_picks_alike_on_both_fold_paths(monkeypatch):
     # kfold_cv shares the fold factors: on a wide design every grid's table
     # and pick match the SVD path's, as the study points above do.
     data = _cv_data(seed=5, n=48, p=60)
-    ndims = _batched_svds(monkeypatch)
     runs = []
     for tau in (matrixcore.GRAM_TAU, np.inf):
         monkeypatch.setattr(matrixcore, "GRAM_TAU", tau)
-        ndims.clear()
         runs.append([kfold_cv(data, method, grid, k=6, seed=13)
                      for method, grid in _accuracy_grids(40)])
-        assert (3 in ndims) == (tau == np.inf)
     bound = np.finfo(float).eps * 40 * np.sum(data.Y**2) / data.n
     for (method, grid), (best, table), (best_svd, table_svd) in zip(_accuracy_grids(40), *runs):
         gram = method == "pcr" or any("d" in e for e in grid)
@@ -673,10 +668,14 @@ def test_ridge_only_fits_past_the_work_rule_factor_no_fold(monkeypatch):
 @example(n=14, shape="tall", decay=True, k=4, lanes=3, q=2, seed=3)
 def test_ridge_block_deletion_scores_match_the_fold_stack(n, shape, decay, k, lanes, q, seed):
     # The block-deletion identity scores ridge on the studies' lambda grid
-    # as the fold-stack kernel does, to rtol 1e-12, and picks the same
-    # entries.  Square (p = n - 1) and wide designs have rank n - 1 once
-    # centered, so W, the complement of U, is one column; a decaying
-    # spectrum spreads D^2 / lambda over many orders.
+    # as the SVD-factored fold stack does (forced by a GRAM_TAU no design
+    # meets), to rtol 1e-12, and picks the same entries.  The stack the
+    # studies build may factor wide folds from their cross products, whose
+    # scores are within eps / GRAM_TAU (2.2e-12) relative: its picks are the
+    # same unless the two entries' scores lie within that bound.  Square
+    # (p = n - 1) and wide designs have rank n - 1 once centered, so W, the
+    # complement of U, is one column; a decaying spectrum spreads D^2 /
+    # lambda over many orders.
     p = {"square": n - 1, "wide": 2 * n, "tall": max(2, n // 3)}[shape]
     X, Y = _lane_data(n, p, lanes, q, seed)
     if decay:
@@ -686,10 +685,17 @@ def test_ridge_block_deletion_scores_match_the_fold_stack(n, shape, decay, k, la
     folds = _fold_indices(n, k, seed)
     grid = _Grid("ridge", lam=simharness._lambda_grid(svd.D[0] ** 2))
     score = simharness._ridge_deletion(svd, folds, grid.lam)
-    stack = _fold_caches(svd, folds)
-    assert_allclose(score(Y)[0], _cv_sse(stack, Y, [grid])[0], rtol=1e-12, atol=0)
-    assert (simharness._pick_blocks(score, Y, [grid])[0].tolist()
-            == _tune(stack, Y, [grid])[0].tolist())
+    want, picks = score(Y)[0], simharness._pick_blocks(score, Y, [grid])[0]
+    with mock.patch.object(matrixcore, "GRAM_TAU", np.inf):
+        stack = _fold_caches(svd, folds)
+    assert_allclose(want, _cv_sse(stack, Y, [grid])[0], rtol=1e-12, atol=0)
+    assert picks.tolist() == _tune(stack, Y, [grid])[0].tolist()
+    tol = np.finfo(float).eps / matrixcore.GRAM_TAU
+    cross = _fold_caches(svd, folds)
+    assert_allclose(_cv_sse(cross, Y, [grid])[0], want, rtol=tol, atol=0)
+    lane = np.arange(Y.shape[1])
+    got = _tune(cross, Y, [grid])[0]
+    assert np.all(np.abs(want[got, lane] - want[picks, lane]) <= tol * want[picks, lane])
 
 
 def _cv_data(seed=9, n=48, p=6, q=2):
