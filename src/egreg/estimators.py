@@ -3,14 +3,17 @@ prediction.
 
 Every solver routes through the thin SVD of the centered design (never the
 normal equations), so all methods behave identically whether n < p, n = p,
-or n > p.  PCR, ridge, NIECE and EgReg are one diagonal filter on that SVD
-(:func:`_filtered`).  CV reads its shrinkage :func:`_shrink` alone; the exact
-risks read :func:`_egreg_filter` and form their own ``V diag(f/D)``.  The
-``*_coefficients`` builders take precomputed factors, and
-:func:`_coefficients` picks one by method name for both :func:`fit_method`
-and the study refits.  :func:`fit_method`, the one fit entry point, validates
-a centered :class:`Dataset`, attaches the ingestion transform, and returns a
-:class:`FittedModel`.  Fits and CV grids share one rule, :data:`_PARAMS`.
+or n > p.  PCR, ridge, NIECE and EgReg are one diagonal filter f in PC order
+on the first ``f.size`` PCs of that SVD (:func:`_filtered`): ones,
+``_shrink(D**2, lambda)``, NIECE's 0/1 mask over its pool
+(:func:`_niece_filter`) and ``_shrink(phi_d, lambda)``.  CV reads its
+shrinkage :func:`_shrink` alone; the exact risks read the same filters and
+form their own ``V_d diag(f/D_d)``.  The ``*_coefficients`` builders take
+precomputed factors, and :func:`_coefficients` picks one by method name for
+both :func:`fit_method` and the study refits.  :func:`fit_method`, the one
+fit entry point, validates a centered :class:`Dataset`, attaches the
+ingestion transform, and returns a :class:`FittedModel`.  Fits and CV grids
+share one rule, :data:`_PARAMS`.
 
 Penalty convention: ridge and EgReg minimize ``||Y - X b||_F^2 + lambda * pen``
 with the penalty unscaled by n.  The asymptotic risk formulas in
@@ -145,36 +148,36 @@ def _response(svd: SvdFactors, Y) -> np.ndarray:
     return Y
 
 
-def _filtered(svd: SvdFactors, Y, idx, f) -> np.ndarray:
-    """The spectral filter ``V_idx diag(f / D_idx) U_idx' Y``."""
-    return svd.V[:, idx] @ ((f / svd.D[idx])[:, None] * (svd.U[:, idx].T @ _response(svd, Y)))
+def _filtered(svd: SvdFactors, Y, f) -> np.ndarray:
+    """The spectral filter ``V_d diag(f / D_d) U_d' Y`` on the first d = ``f.size`` PCs."""
+    d = f.size
+    return svd.V[:, :d] @ ((f / svd.D[:d])[:, None] * (svd.U[:, :d].T @ _response(svd, Y)))
 
 
-def _egreg_filter(svd: SvdFactors, scores: EnvelopeScores, d: int, lam: float):
-    """EgReg's filter: the first d PCs in score order ``idx``, their scores
-    ``phi`` and weights ``f = phi / (phi + lam)``."""
-    idx = top_ranked(scores, d, d)
-    phi = scores.phi[idx]
-    return idx, phi, _shrink(phi, lam)
+def _niece_filter(scores: EnvelopeScores, u: int, d: int | None = None) -> np.ndarray:
+    """NIECE's filter over its pool of the first d PCs: 1 on the u top-scoring, else 0."""
+    d = scores.d if d is None else _count("d", d, scores.d)
+    f = np.zeros(d)
+    f[top_ranked(scores, u, d)] = 1.0
+    return f
 
 
 def pcr_coefficients(svd: SvdFactors, Y, d: int) -> np.ndarray:
     """PCR coefficients on the d highest-variance PCs."""
     d = _count("d", d, svd.r, "r")
-    return _filtered(svd, Y, slice(d), np.ones(d))
+    return _filtered(svd, Y, np.ones(d))
 
 
 def ridge_coefficients(svd: SvdFactors, Y, lam: float) -> np.ndarray:
     """Ridge coefficients: PC coordinates shrunk by sigma^2/(sigma^2 + lambda)."""
-    return _filtered(svd, Y, slice(None), _shrink(svd.D**2, lam))
+    return _filtered(svd, Y, _shrink(svd.D**2, lam))
 
 
 def niece_coefficients(
     svd: SvdFactors, scores: EnvelopeScores, Y, u: int, d: int | None = None
 ) -> np.ndarray:
     """NIECE coefficients on the u top-scoring PCs among the first d."""
-    idx = top_ranked(scores, u, d)
-    return _filtered(svd, Y, idx, np.ones(idx.size))
+    return _filtered(svd, Y, _niece_filter(scores, u, d))
 
 
 def egreg_coefficients(
@@ -187,8 +190,7 @@ def egreg_coefficients(
     lambda = 0 a zero-score direction is a 0/0 limit, resolved to 0 by
     continuity from lambda > 0.
     """
-    idx, _, f = _egreg_filter(svd, scores, d, lam)
-    return _filtered(svd, Y, idx, f)
+    return _filtered(svd, Y, _shrink(scores.phi[:_count("d", d, scores.d)], lam))
 
 
 def _lane_norms(M):
@@ -335,9 +337,9 @@ def fit_method(data: Dataset, method: str, params: dict) -> FittedModel:
         raise ParameterError(str(exc)) from None
     gamma_hat = None
     if key == "egreg":
-        idx, phi, _ = _egreg_filter(svd, scores, d, lam)
-        gamma_hat = svd.V[:, idx] * (np.sqrt(phi) / svd.D[idx])
-        zero = idx[phi == 0.0]
+        order = scores.order
+        gamma_hat = (svd.V[:, :d] * (np.sqrt(scores.phi) / svd.D[:d]))[:, order]
+        zero = order[scores.phi[order] == 0.0]
         if lam == 0 and zero.size:
             flags["zero_score_directions"] = [int(j) for j in zero]
     return FittedModel(beta=beta, method=_TAGS[key], d=d, u=u, lam=lam,

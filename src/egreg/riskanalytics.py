@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envscore import EnvelopeScores, top_ranked
-from .estimators import _egreg_filter
+from .envscore import EnvelopeScores
+from .estimators import _niece_filter, _shrink
 from .exceptions import ContractError, DegeneracyWarning, DimensionError, ParameterError
 from .matrixcore import SvdFactors, _as_matrix, _check_symmetric, _count, _real, _real_array
 
@@ -171,15 +171,14 @@ def irreducible_risk(svd: SvdFactors, truth: TruthSpec, d: int) -> float:
     return float(_sigma_trace(Qb, truth))
 
 
-def _filter_report(svd: SvdFactors, truth: TruthSpec, idx, f, miss, method) -> RiskReport:
-    """Risk split of the filter ``f`` on PCs ``idx`` against beta*'s projection
-    on the first d = ``miss.size`` PCs.  ``miss`` is ``1 - f`` over those d PCs
-    in PC order (1 off ``idx``), given in closed form so no near-equal
-    projections are subtracted: the bias is ``-V_d diag(miss) V_d' beta*``."""
-    d = miss.size
+def _filter_report(svd: SvdFactors, truth: TruthSpec, f, miss, method) -> RiskReport:
+    """Risk split of the filter ``f`` on the first d = ``f.size`` PCs against
+    beta*'s projection on them.  ``miss`` is ``1 - f``, given in closed form
+    so no near-equal projections are subtracted: the bias is
+    ``-V_d diag(miss) V_d' beta*``."""
+    d = f.size
     Vd = svd.V[:, :d]
-    variance = float(np.trace(truth.Sigma_eps)) * float(
-        _sigma_trace(svd.V[:, idx] * (f / svd.D[idx]), truth))
+    variance = float(np.trace(truth.Sigma_eps)) * float(_sigma_trace(Vd * (f / svd.D[:d]), truth))
     bias_sq = float(_sigma_trace(Vd @ (miss[:, None] * (Vd.T @ truth.beta_star)), truth))
     return RiskReport(bias_sq=bias_sq, variance=variance, reducible=bias_sq + variance,
                       irreducible=irreducible_risk(svd, truth, d), method=method)
@@ -204,10 +203,8 @@ def reducible_risk_egreg(
             f"lambda must be positive, got {lam}; for the lambda -> 0 limit use "
             "reducible_risk_niece with u = d"
         )
-    idx, phi, f = _egreg_filter(svd, scores, d, lam)
-    miss = np.empty(idx.size)    # idx permutes 0..d-1
-    miss[idx] = lam / (phi + lam)
-    return _filter_report(svd, truth, idx, f, miss, "EgReg")
+    phi = scores.phi[:_count("d", d, scores.d)]
+    return _filter_report(svd, truth, _shrink(phi, lam), _shrink(lam, phi), "EgReg")
 
 
 def reducible_risk_niece(
@@ -220,11 +217,8 @@ def reducible_risk_niece(
     difference between the retained u-span and the full d-span; with u = d
     the difference vanishes and the bias is exactly 0.
     """
-    d = scores.d if d is None else _count("d", d, scores.d)
-    idx = top_ranked(scores, u, d)
-    miss = np.ones(d)
-    miss[idx] = 0.0
-    return _filter_report(svd, truth, idx, np.ones(idx.size), miss, "NIECE")
+    f = _niece_filter(scores, u, d)
+    return _filter_report(svd, truth, f, 1.0 - f, "NIECE")
 
 
 def lambda_guarantee_threshold(
@@ -247,7 +241,7 @@ def lambda_guarantee_threshold(
             stacklevel=2,
         )
         return math.inf
-    idx, phi, _ = _egreg_filter(svd, scores, d, 0.0)
+    phi = scores.phi[:_count("d", d, scores.d)]
     pos = phi > 0
     if not np.all(pos):
         warnings.warn(
@@ -258,7 +252,7 @@ def lambda_guarantee_threshold(
         )
     if not np.any(pos):
         return math.inf
-    ratio = float(np.max(svd.D[idx][pos] ** 2 / phi[pos]))
+    ratio = float(np.max(svd.D[:phi.size][pos] ** 2 / phi[pos]))
     top_beta = float(np.linalg.norm(truth.beta_star, 2)) ** 2
     return float(np.trace(truth.Sigma_eps)) / (top_beta * ratio)
 

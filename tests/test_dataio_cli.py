@@ -780,9 +780,11 @@ def test_cli_fit_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
     # (or its predictor columns) and predict's centered copy.  A third copy
     # would put the peak near 3x the table's bytes.  The column scales
     # exp(-j/25) put (sigma_p / sigma_1)^2 near 4e-4, so every centered fit
-    # takes the cross-product branch and its Cholesky QR step.  The table
-    # (4 MB) is large beside a block.  The first fit in a process also fills
-    # import and BLAS caches, so a warm-up fit runs untraced.
+    # takes the cross-product branch and its Cholesky QR step.  EgReg with no
+    # --d (EgReg(r)) and NIECE with a large u read a prefix of the PCs, so
+    # they copy no columns of U either.  The table (4 MB) is large beside a
+    # block.  The first fit in a process also fills import and BLAS caches,
+    # so a warm-up fit runs untraced.
     rng = np.random.default_rng(23)
     n, p = 5000, 100
     X = rng.standard_normal((n, p)) * np.exp(-np.arange(p) / 25.0) + 1.0
@@ -792,9 +794,9 @@ def test_cli_fit_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
         fh.write(",".join([f"x{j + 1}" for j in range(p)] + ["y"]) + "\n")
         np.savetxt(fh, np.column_stack([X, Y]), fmt="%.17g", delimiter=",")
     fits = (("pcr", ["--d", "10"]), ("ridge", ["--lambda", "1.0"]), ("niece", ["--u", "10"]),
-            ("egreg", ["--d", "20", "--lambda", "0.5"]),
-            ("simpls", ["--d", "3", "--standardize"]))
-    models = [str(tmp_path / f"{method}.json") for method, _ in fits]
+            ("egreg", ["--d", "20", "--lambda", "0.5"]), ("egreg", ["--lambda", "0.5"]),
+            ("niece", ["--u", "90"]), ("simpls", ["--d", "3", "--standardize"]))
+    models = [str(tmp_path / f"{method}{i}.json") for i, (method, _) in enumerate(fits)]
     runs = [["fit", str(train), model, "--method", method, *flags]
             for model, (method, flags) in zip(models, fits)]
     runs += [["predict", models[-1], str(train), str(tmp_path / "pred.csv")],
@@ -810,7 +812,7 @@ def test_cli_fit_predict_and_rpe_hold_two_copies_of_the_design(tmp_path):
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * table_bytes, (argv[:4], peak / table_bytes)
-    assert spy.call_count == 4
+    assert spy.call_count == 6
 
 
 def test_cli_rpe_golden_values(tmp_path):

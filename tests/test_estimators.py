@@ -228,6 +228,24 @@ def test_niece_unsquared_singular_values():
     j = scores.order[0]
     manual = svd.V[:, [j]] @ (svd.U[:, [j]].T @ data.Y) / svd.D[j]
     assert_allclose(model.beta, manual, atol=1e-12)
+    # Several selected PCs S, u < d < r and q = 2, with the response on
+    # low-variance PCs so the score order is not the variance order: beta
+    # is the least-squares fit of Y on X V_S, mapped back by V_S.
+    rng = np.random.default_rng(15)
+    n, p, u, d = 40, 10, 3, 7
+    X = rng.standard_normal((n, p)) * np.linspace(3.0, 1.0, p)
+    X -= X.mean(axis=0)
+    svd = thin_svd(X)
+    Y = X @ svd.V[:, [5, 2, 4]] @ rng.standard_normal((3, 2)) + 0.1 * rng.standard_normal((n, 2))
+    Y -= Y.mean(axis=0)
+    data = Dataset(X, Y, centered=True)
+    scores = envelope_scores(svd, X.T @ Y / n, d)
+    S = scores.order[:u]
+    assert u < d < svd.r and sorted(S) != list(range(u)) and list(S) != sorted(S)
+    VS = svd.V[:, S]
+    manual = VS @ np.linalg.lstsq(X @ VS, Y, rcond=None)[0]
+    assert_allclose(fit_method(data, "niece", {"u": u, "d": d}).beta, manual,
+                    atol=1e-12 * np.abs(manual).max())
 
 
 # ---------------------------------------------------------------------------
