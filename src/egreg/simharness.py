@@ -25,25 +25,25 @@ which keeps CV memory flat in R: :func:`_tune` makes one :func:`_cv_sse`
 call per block for all methods' grids, then picks each lane's entry by
 :func:`_pick_best`.  :func:`kfold_cv` is the one-lane, one-grid case.  Each
 training fold is factored once, from its rows of the design's PC coordinates
-``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept with Z as
-one zero-padded stack, :class:`_FoldStack`.  Folds of one size are factored
-by one batched call: wide folds of a design with
+``Z = U D`` (n_tr x rank, not n_tr x p), and the folds are kept with the
+design's thin SVD as one zero-padded stack, :class:`_FoldStack`.  Folds of
+one size are factored by one batched call: wide folds of a design with
 ``(sigma_r / sigma_1)^2 >= GRAM_TAU`` (1e-4) by ``thin_svd``'s eigen step
 :func:`~egreg.matrixcore._gram_eig` of their cross products ``Z[tr] Z[tr]'``
 if every fold passes its gate, all others by an SVD, bit for bit
 :func:`~egreg.matrixcore._svd`.  PCR, ridge, NIECE and EgReg are diagonal
 filters on the fold PCs (NIECE's is 0/1, in each lane's score order).  A call
 forms the fold products once (``B = U'Y_tr``, the held-out responses, the
-fold scores and NIECE's score order) and stacks the filters of all grids of
-one kernel form into one pass over the folds.  Grids that read one term count
-(ridge, NIECE, full-rank EgReg) share a residual-form pass; the others (PCR,
-EgReg d x lambda) share a Gram-form pass whose increments are summed over
-folds before one cumulative sum over the terms.  The Gram form's error is
-absolute, about eps k ||y_va||^2, so its scores are clamped at 0.  SIMPLS
-runs all folds x lanes as the lanes of one lockstep recurrence on ``U D``,
-with a 0/1 training-row mask per fold, and drops a lane's rows when it
-stops.  A pick is each lane's first minimum in a tie order formed once per
-grid, :attr:`_Grid.ties`.
+fold scores and NIECE's score order) and scores each grid in a pass of its
+own over the folds.  A grid whose entries read one term count (ridge, NIECE,
+full-rank EgReg) takes the residual form; the others (PCR, EgReg d x lambda)
+take the Gram form, whose increments are summed over folds before one
+cumulative sum over the terms.  The Gram form's error is absolute, about
+eps k ||y_va||^2, so its scores are clamped at 0.  SIMPLS runs all folds x
+lanes as the lanes of one lockstep recurrence on the design's U and D, as
+its refit does, with a 0/1 training-row mask per fold, and drops a lane's
+rows when it stops.  A pick is each lane's first minimum in a tie order
+formed once per grid, :attr:`_Grid.ties`.
 
 A study call that tunes ridge alone (double_descent's known-basis EgReg)
 factors no fold when :func:`_deletion_pays`: :func:`_ridge_deletion` gives
@@ -64,8 +64,8 @@ from .envscore import _score_order, envelope_scores
 from .estimators import (_check_params, _coefficients, _require_centered, _shrink, _simpls_lockstep,
                          pcr_coefficients)
 from .exceptions import ConfigError, ParameterError
-from .matrixcore import (Dataset, _as_matrix, _gram_eig, _gram_ok, _integer, _rank_of, _real,
-                         _real_array, _recenter, thin_svd)
+from .matrixcore import (Dataset, SvdFactors, _as_matrix, _gram_eig, _gram_ok, _integer, _rank_of,
+                         _real, _real_array, _recenter, thin_svd)
 from .riskanalytics import TruthSpec, empirical_risk_terms
 
 _TAG_MODEL = 0
@@ -309,19 +309,20 @@ def _fold_indices(n, k, seed):
 class _FoldStack:
     """Every training fold of one design, factored and zero-padded to one shape.
 
-    Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of ``Z``,
-    the design's PC coordinates ``U D``, which SIMPLS CV reads.  Its training
-    rows have the thin SVD ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and
-    ``A[f] = Z[va[f]] V_f / D[f]`` holds its held-out rows in whitened fold-PC
-    coordinates, factored as :func:`_fold_caches` says.  Folds are padded to
-    the largest training fold, held-out fold and rank: a padded index is n
-    (one row past the data), and padded rows and columns of U, D and A are
+    Fold f trains on rows ``tr[f]`` and holds out rows ``va[f]`` of ``Z =
+    U D``, the PC coordinates of the design whose thin SVD ``svd`` the stack
+    carries (SIMPLS CV reads its U and D).  Its training rows have the thin
+    SVD ``U[f] diag(D[f]) V_f'`` of rank ``r[f]``, and ``A[f] = Z[va[f]] V_f
+    / D[f]`` holds its held-out rows in whitened fold-PC coordinates,
+    factored as :func:`_fold_caches` says.  Folds are padded to the largest
+    training fold, held-out fold and rank: a padded index is n (one row
+    past the data), and padded rows and columns of U, D and A are
     zero, so they add exact zeros to every score.  A fold PC keeps the sign
     LAPACK gave it: flipping it flips its U and A columns together, which
     cancels in every CV score.
     """
 
-    Z: np.ndarray       # n x rank: the design's U D
+    svd: SvdFactors     # the design's thin SVD
     tr: np.ndarray      # folds x n_tr row indices
     va: np.ndarray      # folds x m row indices
     n_tr: np.ndarray    # training rows per fold
@@ -391,7 +392,7 @@ def _fold_caches(svd, folds) -> _FoldStack:
             cuts[f] = U[j, :, :rf], s[j, :rf], (Z[folds[f]] @ Vt[j, :rf].T) / s[j, :rf]
     r = np.array([cut[1].size for cut in cuts])
     k = int(r.max())
-    stack = _FoldStack(Z, tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
+    stack = _FoldStack(svd, tr, va, n_tr, r, np.zeros((len(folds), tr.shape[1], k)),
                        np.zeros((len(folds), k)), np.zeros((len(folds), va.shape[1], k)))
     for f, (U, s, A) in enumerate(cuts):
         stack.U[f, :n_tr[f], :r[f]] = U
@@ -458,7 +459,7 @@ def _simpls_cv_sse(folds: _FoldStack, Y, d):
     """Held-out SSE after 0..d SIMPLS components, pooled over folds: (d+1) x lanes.
 
     Every fold x lane pair is one lane of :func:`_simpls_lockstep` on the
-    design's coordinates ``folds.Z`` (``X = Z V'``); a fold is a 0/1 mask of its
+    design's U and D, as the refit runs it; a fold is a 0/1 mask of its
     training rows.  Held-out predictions grow one component at a time, and
     a lane that stops early keeps its last fit: its rows are dropped from
     the running arrays when it stops.
@@ -474,7 +475,8 @@ def _simpls_cv_sse(folds: _FoldStack, Y, d):
     live = np.arange(Yp.shape[0])
     sse = np.empty((d + 1, live.size))
     sse[:] = np.einsum("ln,lnq,lnq->l", held, Yp, Yp)
-    for c, (keep, _, t, zr) in enumerate(_simpls_lockstep(folds.Z, Yp, train, d), start=1):
+    steps = _simpls_lockstep(folds.svd.U, folds.svd.D, Yp, train, d)
+    for c, (keep, _, t, zr) in enumerate(steps, start=1):
         if keep is not None:
             live, Yp, fit, held = live[keep], Yp[keep], fit[keep], held[keep]
         fit += zr[:, :, None] * np.einsum("ln,lnq->lq", t, Yp)[:, None]
@@ -524,61 +526,55 @@ def _cv_sse(folds: _FoldStack, Y, grids) -> list:
 
     ``Y`` is n x lanes x q; lanes share the design and the folds (a study's
     replications are its lanes).  ``folds`` factor each fold from the
-    design's PC coordinates ``folds.Z``, on which SIMPLS runs all folds x
-    lanes in lockstep.  Like the fold SVDs, Z leaves out directions below
-    the numerical rank: they carry only rounding noise, which late
-    components would fit.
+    design's PC coordinates ``U D``, on which SIMPLS runs all folds x lanes
+    in lockstep (:func:`_simpls_cv_sse`).  Like the fold SVDs, they leave
+    out directions below the numerical rank: these carry only rounding
+    noise, which late components would fit.
 
     Every other method predicts a held-out row ``a`` as ``sum_j a_j h_j``
     with ``h = f B`` a filter on the fold's PCs (:func:`_grid_filters`),
     ``B = U'Y_tr``, and an entry reads the SSE after its first c terms;
     NIECE's entries read all terms.  ``B``, the held-out responses, the fold
-    scores and NIECE's score order are formed once for all grids.  Grids
-    whose entries all read one c (ridge, NIECE, full-rank EgReg) share one
-    residual-form pass per c; the others (PCR, EgReg d x lambda) share one
-    Gram-form pass.  A pass scores its folds a chunk at a time, the filters
-    of all its grids and every lane of a chunk at once.  The residual form
-    is one batched matrix product per chunk.  The Gram form is ``SSE(c) =
+    scores and NIECE's score order are formed once per call, and not at all
+    for SIMPLS alone.  Each grid is then scored in a pass of its own, a
+    chunk of folds at a time, its filters and every lane of a chunk at
+    once, so a grid's scores do not depend on the grids scored beside it.
+    A grid whose entries all read one c (ridge, NIECE, full-rank EgReg)
+    takes the residual form, one batched matrix product per chunk.  The
+    others (PCR, EgReg d x lambda) take the Gram form, ``SSE(c) =
     ||y_va||^2 + sum_{j<c} h_j ((M h)_j - 2 g_j)`` with M of
     :attr:`_FoldStack.M` and ``g = A'y_va``: the increments are summed over
     folds, then one cumulative sum over the terms gives every c.  Its
     absolute error is about eps k ||y_va||^2, so a score that should be 0
-    can round below it; it is clamped at 0.  Stacking the filters of
-    several grids can move a product's last bit, not more.
+    can round below it; it is clamped at 0.
     """
     for grid in grids:
         for r in dict.fromkeys(folds.r.tolist()):    # fold order: the first fold too small raises
             _entry_sizes(grid, r)
     n, lanes, q = Y.shape
     n_folds, m, k = folds.A.shape
-    out = [None] * len(grids)
-    passes = {}    # (Gram form?, terms read) -> (position, terms of each entry) of its grids
-    for i, grid in enumerate(grids):
+    methods = {grid.method for grid in grids}
+    if methods - {"simpls"}:
+        Yp = np.concatenate([Y.reshape(n, -1), np.zeros((1, lanes * q))])    # row n: the padding
+        B = (folds.U.transpose(0, 2, 1) @ Yp[folds.tr]).reshape(n_folds, k, lanes, q)
+        B = np.ascontiguousarray(B.transpose(0, 2, 3, 1))          # folds x lanes x q x k
+        Yva = Yp[folds.va].transpose(0, 2, 1)                      # folds x lanes q x m
+        phi = _fold_phi(folds, B) if methods & {"niece", "egreg"} else None
+        order = _score_order(phi, folds.D[:, None]) if "niece" in methods else None  # f x l x k
+    out = []
+    for grid in grids:
         if grid.method == "simpls":
-            out[i] = _simpls_cv_sse(folds, Y, int(grid.d.max()))[grid.d]
+            out.append(_simpls_cv_sse(folds, Y, int(grid.d.max()))[grid.d])
             continue
         cols = np.where(grid.d > 0, grid.d, k) if grid.method != "niece" else np.array([k])
         gram = bool(np.any(cols != cols[0]))
-        passes.setdefault((gram, k if gram else int(cols[0])), []).append((i, cols))
-    if not passes:
-        return out
-    Yp = np.concatenate([Y.reshape(n, -1), np.zeros((1, lanes * q))])    # row n: the padding
-    B = (folds.U.transpose(0, 2, 1) @ Yp[folds.tr]).reshape(n_folds, k, lanes, q)
-    B = np.ascontiguousarray(B.transpose(0, 2, 3, 1))          # folds x lanes x q x k
-    Yva = Yp[folds.va].transpose(0, 2, 1)                      # folds x lanes q x m
-    methods = {grid.method for grid in grids}
-    phi = _fold_phi(folds, B) if methods & {"niece", "egreg"} else None
-    order = _score_order(phi, folds.D[:, None]) if "niece" in methods else None  # folds x lanes x k
-    for (gram, c), members in passes.items():
-        filters = [_grid_filters(grids[i], folds, phi, order) for i, _ in members]
-        starts = np.cumsum([0] + [size for _, size, _ in filters])
-        step = max(1, _CHUNK_FLOATS // (starts[-1] * lanes * q * c))
+        c = k if gram else int(cols[0])
+        rows, size, f = _grid_filters(grid, folds, phi, order)
+        step = max(1, _CHUNK_FLOATS // (size * lanes * q * c))
         total = 0.0    # summed fold by fold, so no score depends on the chunking
         for at in (slice(j, j + step) for j in range(0, n_folds, step)):
             A = folds.A[at, :, :c]
-            H = np.empty((A.shape[0], starts[-1], lanes, q, c))     # chunk x L x lanes x q x c
-            for (_, _, f), a, b in zip(filters, starts, starts[1:]):
-                np.multiply(f(at)[:, :, :, None, :c], B[at, None, ..., :c], out=H[:, a:b])
+            H = f(at)[:, :, :, None, :c] * B[at, None, ..., :c]     # chunk x size x lanes x q x c
             if not gram:
                 R = H.reshape(H.shape[0], -1, c) @ A.transpose(0, 2, 1)
                 R = R.reshape(H.shape[0], -1, lanes * q, m)
@@ -592,16 +588,12 @@ def _cv_sse(folds: _FoldStack, Y, grids) -> list:
             H *= Mh
             for inc in H.sum(axis=3):
                 total += inc
-        if gram:
-            total = np.cumsum(total, axis=-1)
-            yy = np.einsum("nlq,nlq->l", Y, Y)
-        for (i, cols), (rows, _, _), a in zip(members, filters, starts):
-            if not gram:
-                out[i] = total[a + rows]
-                continue
-            sse = total[a + rows, :, cols - 1]
-            sse += yy
-            out[i] = np.maximum(sse, 0.0, out=sse)
+        if not gram:
+            out.append(total[rows])
+            continue
+        sse = np.cumsum(total, axis=-1)[rows, :, cols - 1]
+        sse += np.einsum("nlq,nlq->l", Y, Y)
+        out.append(np.maximum(sse, 0.0, out=sse))
     return out
 
 
@@ -609,10 +601,15 @@ def _deletion_pays(svd, folds, n_lam) -> bool:
     """Whether :func:`_ridge_deletion` does less work than factoring the folds:
     ``L m^2 (m + r)`` against ``n_tr r^2``, summed over folds (L lambdas, m
     held-out rows, r the design's rank).  That prices the folds at the SVD's
-    cost; the cross-product path of :func:`_fold_caches` is cheaper, but at
-    double_descent's u*/n = 0.75, 0.9 and 1.5 (n = 100, 10 folds, one BLAS
-    thread) the identity still took less than half of the fold stack's
-    time, so the rule stands."""
+    cost, and misprices the small designs: one ridge-only
+    :func:`_sample_fits` call of double_descent (n = 100, R = 5, 10 folds,
+    best of 15, one BLAS thread) takes 3.5 against 10.8 ms by the identity
+    at u*/n = 0.75, which the rule picks, but the rule sends u*/n = 0.5 to
+    the fold stack, 6.4 ms against 3.0 ms.  The rule is kept because the
+    identity's work grows as n^3 at a fixed number of folds (m = n / folds)
+    and the stack's as n r^2: on double_descent's reduced designs of 1000 x
+    50, 1000 x 100 and 2000 x 100 (best of 5) the identity takes 225, 247
+    and 1245 ms against the fold stack's 23, 69 and 131 ms."""
     m = np.array([va.size for va in folds])
     n = svd.U.shape[0]
     return n_lam * int(np.sum(m**2 * (m + svd.r))) < int(np.sum(n - m)) * svd.r**2
@@ -730,7 +727,7 @@ def kfold_cv(data: Dataset, method: str, param_grid, k: int = 10, seed=0):
     within a relative eps, and never below 0.  Ridge, NIECE and full-rank
     EgReg grids are scored from the residuals themselves, so their error is
     relative to the score.  The folds are factored as the studies factor
-    them (:func:`_fold_caches`, a stack that carries the design's ``U D``):
+    them (:func:`_fold_caches`, a stack that carries the design's thin SVD):
     wide folds of a well-conditioned design (``GRAM_TAU``) come from ``eigh``
     of their cross products ``X[tr] X[tr]'``, within about eps / GRAM_TAU of the
     SVD's factors; all others from one batched SVD.

@@ -295,7 +295,7 @@ def test_simpls_scores_are_orthonormal():
 
     data = _centered(seed=19, n=50, p=8, q=2)
     svd = thin_svd(data.X)
-    steps = _simpls_lockstep(svd.U * svd.D, data.Y[None], np.ones((1, data.n)), 5)
+    steps = _simpls_lockstep(svd.U, svd.D, data.Y[None], np.ones((1, data.n)), 5)
     T = np.array([t[0] for _, _, t, _ in steps]).T
     assert_allclose(T.T @ T, np.eye(T.shape[1]), atol=1e-8)
 

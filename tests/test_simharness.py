@@ -433,10 +433,11 @@ def _assert_folds_carry_thin_svd(stack, folds, exact):
     zeros in all its padding.  If ``exact``, rank, D and U are bit for bit
     those of the SVD branch (_svd); otherwise D is within 1e-12 relative and
     U and A within 1e-10 of their scale, as the cross-product branch gives."""
-    n = stack.Z.shape[0]
+    Z = stack.svd.U * stack.svd.D
+    n = Z.shape[0]
     for f, va in enumerate(folds):
         n_tr, r = stack.n_tr[f], stack.r[f]
-        rows = stack.Z[stack.tr[f, :n_tr]]
+        rows = Z[stack.tr[f, :n_tr]]
         fresh = _svd(rows) if exact else thin_svd(rows)
         U = stack.U[f, :n_tr, :r]
         sign = np.where(np.sum(U * fresh.U, axis=0) < 0, -1.0, 1.0)
@@ -447,7 +448,7 @@ def _assert_folds_carry_thin_svd(stack, folds, exact):
         else:
             assert_allclose(stack.D[f, :r], fresh.D, rtol=1e-12, atol=0)
             assert_allclose(U * sign, fresh.U, rtol=0, atol=1e-10)    # unit columns
-        A = stack.Z[va] @ fresh.V / fresh.D
+        A = Z[va] @ fresh.V / fresh.D
         assert_allclose(stack.A[f, :va.size, :r] * sign, A, rtol=0, atol=1e-10 * np.abs(A).max())
         assert not (stack.U[f, n_tr:].any() or stack.U[f, :, r:].any() or stack.D[f, r:].any()
                     or stack.A[f, va.size:].any() or stack.A[f, :, r:].any())
@@ -887,12 +888,11 @@ def test_cv_lanes_match_single_lane_runs(n, shape, k, lanes, q, zero_lane, seed)
        q=st.integers(1, 2), zero_lane=st.booleans(), seed=st.integers(0, 2**16))
 @example(n=14, wide=True, k=4, lanes=4, q=1, zero_lane=True, seed=1)   # training ranks 10 and 11
 def test_cv_grids_scored_together_match_each_grid_alone(n, wide, k, lanes, q, zero_lane, seed):
-    # One call scores every grid of a lane block, the filters of each kernel
-    # form stacked in one pass: ridge, NIECE (with candidate pools) and
-    # full-rank EgReg in the residual form, PCR and EgReg d x lambda in the
-    # Gram form, and a one-entry PCR grid in a residual pass of its own.
-    # Stacking can move a product's last bit, so the scores match each grid
-    # scored alone to rtol 1e-12, and the picks are equal.
+    # One call scores every grid of a lane block, each in a pass of its own:
+    # ridge, NIECE (with candidate pools) and full-rank EgReg in the residual
+    # form, PCR and EgReg d x lambda in the Gram form, and a one-entry PCR
+    # grid in the residual form.  The scores equal each grid scored alone
+    # bit for bit, and the picks are equal.
     X, Y = _lane_data(n, n + 6 if wide else max(4, n // 2), lanes, q, seed)
     if zero_lane:
         Y[:, 0] = 0.0
@@ -901,7 +901,7 @@ def test_cv_grids_scored_together_match_each_grid_alone(n, wide, k, lanes, q, ze
     together = _cv_sse(caches, Y, grids)
     picks = _tune(caches, Y, grids)
     for grid, got, pick in zip(grids, together, picks):
-        assert_allclose(got, _cv_sse(caches, Y, [grid])[0], rtol=1e-12, err_msg=grid.method)
+        assert np.array_equal(got, _cv_sse(caches, Y, [grid])[0]), grid.method
         assert pick.tolist() == _tune(caches, Y, [grid])[0].tolist(), grid.method
 
 
